@@ -406,13 +406,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run at once. It ends at
+                    // an ASCII quote or backslash (or the end), and the
+                    // input is a &str, so the run is itself valid UTF-8.
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| start + n);
+                    let text = std::str::from_utf8(&self.bytes[start..run])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(text);
+                    self.pos = run;
                 }
             }
         }
@@ -562,6 +566,26 @@ mod tests {
         // Depth is nesting, not sibling count: a long flat array is fine.
         let flat = format!("[{}1]", "1,".repeat(10_000));
         assert!(Json::parse(&flat).is_ok());
+    }
+
+    /// String parsing is linear: an 8 MiB string-heavy document (one
+    /// long multi-byte string plus many short escaped ones, the shape of
+    /// a large pipetrace export) parses in well under a second, where a
+    /// per-character rescan of the remaining input would take hours.
+    #[test]
+    fn large_string_heavy_documents_parse_in_linear_time() {
+        let long: String = "ab\u{e9}\u{1f600}".repeat(1 << 19); // 4 MiB
+        let short: Vec<Json> =
+            (0..170_000).map(|i| Json::Str(format!("op {i}: \"ld\"\tr{}\n", i % 64))).collect();
+        let mut doc = Json::object();
+        doc.field("long", Json::Str(long.clone())).field("short", Json::Array(short));
+        let text = doc.render();
+        assert!(text.len() >= 8 << 20, "document is {} bytes", text.len());
+        let parsed = Json::parse(&text).expect("parses");
+        assert_eq!(parsed.get("long").and_then(Json::as_str), Some(long.as_str()));
+        let items = parsed.get("short").and_then(Json::as_array).expect("array");
+        assert_eq!(items[169_999].as_str(), Some("op 169999: \"ld\"\tr15\n"));
+        assert_eq!(parsed.render(), text, "round-trips byte for byte");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   ([`PackedTrace::to_bytes`]), and the configuration's canonical
 //!   rendering. Any change to the trace, the configuration, or either
 //!   serialization format changes the key; stale entries are simply
-//!   never addressed again.
+//!   never addressed again. Everything before the configuration is
+//!   hashed once per trace ([`TraceDigest`]) and reused for every
+//!   configuration it is simulated under.
 //! - **Atomic writes.** An entry is written to a temporary file in the
 //!   store root and `rename`d into place, so a concurrent reader (or a
 //!   crash mid-write) can never observe a half-written entry under its
@@ -67,9 +69,11 @@ const STALE_LOCK: Duration = Duration::from_secs(60);
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a sequence of chunks, from an arbitrary basis (the
-/// second pass of the 128-bit key uses a perturbed basis so the two
-/// halves are independent hashes of the same stream).
+/// Basis of the key's low half: a perturbed offset, so the two halves
+/// are independent hashes of the same stream.
+const FNV_OFFSET_LO: u64 = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;
+
+/// FNV-1a over a sequence of chunks, from an arbitrary basis.
 fn fnv1a(basis: u64, chunks: &[&[u8]]) -> u64 {
     let mut hash = basis;
     for chunk in chunks {
@@ -79,6 +83,50 @@ fn fnv1a(basis: u64, chunks: &[&[u8]]) -> u64 {
         }
     }
     hash
+}
+
+/// The configuration-independent prefix of every [`EntryKey`] of one
+/// trace: both FNV-1a states after the store format version, the
+/// statistics wire version and the trace's wire bytes.
+///
+/// FNV-1a is a streaming hash, so [`TraceDigest::key`] continuing
+/// these states over a configuration's bytes yields exactly the key a
+/// single pass over the whole stream would — a trace replayed under
+/// many configurations is hashed once, not once per configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceDigest {
+    hi: u64,
+    lo: u64,
+}
+
+impl TraceDigest {
+    /// Hashes `trace`'s key prefix, feeding both halves in one pass
+    /// (two independent multiply chains per byte).
+    #[must_use]
+    pub fn of(trace: &PackedTrace) -> TraceDigest {
+        let mut digest = TraceDigest { hi: FNV_OFFSET, lo: FNV_OFFSET_LO };
+        digest.absorb(&STORE_FORMAT_VERSION.to_le_bytes());
+        digest.absorb(&STATS_WIRE_VERSION.to_le_bytes());
+        trace.for_each_wire_record(|rec| digest.absorb(rec));
+        digest
+    }
+
+    /// The key for simulating the digested trace under the
+    /// configuration whose canonical rendering is `sim_key`.
+    #[must_use]
+    pub fn key(mut self, sim_key: &str) -> EntryKey {
+        self.absorb(sim_key.as_bytes());
+        EntryKey { hi: self.hi, lo: self.lo }
+    }
+
+    fn absorb(&mut self, bytes: &[u8]) {
+        let (mut hi, mut lo) = (self.hi, self.lo);
+        for &byte in bytes {
+            hi = (hi ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            lo = (lo ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+        (self.hi, self.lo) = (hi, lo);
+    }
 }
 
 /// The 128-bit content address of one simulation result.
@@ -91,20 +139,11 @@ pub struct EntryKey {
 impl EntryKey {
     /// Derives the key for simulating `trace` under the configuration
     /// whose canonical rendering is `sim_key` (the same `Debug` string
-    /// the in-process store keys on).
+    /// the in-process store keys on). Callers keying one trace under
+    /// many configurations should hold its [`TraceDigest`] instead.
     #[must_use]
     pub fn of(trace: &PackedTrace, sim_key: &str) -> EntryKey {
-        let trace_bytes = trace.to_bytes();
-        let chunks: [&[u8]; 4] = [
-            &STORE_FORMAT_VERSION.to_le_bytes(),
-            &STATS_WIRE_VERSION.to_le_bytes(),
-            &trace_bytes,
-            sim_key.as_bytes(),
-        ];
-        EntryKey {
-            hi: fnv1a(FNV_OFFSET, &chunks),
-            lo: fnv1a(FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15, &chunks),
-        }
+        TraceDigest::of(trace).key(sim_key)
     }
 
     /// The key as the 32-hex-digit entry file stem.
@@ -471,6 +510,99 @@ mod tests {
         let c = store.counters();
         assert_eq!((c.hits, c.misses, c.stores, c.quarantined), (1, 1, 1, 0));
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    /// The key derivation as first written: one FNV-1a pass per half
+    /// over the fully serialized stream.
+    fn reference_key(trace: &PackedTrace, sim_key: &str) -> EntryKey {
+        let trace_bytes = trace.to_bytes();
+        let chunks: [&[u8]; 4] = [
+            &STORE_FORMAT_VERSION.to_le_bytes(),
+            &STATS_WIRE_VERSION.to_le_bytes(),
+            &trace_bytes,
+            sim_key.as_bytes(),
+        ];
+        EntryKey { hi: fnv1a(FNV_OFFSET, &chunks), lo: fnv1a(FNV_OFFSET_LO, &chunks) }
+    }
+
+    fn random_reg(rng: &mut mcl_testutil::Rng) -> Option<mcl_isa::ArchReg> {
+        rng.flip().then(|| mcl_isa::ArchReg::from_dense_index(rng.range(0, 64)))
+    }
+
+    fn random_trace(rng: &mut mcl_testutil::Rng) -> PackedTrace {
+        let len = rng.range(0, 48);
+        let ops: Vec<mcl_trace::TraceOp> = (0..len as u64)
+            .map(|seq| {
+                let mem_addr = rng.flip().then(|| rng.next_u64());
+                let branch = (mem_addr.is_none() && rng.flip()).then(|| mcl_trace::BranchInfo {
+                    taken: rng.flip(),
+                    target_pc: rng.next_u64(),
+                    conditional: rng.flip(),
+                });
+                mcl_trace::TraceOp {
+                    seq,
+                    pc: rng.next_u64(),
+                    op: *rng.pick(mcl_isa::Opcode::all()),
+                    dest: random_reg(rng),
+                    srcs: [random_reg(rng), random_reg(rng)],
+                    mem_addr,
+                    branch,
+                    sched_inserted: rng.flip(),
+                }
+            })
+            .collect();
+        PackedTrace::from_ops(&ops)
+    }
+
+    /// Any change to key derivation orphans every existing store, so
+    /// the key of a fixed trace and configuration string is pinned to
+    /// the value the original derivation produced.
+    #[test]
+    fn key_derivation_is_pinned_to_golden_hex() {
+        use mcl_isa::{ArchReg, Opcode};
+        use mcl_trace::{BranchInfo, TraceOp};
+        let ops = [
+            TraceOp {
+                seq: 0,
+                pc: 0x1000,
+                op: Opcode::Ldt,
+                dest: Some(ArchReg::fp(7)),
+                srcs: [Some(ArchReg::int(30)), None],
+                mem_addr: Some(0x9008),
+                branch: None,
+                sched_inserted: true,
+            },
+            TraceOp {
+                seq: 1,
+                pc: 0x1004,
+                op: Opcode::Bne,
+                dest: None,
+                srcs: [Some(ArchReg::int(5)), None],
+                mem_addr: None,
+                branch: Some(BranchInfo { taken: true, target_pc: 0x1000, conditional: true }),
+                sched_inserted: false,
+            },
+        ];
+        let trace = PackedTrace::from_ops(&ops);
+        let key = EntryKey::of(&trace, "ProcessorConfig { clusters: 2, width: 8 }");
+        assert_eq!(key.hex(), "9c631668fbe3bb9a50dfdf5ac248b519");
+        assert_eq!(EntryKey::of(&PackedTrace::new(), "").hex(), "29c7dd317360ac351de949a30681b2c0");
+    }
+
+    /// The one-pass, reusable digest derives exactly the reference key,
+    /// for random traces (the empty one included) and configurations.
+    #[test]
+    fn digest_keys_equal_the_reference_derivation() {
+        mcl_testutil::check_cases(128, |rng| {
+            let trace = if rng.below(8) == 0 { PackedTrace::new() } else { random_trace(rng) };
+            let digest = TraceDigest::of(&trace);
+            for _ in 0..3 {
+                let sim_key: String =
+                    rng.vec_in(0, 40, |r| char::from(b' ' + r.below(95) as u8)).into_iter().collect();
+                assert_eq!(digest.key(&sim_key), reference_key(&trace, &sim_key));
+                assert_eq!(EntryKey::of(&trace, &sim_key), reference_key(&trace, &sim_key));
+            }
+        });
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //! Freshly built traces are additionally *canonicalized by content*:
 //! distinct keys that happen to produce byte-identical traces (a
 //! threshold past the point where the partition stops changing, an
-//! unroll factor on a benchmark without self-loops) share one buffer
-//! and — since simulation is deterministic — one memoized simulation
-//! per configuration.
+//! unroll factor on a benchmark without self-loops) share one buffer,
+//! one persistent-store key prefix ([`TraceDigest`], hashed only when
+//! a disk store is attached) and — since simulation is deterministic —
+//! one memoized simulation per configuration.
 //!
 //! The store serves *statistics only*; runs that need event logs
 //! (`repro pipeline`, the scenario timelines) bypass it.
@@ -57,7 +58,7 @@ use mcl_trace::vm::{dynamic_len_estimate, trace_program_packed};
 use mcl_trace::{PackedTrace, Program, Vreg};
 use mcl_workloads::Benchmark;
 
-use crate::persist::{self, PersistStore};
+use crate::persist::{PersistStore, TraceDigest};
 use crate::Error;
 
 /// Identifies a (possibly unrolled) intermediate-language program.
@@ -233,10 +234,18 @@ fn slot_of<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: K) -> Slot<T>
     map.lock().unwrap().entry(key).or_default().clone()
 }
 
-/// A content-canonicalized trace: the id is shared by every trace key
-/// whose built trace came out byte-identical, and indexes the
-/// simulation cache.
-type CanonTrace = (u64, Arc<PackedTrace>);
+/// A content-canonicalized trace, shared by every trace key whose built
+/// trace came out byte-identical.
+struct Canonical {
+    /// Indexes the simulation cache.
+    id: u64,
+    trace: Arc<PackedTrace>,
+    /// The persistent-store key prefix, hashed on the first disk lookup
+    /// and reused by every configuration after it.
+    digest: OnceLock<TraceDigest>,
+}
+
+type CanonTrace = Arc<Canonical>;
 
 /// An IL build slot (infallible — `Benchmark::build` cannot fail).
 type IlSlot = Arc<OnceLock<Arc<Program<Vreg>>>>;
@@ -287,6 +296,9 @@ pub struct TraceStore {
     /// in-process memo misses (serial products only; see
     /// [`TraceStore::with_persist`]).
     persist: Option<Arc<PersistStore>>,
+    /// Persistent-store key prefixes hashed (at most one per canonical
+    /// trace).
+    trace_digests: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
     sim_hits: AtomicU64,
@@ -314,6 +326,7 @@ impl TraceStore {
             next_content_id: AtomicU64::new(0),
             sims: Mutex::new(HashMap::new()),
             persist: None,
+            trace_digests: AtomicU64::new(0),
             trace_hits: AtomicU64::new(0),
             trace_misses: AtomicU64::new(0),
             sim_hits: AtomicU64::new(0),
@@ -425,8 +438,8 @@ impl TraceStore {
     /// Scheduling or trace-generation failures surface as
     /// [`Error::Store`] (identically on every call for the same key).
     pub fn trace(&self, req: &TraceRequest) -> Result<(Arc<PackedTrace>, f64), Error> {
-        let ((_, trace), phases) = self.canon_trace(req)?;
-        Ok((trace, phases.total_seconds))
+        let (canon, phases) = self.canon_trace(req)?;
+        Ok((Arc::clone(&canon.trace), phases.total_seconds))
     }
 
     /// Like [`TraceStore::trace`], but with the full phase breakdown.
@@ -438,8 +451,8 @@ impl TraceStore {
         &self,
         req: &TraceRequest,
     ) -> Result<(Arc<PackedTrace>, TracePhases), Error> {
-        let ((_, trace), phases) = self.canon_trace(req)?;
-        Ok((trace, phases))
+        let (canon, phases) = self.canon_trace(req)?;
+        Ok((Arc::clone(&canon.trace), phases))
     }
 
     fn canon_trace(&self, req: &TraceRequest) -> Result<(CanonTrace, TracePhases), Error> {
@@ -473,11 +486,15 @@ impl TraceStore {
         let digest = hasher.finish();
         let mut pool = self.canonical.lock().unwrap();
         let bucket = pool.entry(digest).or_default();
-        if let Some(existing) = bucket.iter().find(|(_, t)| **t == trace) {
-            return existing.clone();
+        if let Some(existing) = bucket.iter().find(|c| *c.trace == trace) {
+            return Arc::clone(existing);
         }
-        let entry = (self.next_content_id.fetch_add(1, Ordering::Relaxed), Arc::new(trace));
-        bucket.push(entry.clone());
+        let entry = Arc::new(Canonical {
+            id: self.next_content_id.fetch_add(1, Ordering::Relaxed),
+            trace: Arc::new(trace),
+            digest: OnceLock::new(),
+        });
+        bucket.push(Arc::clone(&entry));
         entry
     }
 
@@ -543,7 +560,8 @@ impl TraceStore {
         config: &ProcessorConfig,
         shard_opts: &ShardOptions,
     ) -> Result<SimProduct, Error> {
-        let ((content_id, trace), phases) = self.canon_trace(req)?;
+        let (canon, phases) = self.canon_trace(req)?;
+        let trace = &canon.trace;
         let start = Instant::now();
         // `ProcessorConfig` is not `Hash`; its derived `Debug` rendering
         // covers every field and so is a faithful key. Keying on the
@@ -558,7 +576,7 @@ impl TraceStore {
         } else {
             format!("{config:?}|windows={windows}")
         };
-        let slot = slot_of(&self.sims, (content_id, sim_key.clone()));
+        let slot = slot_of(&self.sims, (canon.id, sim_key.clone()));
         let mut built = false;
         let mut disk_served = false;
         let result = slot.get_or_init(|| {
@@ -568,11 +586,15 @@ impl TraceStore {
                 // the persistent store before simulating, write back
                 // after a fresh success. A corrupt or missing entry is a
                 // plain miss (the store quarantines internally), never
-                // an error.
-                let persist_key = self
-                    .persist
-                    .as_deref()
-                    .map(|p| (p, persist::EntryKey::of(&trace, &sim_key)));
+                // an error. The trace's share of the key is hashed once
+                // per canonical trace, on its first disk lookup.
+                let persist_key = self.persist.as_deref().map(|p| {
+                    let digest = canon.digest.get_or_init(|| {
+                        self.trace_digests.fetch_add(1, Ordering::Relaxed);
+                        TraceDigest::of(trace)
+                    });
+                    (p, digest.key(&sim_key))
+                });
                 if let Some((p, ekey)) = &persist_key {
                     if let Some((stats, ff)) = p.load(ekey) {
                         disk_served = true;
@@ -583,7 +605,7 @@ impl TraceStore {
                     format!("simulate {}/{:?}", req.bench.name(), req.kind)
                 });
                 let result = Processor::new(config.clone())
-                    .run_packed(&trace)
+                    .run_packed(trace)
                     .map(|r| (r.stats, r.ff, None))
                     .map_err(|e| e.to_string());
                 if let (Some((p, ekey)), Ok((stats, ff, _))) = (&persist_key, &result) {
@@ -596,7 +618,7 @@ impl TraceStore {
                 });
                 let shard_epoch = Instant::now();
                 let result = Processor::new(config.clone())
-                    .run_sharded(&trace, shard_opts)
+                    .run_sharded(trace, shard_opts)
                     .map(|(r, report)| (r.stats, r.ff, Some(report)))
                     .map_err(|e| e.to_string());
                 // Replay the shard workers' measured window schedule
@@ -778,6 +800,43 @@ mod tests {
         let again = warm_store.sim(&req, &cfg).unwrap();
         assert_eq!(again.stats, warm.stats);
         assert_eq!(warm_store.counters().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trace_digest_is_hashed_once_per_canonical_trace() {
+        let dir = std::env::temp_dir()
+            .join(format!("mcl-store-digest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let persist = Arc::new(crate::persist::PersistStore::open(&dir).unwrap());
+        let plain = TraceStore::new();
+        let store = TraceStore::new().with_persist(Arc::clone(&persist));
+        let base = TraceRequest::new(Benchmark::Compress, 40, SchedulerKind::Local);
+        let configs = [
+            ProcessorConfig::dual_cluster_8way(),
+            ProcessorConfig::single_cluster_8way(),
+            ProcessorConfig::dual_cluster_4way(),
+        ];
+        for cfg in &configs {
+            store.sim(&base, cfg).unwrap();
+            plain.sim(&base, cfg).unwrap();
+        }
+        // The unrolled request builds under its own key but canonicalizes
+        // to the same content (see above), so it reuses the digest too.
+        let unrolled = base.with_unroll(2);
+        let cfg = ProcessorConfig::single_cluster_4way();
+        store.sim(&unrolled, &cfg).unwrap();
+        assert_eq!(store.trace_digests.load(Ordering::Relaxed), 1, "one hash for four keys");
+        assert_eq!(plain.trace_digests.load(Ordering::Relaxed), 0, "no store, no hashing");
+        let c = store.counters();
+        assert_eq!((c.disk_misses, c.disk_stores), (4, 4));
+
+        // And every key the cached digest produced is the one-shot key.
+        let (trace, _) = store.trace(&unrolled).unwrap();
+        for cfg in configs.iter().chain([&cfg]) {
+            let key = crate::persist::EntryKey::of(&trace, &format!("{cfg:?}"));
+            assert!(persist.entry_path(&key).is_file(), "entry for {cfg:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -48,37 +48,55 @@ fn range_flag_rejects_malformed_values() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn pipetrace_exports_pass_obs_validate() {
-    let dir = temp_dir("pipetrace");
+/// Runs `repro pipetrace <args>` for compress into `<dir>/exports`,
+/// then checks that `repro obs-validate` accepts both exports; returns
+/// the pipetrace stdout.
+fn pipetrace_round_trip(dir: &Path, args: &[&str]) -> String {
     let out_dir = dir.join("exports");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["pipetrace", "64", "--out"])
+        .arg("pipetrace")
+        .args(args)
+        .arg("--out")
         .arg(&out_dir)
         .env("MCL_ONLY", "compress")
-        .current_dir(&dir)
+        .current_dir(dir)
         .output()
         .expect("repro binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "pipetrace run failed: {stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("compress: "), "{stdout}");
     assert!(out_dir.join("compress.konata").is_file());
     assert!(out_dir.join("compress.pipetrace.json").is_file());
 
     let validate = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("obs-validate")
         .arg(&out_dir)
-        .current_dir(&dir)
+        .current_dir(dir)
         .output()
         .expect("repro binary runs");
-    let vout = String::from_utf8_lossy(&validate.stdout);
     assert!(
         validate.status.success(),
         "obs-validate failed: {}",
         String::from_utf8_lossy(&validate.stderr)
     );
+    let vout = String::from_utf8_lossy(&validate.stdout);
     assert!(vout.contains("1 pipetrace export(s)"), "{vout}");
     assert!(vout.contains("1 Konata trace(s)"), "{vout}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn pipetrace_exports_pass_obs_validate() {
+    let dir = temp_dir("pipetrace");
+    let stdout = pipetrace_round_trip(&dir, &["64"]);
+    assert!(stdout.contains("compress: "), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 16384-op export (megabytes of JSON) validates in linear time.
+#[test]
+fn large_ranged_pipetrace_round_trips_through_obs_validate() {
+    let dir = temp_dir("pipetrace-large");
+    let stdout = pipetrace_round_trip(&dir, &["8", "--range", "0..16384"]);
+    assert!(stdout.contains("compress: 16384 op(s) traced"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

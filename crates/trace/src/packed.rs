@@ -349,12 +349,21 @@ impl PackedTrace {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.ops.len() * PackedTrace::WIRE_BYTES_PER_OP);
-        for op in &self.ops {
-            out.extend_from_slice(&op.pc.to_le_bytes());
-            out.extend_from_slice(&op.aux.to_le_bytes());
-            out.extend_from_slice(&[op.op, op.dest, op.src0, op.src1, op.flags]);
-        }
+        self.for_each_wire_record(|rec| out.extend_from_slice(rec));
         out
+    }
+
+    /// Calls `f` with each record's [`PackedTrace::to_bytes`] encoding,
+    /// in sequence order, without materializing the whole stream —
+    /// for consumers (content hashes) that only stream over it.
+    pub fn for_each_wire_record(&self, mut f: impl FnMut(&[u8; PackedTrace::WIRE_BYTES_PER_OP])) {
+        let mut rec = [0u8; PackedTrace::WIRE_BYTES_PER_OP];
+        for op in &self.ops {
+            rec[0..8].copy_from_slice(&op.pc.to_le_bytes());
+            rec[8..16].copy_from_slice(&op.aux.to_le_bytes());
+            rec[16..].copy_from_slice(&[op.op, op.dest, op.src0, op.src1, op.flags]);
+            f(&rec);
+        }
     }
 
     /// Deserializes a [`PackedTrace::to_bytes`] stream, validating every

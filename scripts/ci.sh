@@ -418,6 +418,39 @@ if git worktree add --detach "$base_dir/src" "$baseline_ref" >/dev/null 2>&1 \
         echo "FAIL: disabled-probe overhead ${current}s vs baseline ${baseline}s exceeds tolerance ${guard_tol}" >&2
         exit 1
     fi
+
+    echo "== guard: cross-version store compatibility =="
+    # A store filled by the baseline binary must serve every lookup of
+    # the current one, with the output a fresh simulation renders: a
+    # change to key derivation would silently orphan every existing
+    # store. Skipped when either version constant moved, since old
+    # entries are then deliberately no longer addressed.
+    wire_versions() {
+        grep -ho 'pub const \(STORE_FORMAT_VERSION\|STATS_WIRE_VERSION\): u32 = [0-9]*' \
+            "$1/crates/bench/src/persist.rs" "$1/crates/core/src/stats.rs" 2>/dev/null
+    }
+    base_versions="$(wire_versions "$base_dir/src")"
+    if [ -z "$base_versions" ] || [ "$base_versions" != "$(wire_versions .)" ]; then
+        echo "WARN: store format or stats wire version differs from $baseline_ref; skipping cross-version store check" >&2
+    else
+        xv_dir="$smoke_dir/cross_version"
+        mkdir -p "$xv_dir"
+        (cd "$xv_dir" && "$base_dir/target/release/repro" all 8 --jobs 1 --store xv_store > /dev/null)
+        (cd "$xv_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 1 --store xv_store > all_current.txt)
+        if ! diff -q "$smoke_dir/all_cold.txt" "$xv_dir/all_current.txt"; then
+            echo "FAIL: serving a $baseline_ref store changed repro all output" >&2
+            exit 1
+        fi
+        grep -q '"disk_misses":0' "$xv_dir/BENCH_repro.json" || {
+            echo "FAIL: current binary missed entries of a $baseline_ref store (key derivation changed)" >&2
+            exit 1
+        }
+        grep -q '"disk_quarantined":0' "$xv_dir/BENCH_repro.json" || {
+            echo "FAIL: current binary quarantined entries of a $baseline_ref store" >&2
+            exit 1
+        }
+        echo "cross-version store OK: every lookup served from a $baseline_ref store, output byte-identical"
+    fi
 else
     echo "WARN: baseline $baseline_ref unavailable; skipping overhead guard" >&2
 fi
