@@ -30,8 +30,9 @@ use std::time::Instant;
 /// checking, watchdog polling, and loop overhead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostPhase {
-    /// Completion/TimeQ drains at the top of the cycle: buffer-free
-    /// credits and branch-resolution pops.
+    /// Event drains at the top of the cycle: fault hooks, fired
+    /// completion events, buffer-free credits and branch-resolution
+    /// pops.
     TimeQ,
     /// In-order retirement.
     Retire,
@@ -42,8 +43,8 @@ pub enum HostPhase {
     Issue,
     /// Fetch, rename, and in-order distribution.
     Dispatch,
-    /// The architectural invariant checker (zero unless `--check` is
-    /// active).
+    /// The architectural invariant checker. Not zero with `--check`
+    /// off: it still holds the per-cycle test of the check level.
     Checker,
     /// Dead-cycle fast-forward bookkeeping (jump-target computation and
     /// span charging; zero under the ticked engine).

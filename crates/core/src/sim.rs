@@ -608,26 +608,32 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     /// Per cluster: copies whose operands are all available, kept
     /// sorted by age — the issue pass walks exactly these. A sorted
     /// `Vec` beats a `BTreeSet` here: the set is small (a handful of
-    /// copies), is snapshotted every live cycle, and age-ordered
-    /// iteration is the hot operation.
+    /// copies), is compacted in place by every issue pass, and
+    /// age-ordered iteration is the hot operation.
     ready: [Vec<ReadyEntry>; 2],
-    /// Per cluster: lazily-invalidated min-heap over copies still
-    /// waiting for operands (issue-disorder accounting).
-    waiting_min: [BinaryHeap<Reverse<(u64, u8)>>; 2],
+    /// Per cluster: every dispatched copy as `(seq, action)`, in
+    /// dispatch order, for issue-disorder accounting. Dispatch pushes
+    /// each cluster's copies in strictly increasing seq (a master and
+    /// its slave always go to different clusters) and replay pops the
+    /// squashed tail, so the queue stays sorted and its first live
+    /// entry is the oldest copy still waiting for operands. Entries
+    /// that issued or went ready are discarded lazily from the front.
+    waiting: [VecDeque<(u64, u8)>; 2],
     /// Copies whose last operand time became known, to enter the ready
     /// set at the scheduled cycle. Key `seq << 1 | action`, data the
     /// cluster index.
     future_ready: TimeQ,
     /// Scheduled scenario-five wake checks, keyed by seq.
     wake_events: TimeQ,
-    /// Scheduled completions for the progress check (lazily invalidated
-    /// on squash), as `(cycle, seq, DONE/WRITE)`. A plain lazy min-heap
-    /// rather than a [`TimeQ`]: the progress check only ever asks for
-    /// the earliest live entry, so O(1) peek beats the wheel's bitmap
-    /// walk, and tie order among same-cycle events is unobservable.
+    /// Scheduled completions for the progress check, as `(cycle, seq,
+    /// DONE/WRITE)`. A plain min-heap rather than a [`TimeQ`]: the
+    /// progress check only ever asks for the earliest live entry, so
+    /// O(1) peek beats the wheel's bitmap walk, and tie order among
+    /// same-cycle events is unobservable. Fired events are popped at
+    /// the top of every cycle, so the heap holds only future events:
+    /// at most two per in-flight instruction, plus events of squashed
+    /// incarnations, which are discarded lazily against the window.
     completions: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    /// Reusable snapshot of one cluster's ready set for the issue pass.
-    scratch_pass: Vec<ReadyEntry>,
     /// Reusable drain buffer for replay squashes.
     scratch_squash: Vec<DynInstr>,
     /// Reusable drain buffer for [`TimeQ::pop_due`] consumers.
@@ -743,11 +749,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             producers: [[None; 64]; 2],
             waiters: WaiterArena::new(),
             ready: [Vec::new(), Vec::new()],
-            waiting_min: [BinaryHeap::new(), BinaryHeap::new()],
+            waiting: [VecDeque::new(), VecDeque::new()],
             future_ready: TimeQ::new(),
             wake_events: TimeQ::new(),
             completions: BinaryHeap::new(),
-            scratch_pass: Vec::new(),
             scratch_squash: Vec::new(),
             scratch_events: Vec::new(),
             scratch_regs: Vec::new(),
@@ -865,6 +870,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         self.blocked_on_buffer = false;
         self.inject_faults();
 
+        self.pop_fired_completions();
         self.process_buffer_frees();
         self.process_branch_resolutions();
         if H::ENABLED {
@@ -1024,6 +1030,18 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     fn blocking_branch_resolution(&self) -> Option<u64> {
         let seq = self.fetch_blocked_by?;
         self.pending_bpred.iter().any(|e| e.key == seq).then_some(seq)
+    }
+
+    /// Drops completion events at or before `now`. Exact: every reader
+    /// of the heap (the progress check, fast-forward, the drop fault,
+    /// the liveness checker) only looks at events strictly after `now`.
+    /// Without this the heap would be trimmed only on actionless
+    /// cycles, and grow with the length of a busy run.
+    fn pop_fired_completions(&mut self) {
+        let now = self.now;
+        while self.completions.peek().is_some_and(|&Reverse((cycle, _, _))| cycle <= now) {
+            self.completions.pop();
+        }
     }
 
     /// Removes the earliest live completion event strictly after `now`
@@ -1583,9 +1601,9 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     }
 
     /// The oldest copy for `cluster` still waiting on operands, if any
-    /// (lazily discarding entries that issued, squashed, or went ready).
+    /// (lazily discarding entries that issued or went ready).
     fn min_waiting(&mut self, cluster: usize) -> Option<u64> {
-        while let Some(&Reverse((seq, action))) = self.waiting_min[cluster].peek() {
+        while let Some(&(seq, action)) = self.waiting[cluster].front() {
             let live = match self.win_index(seq) {
                 None => false,
                 Some(wi) => {
@@ -1604,7 +1622,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             if live {
                 return Some(seq);
             }
-            self.waiting_min[cluster].pop();
+            self.waiting[cluster].pop_front();
         }
         None
     }
@@ -1623,16 +1641,14 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         let mut blocked_in_pass = 0u64;
         let now = self.now;
 
-        // Snapshot the ready set (age order); deliveries during the
-        // pass only schedule *future* cycles, so the set itself gains
-        // nothing this cycle, and issued copies are removed directly.
-        let mut pass = std::mem::take(&mut self.scratch_pass);
-        pass.clear();
-        pass.extend_from_slice(&self.ready[ci]);
-
-        for &e in &pass {
+        // Walk the ready set in age order, compacting it in place:
+        // blocked copies stay, issued ones drop out. Deliveries during
+        // the pass only schedule *future* cycles, so nothing else
+        // touches the set while it is taken out of `self`.
+        let mut ready = std::mem::take(&mut self.ready[ci]);
+        ready.retain(|&e| {
             if budget.is_exhausted() {
-                break;
+                return true;
             }
             enum Action {
                 Master,
@@ -1657,7 +1673,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                     self.probe.issue_blocked(now, seq, IssueBlock::Width);
                 }
                 blocked_in_pass += 1;
-                continue;
+                return true;
             }
             match action {
                 Action::Master => {
@@ -1668,7 +1684,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                             self.probe.issue_blocked(now, seq, IssueBlock::Width);
                         }
                         blocked_in_pass += 1;
-                        continue;
+                        return true;
                     }
                     if e.slave_receives && self.rtb_free[usize::from(e.slave)] == 0 {
                         self.stats.rtb_full_stalls += 1;
@@ -1677,7 +1693,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                             self.probe.issue_blocked(now, seq, IssueBlock::RtbFull);
                         }
                         blocked_in_pass += 1;
-                        continue;
+                        return true;
                     }
                 }
                 Action::SlaveForward => {
@@ -1688,7 +1704,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                             self.probe.issue_blocked(now, seq, IssueBlock::OtbFull);
                         }
                         blocked_in_pass += 1;
-                        continue;
+                        return true;
                     }
                 }
                 Action::SlaveReceive => {}
@@ -1710,9 +1726,6 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             }
             issued += 1;
             self.stats.per_cluster_issued[ci] += 1;
-            if let Ok(pos) = self.ready[ci].binary_search_by_key(&(seq, act), ReadyEntry::key) {
-                self.ready[ci].remove(pos);
-            }
             {
                 let d = &mut self.window[wi];
                 let st = if act == ACT_MASTER { &mut d.m_wait } else { &mut d.s_wait };
@@ -1724,8 +1737,9 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 Action::SlaveForward => self.issue_slave_forward(wi, cluster),
                 Action::SlaveReceive => self.issue_slave_receive(wi, cluster),
             }
-        }
-        self.scratch_pass = pass;
+            false
+        });
+        self.ready[ci] = ready;
         issued
     }
 
@@ -2235,7 +2249,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                         s.index() as u64,
                     );
                 }
-                self.waiting_min[s.index()].push(Reverse((seq, ACT_SLAVE)));
+                self.waiting[s.index()].push_back((seq, ACT_SLAVE));
             }
             if m_wait.unknown == 0 {
                 self.future_ready.schedule(
@@ -2244,7 +2258,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                     dist.master.index() as u64,
                 );
             }
-            self.waiting_min[dist.master.index()].push(Reverse((seq, ACT_MASTER)));
+            self.waiting[dist.master.index()].push_back((seq, ACT_MASTER));
 
             // Branch prediction at queue-insert time (Section 4.2,
             // footnote 2).
@@ -2744,14 +2758,19 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         if P::ENABLED {
             self.probe.replayed(now, from_seq, squash_count);
         }
-        // Squashed copies leave the ready sets; registrations *by*
-        // squashed consumers on surviving producers are dropped so a
+        // Squashed copies leave the ready sets and the waiting queues —
+        // the latter so re-dispatched incarnations queue in seq order,
+        // not behind stale younger entries. Registrations *by* squashed
+        // consumers on surviving producers are dropped so a
         // re-dispatched incarnation cannot see a double delivery. The
-        // future-ready/wake/completion heaps and the waiting heaps
-        // validate lazily against the live window instead.
+        // future-ready/wake queues and the completions heap validate
+        // lazily against the live window instead.
         for c in 0..2 {
             let keep = self.ready[c].partition_point(|e| e.seq < from_seq);
             self.ready[c].truncate(keep);
+            while self.waiting[c].back().is_some_and(|&(seq, _)| seq >= from_seq) {
+                self.waiting[c].pop_back();
+            }
         }
         for wi in 0..self.window.len() {
             let head = self.window[wi].w_done;
@@ -3435,5 +3454,136 @@ mod tests {
         assert_eq!(sim.cursor, 2, "fetch restarts at the squash point");
         let pending: Vec<u64> = sim.pending_bpred.iter().map(|e| e.key).collect();
         assert_eq!(pending, vec![1], "squashed branch updates are dropped");
+    }
+
+    #[test]
+    fn completions_heap_stays_bounded_by_in_flight_work() {
+        // A warm loop whose 16-deep dependent chain issues, completes
+        // and retires on every cycle, and never replays: no events of
+        // squashed incarnations linger, so after every cycle the heap
+        // holds at most two events per in-flight instruction plus those
+        // due on the coming cycle. A heap trimmed only on actionless
+        // cycles grows with the length of the run instead.
+        let mut b = ProgramBuilder::<ArchReg>::new("chain-loop");
+        let r = ArchReg::int(2);
+        let i = ArchReg::int(4);
+        let body = b.new_block("body");
+        b.lda(r, 0);
+        b.lda(i, 400);
+        b.switch_to(body);
+        for _ in 0..16 {
+            b.addq_imm(r, r, 1);
+        }
+        b.subq_imm(i, i, 1);
+        b.bne(i, body);
+        let p = b.finish().unwrap();
+        let (trace, _) = trace_program(&p).unwrap();
+        let cfg = ProcessorConfig::single_cluster_8way();
+        let mut sim = Sim::new(&cfg, trace.as_slice());
+        while sim.cursor < trace.len() || !sim.window.is_empty() {
+            sim.step().unwrap();
+            let now = sim.now;
+            let due =
+                sim.completions.iter().filter(|&&Reverse((cycle, _, _))| cycle == now).count();
+            assert!(
+                sim.completions.len() <= 2 * sim.window.len() + due,
+                "cycle {now}: {} completion events for {} in-flight instructions",
+                sim.completions.len(),
+                sim.window.len()
+            );
+        }
+        assert_eq!(sim.stats.replays, 0);
+        assert!(sim.now > 6400, "the run is long enough to outgrow any fixed slack");
+    }
+
+    #[test]
+    fn waiting_queue_front_matches_a_window_scan_under_replays() {
+        // Random cross-cluster programs on one-entry transfer buffers
+        // take replay exceptions and escalations. After every cycle,
+        // the lazily cleaned FIFO must name the same oldest waiting
+        // copy per cluster as a scan of the live window.
+        let regs: Vec<ArchReg> = (2..10).map(ArchReg::int).collect();
+        let mut cfg = ProcessorConfig::dual_cluster_8way();
+        cfg.operand_buffer = 1;
+        cfg.result_buffer = 1;
+        let mut replays = 0;
+        for seed in 0..24 {
+            let mut rng = mcl_testutil::Rng::new(seed);
+            let mut b = ProgramBuilder::<ArchReg>::new("random-dual");
+            for &r in &regs {
+                b.lda(r, rng.range_i64(1, 100));
+            }
+            for _ in 0..rng.range(40, 160) {
+                let (d, x, y) = (*rng.pick(&regs), *rng.pick(&regs), *rng.pick(&regs));
+                match rng.below(3) {
+                    0 => b.addq(d, x, y),
+                    1 => b.mulq(d, x, y),
+                    _ => b.addq_imm(d, x, 1),
+                }
+            }
+            let p = b.finish().unwrap();
+            let (trace, _) = trace_program(&p).unwrap();
+            let mut sim = Sim::new(&cfg, trace.as_slice());
+            while sim.cursor < trace.len() || !sim.window.is_empty() {
+                sim.step().unwrap();
+                for c in 0..2 {
+                    let scan = sim
+                        .window
+                        .iter()
+                        .find(|d| {
+                            (d.dist.master.index() == c
+                                && d.master_issued.is_none()
+                                && !d.m_wait.in_ready)
+                                || (d.dist.slave.is_some_and(|s| s.index() == c)
+                                    && d.slave_issued.is_none()
+                                    && !d.s_wait.in_ready)
+                        })
+                        .map(|d| d.op.seq);
+                    // Query a copy, so the check's lazy pops do not
+                    // clean the queue more often than the issue pass.
+                    let queue = sim.waiting[c].clone();
+                    let front = sim.min_waiting(c);
+                    sim.waiting[c] = queue;
+                    assert_eq!(front, scan, "seed {seed}, cycle {}, cluster {c}", sim.now);
+                }
+            }
+            replays += sim.stats.replays;
+        }
+        assert!(replays > 0, "one-entry transfer buffers must force replays");
+    }
+
+    #[test]
+    fn replay_requeues_squashed_waiting_copies_in_seq_order() {
+        // Once seqs 0-2 have issued, the lazy front moves past them to
+        // the add (seq 3), which waits on the multiply. Squashing from
+        // seq 2 must drop the add's queued entry too: left in place, it
+        // would sit ahead of the re-dispatched multiply and be reported
+        // as the oldest waiting copy once the add is re-dispatched.
+        let mut b = ProgramBuilder::<ArchReg>::new("requeue");
+        let (x, y, p, q) = (ArchReg::int(2), ArchReg::int(4), ArchReg::int(6), ArchReg::int(8));
+        b.lda(x, 3);
+        b.lda(y, 5);
+        b.mulq(p, x, y);
+        b.addq_imm(q, p, 1);
+        let prog = b.finish().unwrap();
+        let (trace, _) = trace_program(&prog).unwrap();
+        let cfg = ProcessorConfig::dual_cluster_8way();
+        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let mul_issued = |sim: &Sim<'_, [TraceOp]>| {
+            sim.win_index(2).is_some_and(|wi| sim.window[wi].master_issued.is_some())
+        };
+        while !mul_issued(&sim) {
+            assert!(sim.now < 100, "the multiply issues");
+            sim.step().unwrap();
+        }
+        assert_eq!(sim.min_waiting(0), Some(3), "only the add still waits");
+
+        sim.replay_from(2);
+        while sim.cursor < trace.len() {
+            assert!(sim.now < 200, "the squashed ops re-dispatch");
+            sim.step().unwrap();
+        }
+        assert!(!mul_issued(&sim), "the multiply still waits when the add re-dispatches");
+        assert_eq!(sim.min_waiting(0), Some(2), "the re-dispatched multiply waits first");
     }
 }

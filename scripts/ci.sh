@@ -34,9 +34,8 @@ test -s "$smoke_dir/BENCH_repro.json" || {
 }
 
 echo "== smoke: invariant checker does not change results =="
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 4 > table2_plain.txt)
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 4 --check retire > table2_checked.txt)
-if ! diff -q "$smoke_dir/table2_plain.txt" "$smoke_dir/table2_checked.txt"; then
+(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 --jobs 2 --check retire > table2_checked.txt)
+if ! diff -q "$smoke_dir/table2_j1.txt" "$smoke_dir/table2_checked.txt"; then
     echo "FAIL: --check retire changed table2 output" >&2
     exit 1
 fi
