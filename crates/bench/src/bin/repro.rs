@@ -35,6 +35,9 @@
 //! count. Each run also writes `BENCH_repro.json` with per-cell wall
 //! time, simulated cycles, throughput, and completion status.
 //!
+//! Arguments a command does not use are errors: an unknown `--flag`, a
+//! second positional argument, or a divisor that is not a `u32`.
+//!
 //! Robustness flags:
 //!
 //! - `--keep-going` — cells are already panic-isolated; additionally
@@ -55,8 +58,8 @@
 //!   `watchdog_exceeded` in `BENCH_repro.json`, and also fail the run's
 //!   exit code. For `repro chaos` the value overrides the per-attempt
 //!   campaign budget (default 30 s).
-//! - `--store DIR` — a crash-safe persistent result store: serial
-//!   simulation results are cached on disk keyed by content hash of the
+//! - `--store DIR` — a crash-safe persistent result store: simulation
+//!   results are cached on disk keyed by content hash of the
 //!   packed trace and configuration, so a warm rerun serves
 //!   byte-identical statistics without simulating. Entries are written
 //!   atomically, checksummed on read, and corrupt entries are
@@ -64,13 +67,6 @@
 //!   (LRU, `MCL_STORE_CAP_BYTES`, default 256 MiB) and safe for
 //!   concurrent `repro` processes. Disk counters land in
 //!   `BENCH_repro.json`.
-//! - `--shards K` — split each (long enough) fresh simulation into K
-//!   parallel time windows with functional warmup and merged statistics
-//!   (see `mcl_core::shard`). `--shards 1` (the default) is exactly the
-//!   serial path, byte-identical output; K > 1 trades bounded,
-//!   reported cycle-count divergence (with automatic serial fallback)
-//!   for wall-clock speed. `repro selftest` and `repro bench` honor the
-//!   flag too.
 //!
 //! Observability flags (see `mcl_bench::obs`):
 //!
@@ -134,8 +130,8 @@
 //!   a stated slop of the cell's wall time) is enforced on every cell.
 //! - `--flight FILE` — record a whole-run host flight recording: one
 //!   Chrome trace-event file covering every cell, trace build,
-//!   simulation, persistent-store load/store, and shard-worker window
-//!   across the invocation, written to `FILE` after the run. Recording
+//!   simulation, and persistent-store load/store across the
+//!   invocation, written to `FILE` after the run. Recording
 //!   off is one relaxed atomic load per site, and the recording never
 //!   alters results — `repro` output is byte-identical with the flag
 //!   on or off.
@@ -232,20 +228,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let shards = match take_value_flag(&mut args, "--shards") {
-        Ok(None) => 1,
-        Ok(Some(v)) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("error: invalid --shards value `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let obs_dir = match take_value_flag(&mut args, "--obs") {
         Ok(v) => v,
         Err(e) => {
@@ -326,7 +308,14 @@ fn main() -> ExitCode {
         flight: flight_path,
     };
     let cmd = args.first().cloned().unwrap_or_else(|| "all".to_owned());
-    let divisor: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let gate = cmd == "trend" && take_switch(&mut args, "--gate");
+    let divisor = match check_leftover_args(&cmd, &args) {
+        Ok(divisor) => divisor,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     if cmd == "pipeline" {
         return match run_pipeline(args.get(1).map_or("compress", String::as_str)) {
@@ -339,9 +328,9 @@ fn main() -> ExitCode {
     }
 
     if cmd == "bench" {
-        return match mcl_bench::microbench::run(divisor, shards) {
+        return match mcl_bench::microbench::run(divisor) {
             Ok(rows) => {
-                print!("{}", mcl_bench::microbench::render(&rows, divisor, shards));
+                print!("{}", mcl_bench::microbench::render(&rows, divisor));
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -359,7 +348,6 @@ fn main() -> ExitCode {
     }
 
     if cmd == "trend" {
-        let gate = take_switch(&mut args, "--gate");
         let path = args.get(1).map_or("BENCH_repro.history.jsonl", String::as_str);
         return run_trend(std::path::Path::new(path), gate);
     }
@@ -391,9 +379,9 @@ fn main() -> ExitCode {
 
     // One trace store shared by every cell: distinct traces build once
     // and are reused across experiments (and across workers under
-    // `--jobs N`). With `--store DIR`, serial simulation results are
+    // `--jobs N`). With `--store DIR`, simulation results are
     // additionally cached on disk across processes.
-    let mut store = TraceStore::new().with_shards(shards);
+    let mut store = TraceStore::new();
     if let Some(dir) = store_dir {
         match mcl_bench::PersistStore::open(std::path::Path::new(&dir)) {
             Ok(persist) => store = store.with_persist(Arc::new(persist)),
@@ -426,7 +414,7 @@ fn main() -> ExitCode {
         "ablate-unroll" => plan_ablate_unroll(&mut plan, &store, divisor, options.obs.as_ref()),
         "mix" => plan_mix(&mut plan, divisor),
         "schedulers" => plan_schedulers(&mut plan, &store, divisor),
-        "selftest" => plan_selftest(&mut plan, divisor, shards),
+        "selftest" => plan_selftest(&mut plan, divisor),
         "explain" => {
             let dir = options
                 .obs
@@ -666,6 +654,25 @@ fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>,
     Ok(value)
 }
 
+/// Rejects what is left of the argument list once every known flag is
+/// taken: an unknown `--flag`, or a second positional after the
+/// command's one. Returns the scale divisor — the positional, which
+/// must parse as a `u32`, or 1 without one. `pipeline`, `trend`,
+/// `history-append` and `obs-validate` take a name or path instead
+/// (their divisor is 1).
+fn check_leftover_args(cmd: &str, args: &[String]) -> Result<u32, String> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag `{flag}`"));
+    }
+    if let Some(extra) = args.get(2) {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    if matches!(cmd, "pipeline" | "trend" | "history-append" | "obs-validate") {
+        return Ok(1);
+    }
+    args.get(1).map_or(Ok(1), |v| v.parse().map_err(|_| format!("invalid divisor `{v}`")))
+}
+
 fn mcl_only() -> Option<String> {
     std::env::var("MCL_ONLY").ok()
 }
@@ -802,7 +809,6 @@ impl Plan {
             divisor,
             jobs,
             engine: mcl_core::global_engine().name().to_owned(),
-            shards: store.shards(),
             total_wall_seconds: start.elapsed().as_secs_f64(),
             keep_going: options.keep_going,
             watchdog_seconds: options.watchdog_seconds,
@@ -1229,21 +1235,15 @@ fn selftest_cell(
     })
 }
 
-fn plan_selftest(plan: &mut Plan, divisor: u32, shards: usize) {
+fn plan_selftest(plan: &mut Plan, divisor: u32) {
     let cells = vec![
         selftest_cell("packed-vs-fat", move || selftest::packed_vs_fat(divisor)),
         selftest_cell("store-vs-fresh", move || selftest::store_vs_fresh(divisor)),
         selftest_cell("jobs-agree", move || selftest::jobs_agree(divisor)),
-        selftest_cell("stall-identity", move || selftest::stall_identity(divisor, shards)),
-        selftest_cell("critpath-identity", move || {
-            selftest::critpath_identity(divisor, shards)
-        }),
-        selftest_cell("pipetrace-identity", move || {
-            selftest::pipetrace_identity(divisor, shards)
-        }),
-        selftest_cell("hostprof-identity", move || {
-            selftest::hostprof_identity(divisor, shards)
-        }),
+        selftest_cell("stall-identity", move || selftest::stall_identity(divisor)),
+        selftest_cell("critpath-identity", move || selftest::critpath_identity(divisor)),
+        selftest_cell("pipetrace-identity", move || selftest::pipetrace_identity(divisor)),
+        selftest_cell("hostprof-identity", move || selftest::hostprof_identity(divisor)),
         selftest_cell("fuzz-checker", || selftest::fuzz_checker(24)),
         selftest_cell("leak-fault", selftest::leak_fault_caught),
         selftest_cell("corrupt-packed", selftest::corrupt_packed_rejected),

@@ -123,10 +123,7 @@ fn attribute_run(
     labels: (&'static str, &'static str),
     cost: &mut CellCost,
 ) -> Result<AttributedRun, Error> {
-    // Probed companions are always serial, so the byte-identity
-    // reference must be the serial product even when the store shards
-    // fresh runs.
-    let expected = store.sim_serial(req, cfg)?;
+    let expected = store.sim(req, cfg)?;
     cost.charge_sim(&expected);
     let (trace, _) = store.trace(req)?;
     let mut probe = CritPathProbe::new();

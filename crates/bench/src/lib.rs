@@ -36,8 +36,8 @@
 //!   the live-cycle loop (`<bench>.hostprof.json` plus a ranked
 //!   ns-per-live-cycle report), with a sum-to-elapsed identity check.
 //! - [`flight`] — the `--flight FILE` whole-run host flight recorder:
-//!   one Chrome trace of cell scheduling, store and persist I/O, and
-//!   shard worker occupancy across the entire invocation.
+//!   one Chrome trace of cell scheduling and store and persist I/O
+//!   across the entire invocation.
 //! - [`trend`] — `repro trend`: per-metric deltas and noise-banded
 //!   regression detection over `BENCH_repro.history.jsonl`, with
 //!   `--gate` for CI.

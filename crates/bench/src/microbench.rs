@@ -9,31 +9,24 @@
 //! cross-checked for equality on every run, making the benchmark a
 //! differential test that happens to be timed.
 //!
-//! With `--shards K` (K > 1) each workload is additionally timed under
-//! the sharded runner ([`Processor::run_sharded`], event engine): the
-//! trace is split into K time windows simulated in parallel after a
-//! functional warmup, and the report gains a serial-vs-sharded column
-//! plus warmup-overhead and divergence figures.
-//!
 //! The rendered report ends with machine-parseable summary lines —
 //!
 //! ```text
 //! engine-bench: event/ticked = 4.83x (ticked 2.3M cyc/s, event 11.1M cyc/s)
-//! engine-bench: sharded/event = 2.31x at 4 shards (warmup 0.012s, max divergence 0.0041)
-//! engine-bench: history = {"schema":9,...}
+//! engine-bench: history = {"schema":10,...}
 //! ```
 //!
 //! — which `scripts/ci.sh` greps to enforce the event engine's
-//! throughput floor, to gate the sharded path, and to append the
-//! `history` JSON object to `BENCH_repro.history.jsonl` via
-//! `repro history-append` (which validates every candidate line with
-//! [`validate_history_line`] before it lands). `repro bench`
-//! deliberately does not write `BENCH_repro.json`: it measures the
-//! engine, not the experiment suite.
+//! throughput floor and to append the `history` JSON object to
+//! `BENCH_repro.history.jsonl` via `repro history-append` (which
+//! validates every candidate line with [`validate_history_line`]
+//! before it lands). `repro bench` deliberately does not write
+//! `BENCH_repro.json`: it measures the engine, not the experiment
+//! suite.
 
 use std::time::Instant;
 
-use mcl_core::{Engine, Processor, ProcessorConfig, ShardOptions};
+use mcl_core::{Engine, Processor, ProcessorConfig};
 use mcl_sched::SchedulerKind;
 use mcl_trace::PackedTrace;
 use mcl_workloads::Benchmark;
@@ -56,16 +49,6 @@ pub struct BenchRow {
     pub skipped_cycles: u64,
     /// Fast-forward jumps the event engine took.
     pub jumps: u64,
-    /// Fastest-of-three wall seconds under the sharded runner (event
-    /// engine); `None` when the benchmark ran with one shard.
-    pub sharded_seconds: Option<f64>,
-    /// Time windows the sharded runner actually used (0 when serial).
-    pub shard_windows: usize,
-    /// Reported divergence bound of the sharded run.
-    pub shard_divergence: f64,
-    /// Wall seconds the sharded run spent in functional warmup
-    /// (summed over workers, from the timed rep).
-    pub warmup_seconds: f64,
     /// Telescoped host nanoseconds of one profiled event-engine run
     /// (sum of the hostprof phase buckets; see
     /// [`mcl_core::obs::hostprof`]).
@@ -118,45 +101,17 @@ fn time_engine(
     Ok((stats, ff, best))
 }
 
-/// Runs the sharded runner over a trace `reps` times and returns the
-/// statistics and shard report of the last run plus the fastest wall
-/// time.
-fn time_sharded(
-    cfg: &ProcessorConfig,
-    trace: &PackedTrace,
-    shards: usize,
-    reps: u32,
-) -> Result<(mcl_core::SimStats, mcl_core::ShardReport, f64), Error> {
-    let cfg = cfg.clone().with_engine(Engine::Event);
-    let proc = Processor::new(cfg);
-    let opts = ShardOptions::new(shards);
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let (result, report) = proc.run_sharded(trace, &opts).map_err(Error::Sim)?;
-        best = best.min(start.elapsed().as_secs_f64());
-        last = Some((result.stats, report));
-    }
-    let (stats, report) = last.expect("at least one rep");
-    Ok((stats, report, best))
-}
-
 /// Benchmarks both engines over the six Table 2 workloads at
-/// `divisor`-scaled sizes, plus (with `shards > 1`) the sharded runner
-/// on top of the event engine. Serial timings are single-threaded by
-/// design — every simulation runs on the calling thread, so the
-/// engine ratio compares engines, not schedulers; only the sharded
-/// column uses worker threads, because parallelism is the thing it
-/// measures.
+/// `divisor`-scaled sizes. Timings are single-threaded by design —
+/// every simulation runs on the calling thread, so the engine ratio
+/// compares engines, not schedulers.
 ///
 /// # Errors
 ///
 /// Trace-building or simulation failures surface as the store's
 /// errors; an engine divergence (identical trace, different
-/// statistics) or a sharded run that breaks an exactness guarantee
-/// (retired counts, stall identity) surfaces as [`Error::SelfCheck`].
-pub fn run(divisor: u32, shards: usize) -> Result<Vec<BenchRow>, Error> {
+/// statistics) surfaces as [`Error::SelfCheck`].
+pub fn run(divisor: u32) -> Result<Vec<BenchRow>, Error> {
     let store = TraceStore::new();
     let cfg = ProcessorConfig::dual_cluster_8way();
     let mut rows = Vec::new();
@@ -188,38 +143,16 @@ pub fn run(divisor: u32, shards: usize) -> Result<Vec<BenchRow>, Error> {
         prof_report
             .check_identity()
             .map_err(|detail| Error::SelfCheck(format!("engine-bench: {bench}: {detail}")))?;
-        let mut row = BenchRow {
+        rows.push(BenchRow {
             name: bench.name(),
             cycles: event_stats.cycles,
             ticked_seconds,
             event_seconds,
             skipped_cycles: ff.skipped_cycles,
             jumps: ff.jumps,
-            sharded_seconds: None,
-            shard_windows: 0,
-            shard_divergence: 0.0,
-            warmup_seconds: 0.0,
             profile_total_ns: prof_report.total_ns(),
             profile_live_cycles: prof_report.live_cycles,
-        };
-        if shards > 1 {
-            let (sharded_stats, report, sharded_seconds) =
-                time_sharded(&cfg, &trace, shards, 3)?;
-            if sharded_stats.retired != event_stats.retired {
-                return Err(Error::SelfCheck(format!(
-                    "engine-bench: {bench} sharded run retired {} instructions, serial {}",
-                    sharded_stats.retired, event_stats.retired
-                )));
-            }
-            sharded_stats.check_stall_identity().map_err(|detail| {
-                Error::SelfCheck(format!("engine-bench: {bench} sharded run unbalanced: {detail}"))
-            })?;
-            row.sharded_seconds = Some(sharded_seconds);
-            row.shard_windows = report.windows;
-            row.shard_divergence = report.divergence;
-            row.warmup_seconds = report.warmup_seconds;
-        }
-        rows.push(row);
+        });
     }
     Ok(rows)
 }
@@ -233,43 +166,23 @@ fn format_cps(cps: f64) -> String {
 }
 
 /// Renders the comparison table plus the parseable summary lines
-/// (engine ratio, skip totals, sharded ratio when `shards > 1`, and
-/// the schema-versioned `history` JSON object CI appends to
-/// `BENCH_repro.history.jsonl`).
+/// (engine ratio, skip totals, and the schema-versioned `history` JSON
+/// object CI appends to `BENCH_repro.history.jsonl`).
 #[must_use]
-pub fn render(rows: &[BenchRow], divisor: u32, shards: usize) -> String {
-    let sharded = shards > 1 && rows.iter().any(|r| r.sharded_seconds.is_some());
+pub fn render(rows: &[BenchRow], divisor: u32) -> String {
     let mut out = String::new();
     out.push_str("Engine microbenchmark (dual-cluster, local scheduler; min of 3)\n\n");
-    if sharded {
-        out.push_str(&format!(
-            "{:<10} {:>12} {:>12} {:>12} {:>8} {:>12} {:>8} {:>12} {:>8}\n",
-            "benchmark",
-            "cycles",
-            "ticked c/s",
-            "event c/s",
-            "speedup",
-            "skipped",
-            "jumps",
-            "sharded c/s",
-            "shard-x"
-        ));
-    } else {
-        out.push_str(&format!(
-            "{:<10} {:>12} {:>12} {:>12} {:>8} {:>12} {:>8}\n",
-            "benchmark", "cycles", "ticked c/s", "event c/s", "speedup", "skipped", "jumps"
-        ));
-    }
+    out.push_str(&format!(
+        "{:<10} {:>12} {:>12} {:>12} {:>8} {:>12} {:>8}\n",
+        "benchmark", "cycles", "ticked c/s", "event c/s", "speedup", "skipped", "jumps"
+    ));
     let mut total_cycles = 0u64;
     let mut total_ticked = 0.0f64;
     let mut total_event = 0.0f64;
-    let mut total_sharded = 0.0f64;
-    let mut total_warmup = 0.0f64;
-    let mut max_divergence = 0.0f64;
     for r in rows {
         let speedup = if r.event_seconds > 0.0 { r.ticked_seconds / r.event_seconds } else { 0.0 };
         out.push_str(&format!(
-            "{:<10} {:>12} {:>12} {:>12} {:>7.2}x {:>12} {:>8}",
+            "{:<10} {:>12} {:>12} {:>12} {:>7.2}x {:>12} {:>8}\n",
             r.name,
             r.cycles,
             format_cps(r.ticked_cps()),
@@ -278,19 +191,6 @@ pub fn render(rows: &[BenchRow], divisor: u32, shards: usize) -> String {
             r.skipped_cycles,
             r.jumps,
         ));
-        if sharded {
-            let secs = r.sharded_seconds.unwrap_or(r.event_seconds);
-            let shard_x = if secs > 0.0 { r.event_seconds / secs } else { 0.0 };
-            out.push_str(&format!(
-                " {:>12} {:>7.2}x",
-                format_cps(per_second(r.cycles, secs)),
-                shard_x
-            ));
-            total_sharded += secs;
-            total_warmup += r.warmup_seconds;
-            max_divergence = max_divergence.max(r.shard_divergence);
-        }
-        out.push('\n');
         total_cycles += r.cycles;
         total_ticked += r.ticked_seconds;
         total_event += r.event_seconds;
@@ -316,22 +216,12 @@ pub fn render(rows: &[BenchRow], divisor: u32, shards: usize) -> String {
     out.push_str(&format!(
         "engine-bench: skipped = {total_skipped}/{total_cycles} cycles ({pct:.1}%)\n",
     ));
-    let mut sharded_cps = 0.0f64;
-    let mut shard_ratio = 0.0f64;
-    if sharded {
-        sharded_cps = per_second(total_cycles, total_sharded);
-        shard_ratio = if total_sharded > 0.0 { total_event / total_sharded } else { 0.0 };
-        out.push_str(&format!(
-            "engine-bench: sharded/event = {shard_ratio:.2}x at {shards} shards \
-             (warmup {total_warmup:.3}s, max divergence {max_divergence:.4})\n",
-        ));
-    }
-    // Single-line JSON summary for BENCH_repro.history.jsonl. Same
-    // schema version as BENCH_repro.json; each `scripts/ci.sh` bench
-    // run appends exactly one object. Schema 9 renamed `skipped_pct` to
-    // `skip_pct` and added `profile_ns_per_cycle` (the host-profiled
-    // companions' aggregate ns per live cycle) — `repro trend` aliases
-    // the old name when reading mixed-version history.
+    // Single-line JSON summary for BENCH_repro.history.jsonl; each
+    // `scripts/ci.sh` bench run appends exactly one object. Schema 9
+    // renamed `skipped_pct` to `skip_pct` and added
+    // `profile_ns_per_cycle` (the host-profiled companions' aggregate
+    // ns per live cycle) — `repro trend` aliases the old name when
+    // reading mixed-version history.
     let total_prof_ns: u64 = rows.iter().map(|r| r.profile_total_ns).sum();
     let total_prof_live: u64 = rows.iter().map(|r| r.profile_live_cycles).sum();
     let profile_ns_per_cycle =
@@ -342,26 +232,26 @@ pub fn render(rows: &[BenchRow], divisor: u32, shards: usize) -> String {
     out.push_str(&format!(
         "engine-bench: history = {{\"schema\":{HISTORY_SCHEMA_VERSION},\
          \"unix_seconds\":{unix_seconds},\
-         \"divisor\":{divisor},\"shards\":{shards},\"cycles\":{total_cycles},\
+         \"divisor\":{divisor},\"cycles\":{total_cycles},\
          \"ticked_cps\":{ticked_cps:.0},\"event_cps\":{event_cps:.0},\
-         \"sharded_cps\":{sharded_cps:.0},\"event_over_ticked\":{ratio:.3},\
-         \"sharded_over_event\":{shard_ratio:.3},\"skip_pct\":{pct:.1},\
-         \"warmup_seconds\":{total_warmup:.4},\"max_divergence\":{max_divergence:.5},\
+         \"event_over_ticked\":{ratio:.3},\"skip_pct\":{pct:.1},\
          \"profile_ns_per_cycle\":{profile_ns_per_cycle:.1}}}\n",
     ));
     out
 }
 
 /// The history schema version `repro bench` emits and
-/// `repro history-append` requires (kept in lockstep with
-/// [`crate::runner::REPORT_SCHEMA_VERSION`]). Version 9 renamed
+/// `repro history-append` requires. It is versioned on its own, apart
+/// from [`crate::runner::REPORT_SCHEMA_VERSION`]. Version 9 renamed
 /// `skipped_pct` to `skip_pct` and added `profile_ns_per_cycle`;
-/// `repro trend` ([`crate::trend`]) upgrades older lines on read.
-pub const HISTORY_SCHEMA_VERSION: u64 = 9;
+/// version 10 dropped the five time-window split-run keys (the split
+/// count, its throughput and speedup, warmup seconds and divergence).
+/// `repro trend` ([`crate::trend`]) reads older lines too.
+pub const HISTORY_SCHEMA_VERSION: u64 = 10;
 
 /// Keys every history line must carry.
 const HISTORY_REQUIRED_KEYS: &[&str] =
-    &["schema", "unix_seconds", "divisor", "shards", "cycles", "ticked_cps", "event_cps"];
+    &["schema", "unix_seconds", "divisor", "cycles", "ticked_cps", "event_cps"];
 
 /// The verdict of [`validate_history_line`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -456,32 +346,30 @@ mod tests {
 
     #[test]
     fn bench_rows_cover_every_workload_and_agree() {
-        let rows = run(256, 1).expect("runs");
+        let rows = run(256).expect("runs");
         assert_eq!(rows.len(), Benchmark::ALL.len());
         for r in &rows {
             assert!(r.cycles > 0, "{}: simulated nothing", r.name);
             assert!(r.skipped_cycles < r.cycles, "{}: skipped too much", r.name);
-            assert!(r.sharded_seconds.is_none(), "{}: sharded at 1 shard", r.name);
         }
         for r in &rows {
             assert!(r.profile_total_ns > 0, "{}: profiled nothing", r.name);
             assert!(r.profile_live_cycles > 0, "{}: no live cycles profiled", r.name);
             assert!(r.profile_live_cycles <= r.cycles, "{}: too many live cycles", r.name);
         }
-        let rendered = render(&rows, 256, 1);
+        let rendered = render(&rows, 256);
         assert!(rendered.contains("engine-bench: event/ticked = "));
         assert!(rendered.contains("engine-bench: skipped = "));
-        assert!(rendered.contains("engine-bench: history = {\"schema\":9,"));
+        assert!(rendered.contains("engine-bench: history = {\"schema\":10,"));
         assert!(rendered.contains("\"skip_pct\":"), "{rendered}");
         assert!(rendered.contains("\"profile_ns_per_cycle\":"), "{rendered}");
         assert!(!rendered.contains("\"skipped_pct\":"), "v9 renamed the field");
-        assert!(!rendered.contains("engine-bench: sharded/event"));
         assert!(rendered.contains("compress"));
     }
 
     fn history_line(schema: u64, unix: u64) -> String {
         format!(
-            "{{\"schema\":{schema},\"unix_seconds\":{unix},\"divisor\":64,\"shards\":1,\
+            "{{\"schema\":{schema},\"unix_seconds\":{unix},\"divisor\":64,\
              \"cycles\":1000,\"ticked_cps\":100,\"event_cps\":500}}"
         )
     }
@@ -491,8 +379,8 @@ mod tests {
         let good = history_line(HISTORY_SCHEMA_VERSION, 10);
         assert_eq!(validate_history_line("", &good), HistoryVerdict::Append);
         // A rendered report line validates against its own schema.
-        let rows = run(256, 1).expect("runs");
-        let rendered = render(&rows, 256, 1);
+        let rows = run(256).expect("runs");
+        let rendered = render(&rows, 256);
         let emitted = rendered
             .lines()
             .find_map(|l| l.strip_prefix("engine-bench: history = "))
@@ -542,27 +430,14 @@ mod tests {
     fn malformed_detection_checks_value_types_not_just_presence() {
         // `schema` as a string and a non-numeric metric both count as
         // malformed even though every required key is present.
-        let stringly = "{\"schema\":\"9\",\"unix_seconds\":10,\"divisor\":64,\"shards\":1,\
+        let stringly = "{\"schema\":\"9\",\"unix_seconds\":10,\"divisor\":64,\
                         \"cycles\":1000,\"ticked_cps\":100,\"event_cps\":500}";
-        let nonnum = "{\"schema\":9,\"unix_seconds\":10,\"divisor\":64,\"shards\":1,\
+        let nonnum = "{\"schema\":9,\"unix_seconds\":10,\"divisor\":64,\
                       \"cycles\":\"lots\",\"ticked_cps\":100,\"event_cps\":500}";
         let existing = format!("{stringly}\n{}\n{nonnum}\n", history_line(9, 5));
         let bad = malformed_history_lines(&existing);
         assert_eq!(bad.len(), 2, "{bad:?}");
         assert_eq!(bad[0], (1, "`schema` is not an integer".to_owned()));
         assert_eq!(bad[1], (3, "`cycles` is not numeric".to_owned()));
-    }
-
-    #[test]
-    fn sharded_rows_report_the_parallel_column() {
-        let rows = run(64, 4).expect("runs");
-        for r in &rows {
-            // Traces at this scale may still be too short to shard;
-            // the exactness checks inside run() are the real assertion.
-            assert!(r.shard_divergence >= 0.0, "{}: negative divergence", r.name);
-        }
-        let rendered = render(&rows, 64, 4);
-        assert!(rendered.contains("engine-bench: sharded/event = "));
-        assert!(rendered.contains("\"shards\":4"));
     }
 }

@@ -96,10 +96,7 @@ fn traced_run(
     range: (u64, u64),
     cost: &mut CellCost,
 ) -> Result<TracedRun, Error> {
-    // Probed companions are always serial, so the byte-identity
-    // reference must be the serial product even when the store shards
-    // fresh runs.
-    let expected = store.sim_serial(req, cfg)?;
+    let expected = store.sim(req, cfg)?;
     cost.charge_sim(&expected);
     let (trace, _) = store.trace(req)?;
     let mut probe = PipeTraceProbe::new(range.0, range.1);

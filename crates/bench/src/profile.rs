@@ -48,9 +48,7 @@ fn profiled_run(
     cfg: &ProcessorConfig,
     cost: &mut CellCost,
 ) -> Result<HostProfReport, Error> {
-    // The profiled companion is serial; the statistics reference must be
-    // the serial product even when the store shards fresh runs.
-    let expected = store.sim_serial(req, cfg)?;
+    let expected = store.sim(req, cfg)?;
     cost.charge_sim(&expected);
     let (trace, _) = store.trace(req)?;
     let (result, report) = Processor::new(cfg.clone())

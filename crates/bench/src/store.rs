@@ -48,8 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use mcl_core::shard::planned_windows;
-use mcl_core::{FastForward, Processor, ProcessorConfig, ShardOptions, ShardReport, SimStats};
+use mcl_core::{FastForward, Processor, ProcessorConfig, SimStats};
 use mcl_isa::assign::RegisterAssignment;
 use mcl_sched::{
     unroll_self_loops, PreparedIl, ScheduleOptions, SchedulePipeline, SchedulerKind,
@@ -217,10 +216,6 @@ pub struct SimProduct {
     pub simulate_seconds: f64,
     /// Phase breakdown of the trace acquisition.
     pub phases: TracePhases,
-    /// How the run was sharded (`None` when the store simulates
-    /// serially, i.e. `shards` ≤ 1). Cached serves report the original
-    /// run's report.
-    pub shard: Option<ShardReport>,
 }
 
 /// A per-key build slot: the map lock is held only to fetch the slot;
@@ -249,10 +244,9 @@ type CanonTrace = Arc<Canonical>;
 
 /// An IL build slot (infallible — `Benchmark::build` cannot fail).
 type IlSlot = Arc<OnceLock<Arc<Program<Vreg>>>>;
-/// Memoized simulation result: statistics, fast-forward counters, and
-/// (for sharded runs) the shard report, keyed by (canonical trace id,
-/// rendered configuration + window plan).
-type SimSlot = Slot<(SimStats, FastForward, Option<ShardReport>)>;
+/// Memoized simulation result: statistics and fast-forward counters,
+/// keyed by (canonical trace id, rendered configuration).
+type SimSlot = Slot<(SimStats, FastForward)>;
 
 /// The thread-safe, `Arc`-sharing memoization layer described in the
 /// [module docs](self).
@@ -279,10 +273,6 @@ pub struct TraceStore {
     /// The register-to-cluster assignment every experiment uses (the
     /// paper's even/odd split with SP/GP global).
     assignment: RegisterAssignment,
-    /// Time-window sharding applied to fresh simulations
-    /// (`shards == 1`, the default, is exactly the serial path; see
-    /// `mcl_core::shard` for the contract).
-    shard_opts: ShardOptions,
     ils: Mutex<HashMap<IlKey, IlSlot>>,
     prepared: Mutex<HashMap<IlKey, Slot<Arc<PreparedIl>>>>,
     traces: Mutex<HashMap<TraceKey, Slot<CanonTrace>>>,
@@ -293,8 +283,7 @@ pub struct TraceStore {
     next_content_id: AtomicU64,
     sims: Mutex<HashMap<(u64, String), SimSlot>>,
     /// The optional crash-safe on-disk result cache consulted when the
-    /// in-process memo misses (serial products only; see
-    /// [`TraceStore::with_persist`]).
+    /// in-process memo misses (see [`TraceStore::with_persist`]).
     persist: Option<Arc<PersistStore>>,
     /// Persistent-store key prefixes hashed (at most one per canonical
     /// trace).
@@ -318,7 +307,6 @@ impl TraceStore {
     pub fn new() -> TraceStore {
         TraceStore {
             assignment: RegisterAssignment::even_odd_with_default_globals(2),
-            shard_opts: ShardOptions::new(1),
             ils: Mutex::new(HashMap::new()),
             prepared: Mutex::new(HashMap::new()),
             traces: Mutex::new(HashMap::new()),
@@ -334,28 +322,10 @@ impl TraceStore {
         }
     }
 
-    /// Sets the time-window shard count applied to fresh simulations
-    /// (1 = serial, the default). Sharded results are memoized under
-    /// their (trace, config, window plan) key, so one store can serve
-    /// sharded and serial requests without mixing them up.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> TraceStore {
-        self.shard_opts = ShardOptions::new(shards.max(1));
-        self
-    }
-
-    /// The shard count fresh simulations run under.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shard_opts.shards
-    }
-
     /// Attaches a persistent on-disk result store (`repro --store DIR`).
-    /// When the in-process memo misses on a *serial* simulation (one
-    /// planned window — sharded products depend on the window plan and
-    /// are not persisted), the disk store is consulted before
-    /// simulating, and fresh results are written back. Disk serves are
-    /// not "fresh": they simulated nothing this run.
+    /// When the in-process memo misses, the disk store is consulted
+    /// before simulating, and fresh results are written back. Disk
+    /// serves are not "fresh": they simulated nothing this run.
     #[must_use]
     pub fn with_persist(mut self, persist: Arc<PersistStore>) -> TraceStore {
         self.persist = Some(persist);
@@ -534,120 +504,49 @@ impl TraceStore {
     /// See [`TraceStore::trace`]; simulation failures also surface as
     /// [`Error::Store`].
     pub fn sim(&self, req: &TraceRequest, config: &ProcessorConfig) -> Result<SimProduct, Error> {
-        self.sim_with(req, config, &self.shard_opts)
-    }
-
-    /// Like [`TraceStore::sim`], but always simulating serially
-    /// regardless of the store's shard count. The instrumented
-    /// companion runs behind `--obs` and `repro explain` cross-check
-    /// against this: probes force single-stepping, so the comparison
-    /// baseline must be the serial statistics even on a sharded store.
-    ///
-    /// # Errors
-    ///
-    /// See [`TraceStore::sim`].
-    pub fn sim_serial(
-        &self,
-        req: &TraceRequest,
-        config: &ProcessorConfig,
-    ) -> Result<SimProduct, Error> {
-        self.sim_with(req, config, &ShardOptions::new(1))
-    }
-
-    fn sim_with(
-        &self,
-        req: &TraceRequest,
-        config: &ProcessorConfig,
-        shard_opts: &ShardOptions,
-    ) -> Result<SimProduct, Error> {
         let (canon, phases) = self.canon_trace(req)?;
         let trace = &canon.trace;
         let start = Instant::now();
         // `ProcessorConfig` is not `Hash`; its derived `Debug` rendering
         // covers every field and so is a faithful key. Keying on the
         // content id (not the trace key) lets distinct requests whose
-        // traces came out identical share one simulation. The window
-        // plan is part of the key: a sharded product never masquerades
-        // as the serial one (and a plan that resolves to one window —
-        // short trace, `--shards 1` — shares the serial entry exactly).
-        let windows = planned_windows(config, trace.len(), shard_opts);
-        let sim_key = if windows <= 1 {
-            format!("{config:?}")
-        } else {
-            format!("{config:?}|windows={windows}")
-        };
+        // traces came out identical share one simulation.
+        let sim_key = format!("{config:?}");
         let slot = slot_of(&self.sims, (canon.id, sim_key.clone()));
         let mut built = false;
         let mut disk_served = false;
         let result = slot.get_or_init(|| {
             built = true;
-            if windows <= 1 {
-                // Serial products are content-addressed on disk: consult
-                // the persistent store before simulating, write back
-                // after a fresh success. A corrupt or missing entry is a
-                // plain miss (the store quarantines internally), never
-                // an error. The trace's share of the key is hashed once
-                // per canonical trace, on its first disk lookup.
-                let persist_key = self.persist.as_deref().map(|p| {
-                    let digest = canon.digest.get_or_init(|| {
-                        self.trace_digests.fetch_add(1, Ordering::Relaxed);
-                        TraceDigest::of(trace)
-                    });
-                    (p, digest.key(&sim_key))
+            // Products are content-addressed on disk: consult the
+            // persistent store before simulating, write back after a
+            // fresh success. A corrupt or missing entry is a plain miss
+            // (the store quarantines internally), never an error. The
+            // trace's share of the key is hashed once per canonical
+            // trace, on its first disk lookup.
+            let persist_key = self.persist.as_deref().map(|p| {
+                let digest = canon.digest.get_or_init(|| {
+                    self.trace_digests.fetch_add(1, Ordering::Relaxed);
+                    TraceDigest::of(trace)
                 });
-                if let Some((p, ekey)) = &persist_key {
-                    if let Some((stats, ff)) = p.load(ekey) {
-                        disk_served = true;
-                        return Ok((stats, ff, None));
-                    }
+                (p, digest.key(&sim_key))
+            });
+            if let Some((p, ekey)) = &persist_key {
+                if let Some(product) = p.load(ekey) {
+                    disk_served = true;
+                    return Ok(product);
                 }
-                let _flight = crate::flight::span("sim", || {
-                    format!("simulate {}/{:?}", req.bench.name(), req.kind)
-                });
-                let result = Processor::new(config.clone())
-                    .run_packed(trace)
-                    .map(|r| (r.stats, r.ff, None))
-                    .map_err(|e| e.to_string());
-                if let (Some((p, ekey)), Ok((stats, ff, _))) = (&persist_key, &result) {
-                    p.store(ekey, stats, ff);
-                }
-                result
-            } else {
-                let _flight = crate::flight::span("sim", || {
-                    format!("simulate {}/{:?} sharded x{windows}", req.bench.name(), req.kind)
-                });
-                let shard_epoch = Instant::now();
-                let result = Processor::new(config.clone())
-                    .run_sharded(trace, shard_opts)
-                    .map(|(r, report)| (r.stats, r.ff, Some(report)))
-                    .map_err(|e| e.to_string());
-                // Replay the shard workers' measured window schedule
-                // into the flight recording, one lane per window. Only
-                // fresh runs reach this closure, so cached serves never
-                // replay a stale timeline.
-                if let Ok((_, _, Some(report))) = &result {
-                    for t in &report.timeline {
-                        let lane = 1000 + t.window as u64;
-                        crate::flight::span_at(
-                            "shard",
-                            || format!("warmup w{}", t.window),
-                            shard_epoch,
-                            t.start_seconds,
-                            t.warmup_seconds,
-                            lane,
-                        );
-                        crate::flight::span_at(
-                            "shard",
-                            || format!("window w{}", t.window),
-                            shard_epoch,
-                            t.start_seconds + t.warmup_seconds,
-                            t.sim_seconds,
-                            lane,
-                        );
-                    }
-                }
-                result
             }
+            let _flight = crate::flight::span("sim", || {
+                format!("simulate {}/{:?}", req.bench.name(), req.kind)
+            });
+            let result = Processor::new(config.clone())
+                .run_packed(trace)
+                .map(|r| (r.stats, r.ff))
+                .map_err(|e| e.to_string());
+            if let (Some((p, ekey)), Ok((stats, ff))) = (&persist_key, &result) {
+                p.store(ekey, stats, ff);
+            }
+            result
         });
         if built {
             self.sim_misses.fetch_add(1, Ordering::Relaxed);
@@ -657,7 +556,7 @@ impl TraceStore {
                 format!("sim-hit {}/{:?}", req.bench.name(), req.kind)
             });
         }
-        let (stats, ff, shard) = result.clone().map_err(Error::Store)?;
+        let (stats, ff) = result.clone().map_err(Error::Store)?;
         Ok(SimProduct {
             stats,
             // A disk serve simulated nothing this run: throughput
@@ -667,7 +566,6 @@ impl TraceStore {
             trace_build_seconds: phases.total_seconds,
             simulate_seconds: start.elapsed().as_secs_f64(),
             phases,
-            shard,
         })
     }
 }

@@ -5,14 +5,13 @@
 //! (see [`crate::microbench`]) to the history file. This module reads
 //! the whole file back — tolerating the mixed schema versions a
 //! long-lived history accumulates — groups runs by their benchmark
-//! configuration `(divisor, shards)`, and compares the latest run of
-//! each group against the noise band of all earlier runs:
+//! scale `divisor`, and compares the latest run of each group against
+//! the noise band of all earlier runs:
 //!
-//! - throughput metrics (`ticked_cps`, `event_cps`, `sharded_cps`, the
-//!   engine ratios, `skip_pct`) regress when they *fall* below the
-//!   band;
-//! - cost metrics (`warmup_seconds`, `max_divergence`,
-//!   `profile_ns_per_cycle`) regress when they *rise* above it.
+//! - throughput metrics (`ticked_cps`, `event_cps`, the engine ratio,
+//!   `skip_pct`) regress when they *fall* below the band;
+//! - the cost metric `profile_ns_per_cycle` regresses when it *rises*
+//!   above it.
 //!
 //! The band is `max(2σ of the baseline, a metric-specific floor)` —
 //! wall-clock throughput on shared CI hosts is noisy, so the floors
@@ -24,8 +23,11 @@
 //! the new name for schema ≤ 8 lines (the schema-7 seed lines in the
 //! repo's own history parse exactly this way), and metrics a version
 //! simply did not record yet (`profile_ns_per_cycle` before 9) are
-//! treated as absent rather than zero. Only unparseable lines are
-//! skipped, each reported with its 1-based line number.
+//! treated as absent rather than zero. Keys that schema 10 dropped
+//! (the time-window split run's count, throughput, speedup, warmup and
+//! divergence) are ignored, so those runs group with every other run of
+//! their divisor. Only unparseable lines are skipped, each reported
+//! with its 1-based line number.
 //!
 //! `repro trend --gate` exits non-zero when any group regressed — the
 //! CI hook.
@@ -55,13 +57,9 @@ struct MetricSpec {
 const METRICS: &[MetricSpec] = &[
     MetricSpec { name: "ticked_cps", higher_better: true, rel_floor: 0.30, abs_floor: 0.0 },
     MetricSpec { name: "event_cps", higher_better: true, rel_floor: 0.30, abs_floor: 0.0 },
-    MetricSpec { name: "sharded_cps", higher_better: true, rel_floor: 0.30, abs_floor: 0.0 },
     MetricSpec { name: "event_over_ticked", higher_better: true, rel_floor: 0.25, abs_floor: 0.0 },
-    MetricSpec { name: "sharded_over_event", higher_better: true, rel_floor: 0.25, abs_floor: 0.0 },
     // Deterministic: depends only on traces and fast-forward rules.
     MetricSpec { name: "skip_pct", higher_better: true, rel_floor: 0.02, abs_floor: 0.5 },
-    MetricSpec { name: "warmup_seconds", higher_better: false, rel_floor: 0.50, abs_floor: 0.05 },
-    MetricSpec { name: "max_divergence", higher_better: false, rel_floor: 0.25, abs_floor: 0.01 },
     MetricSpec {
         name: "profile_ns_per_cycle",
         higher_better: false,
@@ -74,7 +72,6 @@ const METRICS: &[MetricSpec] = &[
 #[derive(Debug, Clone)]
 struct Entry {
     divisor: u64,
-    shards: u64,
     /// Metric values by [`METRICS`] index; `None` when the line's
     /// schema did not record the metric.
     values: Vec<Option<f64>>,
@@ -103,12 +100,11 @@ fn parse_entry(line: &str) -> Result<Entry, String> {
             "schema {schema} outside supported range {TREND_MIN_SCHEMA}..={HISTORY_SCHEMA_VERSION}"
         ));
     }
-    let field = |key: &str| {
-        v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("`{key}` is not an integer"))
-    };
     Ok(Entry {
-        divisor: field("divisor")?,
-        shards: field("shards")?,
+        divisor: v
+            .get("divisor")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| "`divisor` is not an integer".to_owned())?,
         values: METRICS.iter().map(|m| metric_value(&v, schema, m.name)).collect(),
     })
 }
@@ -136,13 +132,11 @@ pub struct MetricTrend {
     pub regressed: bool,
 }
 
-/// The trend of one `(divisor, shards)` group.
+/// The trend of one `divisor` group.
 #[derive(Debug, Clone)]
 pub struct GroupTrend {
     /// Benchmark scale divisor of every run in the group.
     pub divisor: u64,
-    /// Shard count of every run in the group.
-    pub shards: u64,
     /// Total runs in the group (baseline + latest).
     pub runs: usize,
     /// Per-metric verdicts, regressions first, worst first.
@@ -205,11 +199,9 @@ fn judge(spec: &MetricSpec, baseline: &[f64], latest: f64) -> MetricTrend {
 }
 
 /// Analyzes a history file's content: parses and schema-upgrades every
-/// line, groups runs by `(divisor, shards)`, and judges each group's
-/// latest run against the noise band of its earlier runs. Groups with
-/// fewer than two runs, and metrics with no baseline value (all-zero
-/// baselines count as unrecorded — `sharded_cps` is 0 when the group
-/// never sharded), produce no verdicts.
+/// line, groups runs by `divisor`, and judges each group's latest run
+/// against the noise band of its earlier runs. Groups with fewer than
+/// two runs, and metrics with no baseline value, produce no verdicts.
 ///
 /// # Errors
 ///
@@ -233,17 +225,16 @@ pub fn analyze(history: &str) -> Result<TrendReport, Error> {
             skipped.len()
         )));
     }
-    // Group by configuration, preserving first-seen order.
-    let mut keys: Vec<(u64, u64)> = Vec::new();
+    // Group by divisor, preserving first-seen order.
+    let mut divisors: Vec<u64> = Vec::new();
     for e in &entries {
-        if !keys.contains(&(e.divisor, e.shards)) {
-            keys.push((e.divisor, e.shards));
+        if !divisors.contains(&e.divisor) {
+            divisors.push(e.divisor);
         }
     }
     let mut groups = Vec::new();
-    for (divisor, shards) in keys {
-        let runs: Vec<&Entry> =
-            entries.iter().filter(|e| e.divisor == divisor && e.shards == shards).collect();
+    for divisor in divisors {
+        let runs: Vec<&Entry> = entries.iter().filter(|e| e.divisor == divisor).collect();
         let mut metrics = Vec::new();
         if let Some((latest, baseline)) = runs.split_last() {
             if !baseline.is_empty() {
@@ -251,7 +242,7 @@ pub fn analyze(history: &str) -> Result<TrendReport, Error> {
                     let base: Vec<f64> =
                         baseline.iter().filter_map(|e| e.values[mi]).collect();
                     let Some(latest_v) = latest.values[mi] else { continue };
-                    if base.is_empty() || base.iter().all(|&v| v == 0.0) {
+                    if base.is_empty() {
                         continue;
                     }
                     metrics.push(judge(spec, &base, latest_v));
@@ -264,7 +255,7 @@ pub fn analyze(history: &str) -> Result<TrendReport, Error> {
                 .then(b.severity.total_cmp(&a.severity))
                 .then(a.name.cmp(b.name))
         });
-        groups.push(GroupTrend { divisor, shards, runs: runs.len(), metrics });
+        groups.push(GroupTrend { divisor, runs: runs.len(), metrics });
     }
     Ok(TrendReport { lines: entries.len(), groups, skipped })
 }
@@ -295,7 +286,7 @@ pub fn render(report: &TrendReport) -> String {
         report.groups.len()
     );
     for g in &report.groups {
-        let _ = writeln!(out, "divisor={} shards={} ({} run(s))", g.divisor, g.shards, g.runs);
+        let _ = writeln!(out, "divisor={} ({} run(s))", g.divisor, g.runs);
         if g.runs < 2 {
             let _ = writeln!(out, "  (single run — nothing to compare against yet)");
             continue;
@@ -334,19 +325,17 @@ mod tests {
     /// `profile_ns_per_cycle`.
     fn old_line(schema: u64, unix: u64, event_cps: f64) -> String {
         format!(
-            "{{\"schema\":{schema},\"unix_seconds\":{unix},\"divisor\":8,\"shards\":4,\
+            "{{\"schema\":{schema},\"unix_seconds\":{unix},\"divisor\":8,\
              \"cycles\":1000000,\"ticked_cps\":2000000,\"event_cps\":{event_cps:.0},\
-             \"sharded_cps\":16000000,\"event_over_ticked\":4.0,\"sharded_over_event\":2.0,\
-             \"skipped_pct\":61.0,\"warmup_seconds\":0.01,\"max_divergence\":0.004}}"
+             \"event_over_ticked\":4.0,\"skipped_pct\":61.0}}"
         )
     }
 
     fn new_line(unix: u64, event_cps: f64, prof: f64) -> String {
         format!(
-            "{{\"schema\":9,\"unix_seconds\":{unix},\"divisor\":8,\"shards\":4,\
+            "{{\"schema\":10,\"unix_seconds\":{unix},\"divisor\":8,\
              \"cycles\":1000000,\"ticked_cps\":2000000,\"event_cps\":{event_cps:.0},\
-             \"sharded_cps\":16000000,\"event_over_ticked\":4.0,\"sharded_over_event\":2.0,\
-             \"skip_pct\":61.0,\"warmup_seconds\":0.01,\"max_divergence\":0.004,\
+             \"event_over_ticked\":4.0,\"skip_pct\":61.0,\
              \"profile_ns_per_cycle\":{prof:.1}}}"
         )
     }
@@ -365,19 +354,19 @@ mod tests {
         assert!(report.skipped.is_empty(), "{:?}", report.skipped);
         assert_eq!(report.groups.len(), 1);
         let g = &report.groups[0];
-        assert_eq!((g.divisor, g.shards, g.runs), (8, 4, 4));
+        assert_eq!((g.divisor, g.runs), (8, 4));
         assert_eq!(report.regressions(), 0, "{}", render(&report));
         // The aliased skip_pct metric must have a full 3-run baseline —
         // proof the old `skipped_pct` values were upgraded, not dropped.
         let skip = g.metrics.iter().find(|m| m.name == "skip_pct").expect("skip_pct tracked");
         assert_eq!(skip.baseline_runs, 3);
-        // profile_ns_per_cycle only exists on schema-9 lines; its
-        // baseline is just the one earlier v9 run.
+        // profile_ns_per_cycle only exists on schema-9+ lines; its
+        // baseline is just the one earlier v10 run.
         let prof = g
             .metrics
             .iter()
             .find(|m| m.name == "profile_ns_per_cycle")
-            .expect("profile metric tracked once two v9 lines exist");
+            .expect("profile metric tracked once two v10 lines exist");
         assert_eq!(prof.baseline_runs, 1);
         let rendered = render(&report);
         assert!(rendered.contains("trend: 0 regression(s)"), "{rendered}");
@@ -447,22 +436,33 @@ mod tests {
     }
 
     #[test]
-    fn single_run_groups_and_unsharded_zeros_produce_no_verdicts() {
-        // One run in its group: nothing to compare. A second group with
-        // sharded_cps pinned to zero must not judge that metric.
+    fn single_run_groups_produce_no_verdicts() {
+        // One run in its group: nothing to compare.
         let solo = new_line(1, 8_000_000.0, 120.0);
-        let unsharded = "{\"schema\":9,\"unix_seconds\":2,\"divisor\":16,\"shards\":1,\
-                         \"cycles\":1000,\"ticked_cps\":100,\"event_cps\":500,\
-                         \"sharded_cps\":0,\"event_over_ticked\":5.0,\"sharded_over_event\":0.0,\
-                         \"skip_pct\":60.0,\"warmup_seconds\":0.0,\"max_divergence\":0.0,\
-                         \"profile_ns_per_cycle\":100.0}";
-        let history = format!("{solo}\n{unsharded}\n{unsharded}\n");
+        let other = "{\"schema\":10,\"unix_seconds\":2,\"divisor\":16,\
+                     \"cycles\":1000,\"ticked_cps\":100,\"event_cps\":500,\
+                     \"event_over_ticked\":5.0,\"skip_pct\":60.0,\
+                     \"profile_ns_per_cycle\":100.0}";
+        let history = format!("{solo}\n{other}\n{other}\n");
         let report = analyze(&history).unwrap();
         assert_eq!(report.groups.len(), 2);
         assert!(report.groups[0].metrics.is_empty(), "solo group has no verdicts");
-        let g1 = &report.groups[1];
-        assert!(!g1.metrics.iter().any(|m| m.name == "sharded_cps"), "all-zero metric skipped");
-        assert!(g1.metrics.iter().any(|m| m.name == "event_cps"));
+        assert!(report.groups[1].metrics.iter().any(|m| m.name == "event_cps"));
         assert_eq!(report.regressions(), 0);
+    }
+
+    /// The committed history opens with schema 7 and 9 lines at
+    /// divisor 8, half of them from time-window split runs. Every line
+    /// must parse, and those four runs form one divisor group.
+    #[test]
+    fn committed_history_parses_into_divisor_groups() {
+        let history = include_str!("../../../BENCH_repro.history.jsonl");
+        let report = analyze(history).unwrap();
+        assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+        assert_eq!(report.lines, history.lines().filter(|l| !l.trim().is_empty()).count());
+        let runs: usize = report.groups.iter().map(|g| g.runs).sum();
+        assert_eq!(runs, report.lines, "every run lands in exactly one group");
+        assert_eq!(report.groups[0].divisor, 8);
+        assert!(report.groups[0].runs >= 4, "{}", render(&report));
     }
 }

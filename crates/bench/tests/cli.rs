@@ -1,7 +1,8 @@
 //! Command-line contract tests for the `repro` binary: malformed flags
-//! must fail fast with a usage error before any simulation starts, and
-//! the `pipetrace` subcommand must produce exports that its own
-//! validator (`repro obs-validate`) accepts.
+//! and arguments a command does not use must fail fast with a usage
+//! error before any simulation starts, and the `pipetrace` subcommand
+//! must produce exports that its own validator (`repro obs-validate`)
+//! accepts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -33,6 +34,57 @@ fn sample_interval_rejects_zero_and_garbage() {
             "--sample-interval {bad}: {stderr}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts that `repro <args>` fails and that its error names `culprit`.
+fn assert_rejected(dir: &Path, args: &[&str], culprit: &str) {
+    let out = repro(dir, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "repro {args:?} must fail");
+    assert!(stderr.contains(&format!("`{culprit}`")), "repro {args:?}: {stderr}");
+}
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let dir = temp_dir("unknown-flag");
+    assert_rejected(&dir, &["table2", "8", "--jbos", "2"], "--jbos");
+    assert_rejected(&dir, &["--jbos", "2", "table2", "8"], "--jbos");
+    assert_rejected(&dir, &["all", "--windows=2"], "--windows=2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_second_positional_is_rejected() {
+    let dir = temp_dir("second-positional");
+    assert_rejected(&dir, &["table2", "8", "16"], "16");
+    assert_rejected(&dir, &["trend", "history.jsonl", "extra"], "extra");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_divisor_that_is_not_a_u32_is_rejected() {
+    let dir = temp_dir("divisor");
+    for bad in ["8x", "-1", "4294967296", "1.5"] {
+        assert_rejected(&dir, &["table2", bad], bad);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn path_positionals_are_not_parsed_as_divisors() {
+    let dir = temp_dir("path-positional");
+    let history = dir.join("history.jsonl");
+    std::fs::write(
+        &history,
+        "{\"schema\":10,\"unix_seconds\":1,\"divisor\":8,\"cycles\":1000,\
+         \"ticked_cps\":100,\"event_cps\":500}\n",
+    )
+    .unwrap();
+    let out = repro(&dir, &["trend", "history.jsonl", "--gate"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "trend: {stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("divisor=8 (1 run(s))"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -67,7 +67,6 @@ pub mod dist;
 pub mod events;
 pub mod obs;
 pub mod pipeview;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod timeq;
@@ -84,6 +83,5 @@ pub use obs::{
     OpLifecycle, PhaseProf, PipeTrace, PipeTraceProbe, Probe, StallCause, TransferKind,
 };
 pub use pipeview::{render as render_pipeline, PipeViewOptions};
-pub use shard::{planned_windows, ShardOptions, ShardReport, WindowTiming};
 pub use sim::{Processor, SimError, SimResult};
 pub use stats::{speedup_percent, FastForward, SimStats, STATS_WIRE_VERSION};

@@ -1,4 +1,4 @@
-//! Log2-bucketed, mergeable latency histograms.
+//! Log2-bucketed latency histograms.
 
 /// Bucket count: one bucket for zero plus one per bit of a `u64`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
@@ -6,9 +6,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// A log2-bucketed histogram of `u64` samples.
 ///
 /// Bucket 0 holds the value 0; bucket `i >= 1` covers the half-open
-/// range `[2^(i-1), 2^i)`. Histograms merge associatively and
-/// commutatively ([`Histogram::merge`]), so per-shard instances can be
-/// combined in any order without changing the result.
+/// range `[2^(i-1), 2^i)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -115,17 +113,6 @@ impl Histogram {
             (i, lo, hi, n)
         })
     }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -185,77 +172,5 @@ mod tests {
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(12));
         assert_eq!(h.mean(), Some(5.0));
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let mut parts = [Histogram::new(), Histogram::new(), Histogram::new()];
-        // Deterministic pseudo-random-ish values spread across buckets.
-        let mut v: u64 = 7;
-        for (i, part) in parts.iter_mut().enumerate() {
-            for _ in 0..50 {
-                v = v.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i as u64 + 1);
-                part.record(v >> (v % 60));
-            }
-        }
-        // (a + b) + c
-        let mut left = parts[0];
-        left.merge(&parts[1]);
-        left.merge(&parts[2]);
-        // a + (b + c), folded in the other order
-        let mut bc = parts[2];
-        bc.merge(&parts[1]);
-        let mut right = Histogram::new();
-        right.merge(&bc);
-        right.merge(&parts[0]);
-        assert_eq!(left, right);
-    }
-
-    #[test]
-    fn merge_combines_saturated_top_buckets() {
-        // Both operands carry samples in the open-ended top bucket
-        // (values >= 2^63) and sums large enough that the merged sum
-        // saturates rather than wrapping.
-        let mut a = Histogram::new();
-        a.record(u64::MAX);
-        a.record(1 << 63);
-        a.record(5);
-        let mut b = Histogram::new();
-        b.record(u64::MAX - 1);
-        b.record(u64::MAX);
-        assert_eq!(a.buckets()[64], 2);
-        assert_eq!(b.buckets()[64], 2);
-        assert_eq!(a.sum(), u64::MAX); // already saturated by record()
-
-        a.merge(&b);
-        assert_eq!(a.buckets()[64], 4);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.sum(), u64::MAX); // saturating, not wrapping
-        assert_eq!(a.min(), Some(5));
-        assert_eq!(a.max(), Some(u64::MAX));
-        let (lo, hi) = Histogram::bucket_bounds(64);
-        assert_eq!(lo, 1 << 63);
-        assert_eq!(hi, None);
-
-        // Merging the saturated histogram into an empty one preserves
-        // the top bucket and the saturated sum.
-        let mut fresh = Histogram::new();
-        fresh.merge(&a);
-        assert_eq!(fresh.buckets()[64], 4);
-        assert_eq!(fresh.sum(), u64::MAX);
-        assert_eq!(fresh, a);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut h = Histogram::new();
-        h.record(9);
-        h.record(0);
-        let before = h;
-        h.merge(&Histogram::new());
-        assert_eq!(h, before);
-        let mut empty = Histogram::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 }

@@ -248,26 +248,6 @@ impl Processor {
         let cycles = result.stats.cycles;
         Ok((result, prof.report(cycles)))
     }
-
-    /// Simulates a (window of a) trace, optionally starting from
-    /// functionally pre-warmed predictor and cache state instead of the
-    /// cold-reset state. This is the per-window worker of the
-    /// time-window sharding engine (see [`crate::shard`]); with
-    /// `warm == None` it is exactly [`Processor::run_packed`] modulo
-    /// `&self` vs `&mut self`.
-    pub(crate) fn run_window<T: TraceSource + ?Sized>(
-        &self,
-        trace: &T,
-        warm: Option<crate::shard::WarmState>,
-    ) -> Result<SimResult, SimError> {
-        let mut sim = Sim::new(&self.config, trace);
-        if let Some(w) = warm {
-            sim.predictor = w.predictor;
-            sim.icache = w.icache;
-            sim.dcache = w.dcache;
-        }
-        sim.run()
-    }
 }
 
 // ---------------------------------------------------------------------------

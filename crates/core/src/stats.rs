@@ -163,50 +163,6 @@ impl SimStats {
             + self.stall_reassign
     }
 
-    /// Folds another run's counters into this one. Every `SimStats`
-    /// field is a pure sum over simulated cycles/instructions, so the
-    /// per-window statistics of a time-window-sharded run (see
-    /// [`crate::shard`]) merge by plain addition — and because the
-    /// stall-identity equation is linear, it survives the merge: if it
-    /// holds per window it holds for the sum.
-    ///
-    /// When adding a field to `SimStats`, extend this method; the
-    /// sharded-vs-serial differential tests catch omissions.
-    pub fn absorb(&mut self, other: &SimStats) {
-        self.cycles += other.cycles;
-        self.dispatch_cycles += other.dispatch_cycles;
-        self.drain_cycles += other.drain_cycles;
-        self.retired += other.retired;
-        self.single_distributed += other.single_distributed;
-        self.dual_distributed += other.dual_distributed;
-        for (s, o) in self.scenario.iter_mut().zip(other.scenario.iter()) {
-            *s += o;
-        }
-        for c in 0..2 {
-            self.per_cluster_dispatched[c] += other.per_cluster_dispatched[c];
-            self.per_cluster_issued[c] += other.per_cluster_issued[c];
-        }
-        self.branches += other.branches;
-        self.mispredicts += other.mispredicts;
-        self.replays += other.replays;
-        self.replay_squashed += other.replay_squashed;
-        self.replay_escalations += other.replay_escalations;
-        self.reassignments += other.reassignments;
-        self.stall_reassign += other.stall_reassign;
-        self.operands_forwarded += other.operands_forwarded;
-        self.results_forwarded += other.results_forwarded;
-        self.otb_full_stalls += other.otb_full_stalls;
-        self.rtb_full_stalls += other.rtb_full_stalls;
-        self.stall_icache += other.stall_icache;
-        self.stall_branch += other.stall_branch;
-        self.stall_dq += other.stall_dq;
-        self.stall_regs += other.stall_regs;
-        self.stall_replay += other.stall_replay;
-        self.issue_disorder += other.issue_disorder;
-        self.icache.absorb(&other.icache);
-        self.dcache.absorb(&other.dcache);
-    }
-
     /// Serializes the counters into the versioned little-endian wire
     /// form the persistent result store caches. The destructuring is
     /// exhaustive on purpose: adding a `SimStats` (or [`CacheStats`])

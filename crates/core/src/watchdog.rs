@@ -14,9 +14,8 @@
 //! configurations are hashed and compared as cache keys (the in-process
 //! and on-disk result stores key simulations on the configuration's
 //! canonical form), and a wall-clock deadline must never change a key
-//! or make two otherwise-identical runs distinct. Worker threads that
-//! fan a simulation out (time-window sharding) re-arm the token inside
-//! each worker from the value read on the spawning thread.
+//! or make two otherwise-identical runs distinct. A simulation runs on
+//! the thread that armed its deadline.
 //!
 //! Arming uses an RAII guard so a panicking or early-returning cell
 //! can never leak its deadline into the next cell scheduled on the
