@@ -19,12 +19,9 @@
 //! repro explain [divisor]     critical-path cycle-loss attribution
 //! repro pipetrace [divisor]   per-instruction lifecycle trace (Konata + JSON)
 //! repro profile [divisor]     engine phase-cost host profile (ns/cycle)
-//! repro bench [divisor]       ticked-vs-event engine microbenchmark
 //! repro chaos                  fault-injection chaos campaign
-//! repro trend [file] [--gate]  perf-trend analysis of the bench history
-//! repro all [divisor]         everything above (except selftest/explain/bench/chaos)
+//! repro all [divisor]         every table, figure and ablation above
 //! repro obs-validate <dir>     validate a directory of exports
-//! repro history-append <file>  validated append of a history line (stdin)
 //! ```
 //!
 //! Every subcommand (except `pipeline`) expands into independent
@@ -46,10 +43,6 @@
 //! - `--check LEVEL` — run every simulation with the architectural
 //!   invariant checker at `off`, `retire`, or `cycle` level
 //!   (see `mcl_core::check`).
-//! - `--engine ENGINE` — run every simulation on the `ticked` or the
-//!   `event` engine (default `event`; see `mcl_core::config::Engine`).
-//!   The engines produce byte-identical results; the event engine
-//!   fast-forwards across dead cycles and is several times faster.
 //! - `--watchdog SECS` — each cell's simulations run under a hard
 //!   cooperative deadline: a cell whose simulation exceeds the budget is
 //!   cancelled with a structured timeout error and the run exits
@@ -118,12 +111,10 @@
 //!   each aligned op's retire-to-retire gap), ranked by contribution;
 //!   the slips telescope exactly to the total retire-cycle drift.
 //!
-//! Profiling flags (see `mcl_bench::profile`, `mcl_bench::flight`, and
-//! `mcl_bench::trend`):
+//! Profiling flags (see `mcl_bench::profile` and `mcl_bench::flight`):
 //!
 //! - `repro profile [divisor]` — for every benchmark, rerun the
-//!   dual-cluster/local Table 2 cell on the event engine with the host
-//!   phase profiler, write `<bench>.hostprof.json` (into `--obs
+//!   dual-cluster/local Table 2 cell with the host phase profiler, write `<bench>.hostprof.json` (into `--obs
 //!   OUT_DIR`, or `hostprof_out` by default), and print the ranked
 //!   host-ns-per-live-cycle phase breakdown. The sum-to-elapsed
 //!   identity (phase nanoseconds telescope to the sampled span, within
@@ -135,12 +126,6 @@
 //!   off is one relaxed atomic load per site, and the recording never
 //!   alters results — `repro` output is byte-identical with the flag
 //!   on or off.
-//! - `repro trend [FILE] [--gate]` — parse the appended bench history
-//!   (`BENCH_repro.history.jsonl` by default, mixed schema versions
-//!   tolerated), compare the latest run against the per-group baseline
-//!   with noise-banded thresholds, and print a ranked per-metric
-//!   report. `--gate` exits nonzero when any metric regressed beyond
-//!   its noise band.
 
 use std::ops::Range;
 use std::path::PathBuf;
@@ -193,22 +178,6 @@ fn main() -> ExitCode {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    }
-    match take_value_flag(&mut args, "--engine") {
-        Ok(None) => {}
-        Ok(Some(v)) => match v.parse::<mcl_core::Engine>() {
-            // Like --check: presets built anywhere below read this
-            // process-wide default.
-            Ok(engine) => mcl_core::set_global_engine(engine),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
         }
     }
     let watchdog_seconds = match watchdog {
@@ -308,7 +277,6 @@ fn main() -> ExitCode {
         flight: flight_path,
     };
     let cmd = args.first().cloned().unwrap_or_else(|| "all".to_owned());
-    let gate = cmd == "trend" && take_switch(&mut args, "--gate");
     let divisor = match check_leftover_args(&cmd, &args) {
         Ok(divisor) => divisor,
         Err(e) => {
@@ -327,37 +295,11 @@ fn main() -> ExitCode {
         };
     }
 
-    if cmd == "bench" {
-        return match mcl_bench::microbench::run(divisor) {
-            Ok(rows) => {
-                print!("{}", mcl_bench::microbench::render(&rows, divisor));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     if cmd == "chaos" {
         let budget = watchdog_seconds.unwrap_or(mcl_bench::chaos::DEFAULT_WATCHDOG_SECONDS);
         let report = mcl_bench::chaos::run(jobs, budget);
         print!("{}", mcl_bench::chaos::render(&report));
         return if report.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-
-    if cmd == "trend" {
-        let path = args.get(1).map_or("BENCH_repro.history.jsonl", String::as_str);
-        return run_trend(std::path::Path::new(path), gate);
-    }
-
-    if cmd == "history-append" {
-        let Some(path) = args.get(1) else {
-            eprintln!("error: history-append requires a history file path");
-            return ExitCode::FAILURE;
-        };
-        return run_history_append(std::path::Path::new(path));
     }
 
     if cmd == "obs-validate" {
@@ -477,104 +419,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// `repro history-append <file>`: reads one candidate history line from
-/// stdin, validates it against the existing file
-/// ([`mcl_bench::microbench::validate_history_line`]), and appends only
-/// well-formed, schema-current, non-duplicate lines. Skips warn on
-/// stderr but exit 0 — a benign rerun must not fail CI; only I/O errors
-/// are fatal.
-fn run_history_append(path: &std::path::Path) -> ExitCode {
-    use std::io::Read as _;
-
-    use mcl_bench::microbench::{malformed_history_lines, validate_history_line, HistoryVerdict};
-
-    let mut candidate = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut candidate) {
-        eprintln!("error: history-append: reading stdin: {e}");
-        return ExitCode::FAILURE;
-    }
-    let candidate = candidate.trim();
-    if candidate.is_empty() {
-        eprintln!("error: history-append: no candidate line on stdin");
-        return ExitCode::FAILURE;
-    }
-    let existing = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => {
-            eprintln!("error: history-append: reading {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    for (line, why) in malformed_history_lines(&existing) {
-        eprintln!("warning: history-append: {} line {line}: {why}", path.display());
-    }
-    match validate_history_line(&existing, candidate) {
-        HistoryVerdict::Append => {
-            // Append-only: existing lines are never rewritten, so a
-            // crash mid-append can at worst leave one torn trailing
-            // line — which the next run's validation pass reports.
-            use std::io::Write as _;
-            let result = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| {
-                    let newline = if existing.is_empty() || existing.ends_with('\n') {
-                        ""
-                    } else {
-                        "\n"
-                    };
-                    writeln!(f, "{newline}{candidate}")
-                });
-            if let Err(e) = result {
-                eprintln!("error: history-append: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("history-append: appended to {}", path.display());
-            ExitCode::SUCCESS
-        }
-        HistoryVerdict::Skip(why) => {
-            eprintln!("warning: history-append: skipped line ({why})");
-            ExitCode::SUCCESS
-        }
-    }
-}
-
-/// `repro trend [FILE] [--gate]`: analyzes the appended bench history
-/// ([`mcl_bench::trend`]) and prints the per-group, per-metric report.
-/// Unreadable files, empty histories, and all-garbage histories are
-/// hard errors — a gate that silently passes on a missing history
-/// guards nothing. With `gate`, regressions beyond the noise band fail
-/// the exit code too.
-fn run_trend(path: &std::path::Path, gate: bool) -> ExitCode {
-    let history = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: trend: reading {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    match mcl_bench::trend::analyze(&history) {
-        Ok(report) => {
-            print!("{}", mcl_bench::trend::render(&report));
-            let regressions = report.regressions();
-            if gate && regressions > 0 {
-                eprintln!(
-                    "error: trend --gate: {regressions} metric(s) regressed beyond the noise band"
-                );
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("error: trend: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Driver-level robustness and observability options.
 #[derive(Clone, Default)]
 struct RunOptions {
@@ -657,9 +501,8 @@ fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>,
 /// Rejects what is left of the argument list once every known flag is
 /// taken: an unknown `--flag`, or a second positional after the
 /// command's one. Returns the scale divisor — the positional, which
-/// must parse as a `u32`, or 1 without one. `pipeline`, `trend`,
-/// `history-append` and `obs-validate` take a name or path instead
-/// (their divisor is 1).
+/// must parse as a `u32`, or 1 without one. `pipeline` and
+/// `obs-validate` take a name or path instead (their divisor is 1).
 fn check_leftover_args(cmd: &str, args: &[String]) -> Result<u32, String> {
     if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
         return Err(format!("unknown flag `{flag}`"));
@@ -667,7 +510,7 @@ fn check_leftover_args(cmd: &str, args: &[String]) -> Result<u32, String> {
     if let Some(extra) = args.get(2) {
         return Err(format!("unexpected argument `{extra}`"));
     }
-    if matches!(cmd, "pipeline" | "trend" | "history-append" | "obs-validate") {
+    if matches!(cmd, "pipeline" | "obs-validate") {
         return Ok(1);
     }
     args.get(1).map_or(Ok(1), |v| v.parse().map_err(|_| format!("invalid divisor `{v}`")))
@@ -808,7 +651,6 @@ impl Plan {
             command: command.to_owned(),
             divisor,
             jobs,
-            engine: mcl_core::global_engine().name().to_owned(),
             total_wall_seconds: start.elapsed().as_secs_f64(),
             keep_going: options.keep_going,
             watchdog_seconds: options.watchdog_seconds,
@@ -1340,7 +1182,7 @@ fn plan_pipetrace(
 }
 
 /// Adds one profile cell per benchmark: the host phase-cost profile of
-/// the dual-cluster/local run on the event engine, exporting
+/// the dual-cluster/local run, exporting
 /// `<bench>.hostprof.json` into `dir`.
 fn plan_profile(
     plan: &mut Plan,

@@ -22,9 +22,10 @@
 //!   progress monitor at any level (including `off`); accounting faults
 //!   need the invariant checker (`retire` or `cycle`); the dropped
 //!   completion is only visible to the cycle-granular liveness rule.
-//! - **Engines**: every case runs on both the ticked and the
-//!   event-driven engine — fault handling must not depend on
-//!   fast-forward behaviour.
+//! - **Engines**: every case runs both single-stepped (`ticked`, see
+//!   [`Processor::single_stepped`]) and with dead-cycle fast-forward
+//!   (`event`) — fault handling must not depend on fast-forward
+//!   behaviour.
 //!
 //! Each cell first runs its workload *clean* (same configuration, no
 //! fault) to establish baseline statistics, then injected. A run
@@ -38,7 +39,7 @@ use std::fmt;
 use std::time::Duration;
 
 use mcl_core::check::{CheckLevel, FaultInjection};
-use mcl_core::{Engine, Processor, ProcessorConfig, SimError, SimStats};
+use mcl_core::{Processor, ProcessorConfig, SimError, SimStats};
 use mcl_isa::assign::RegisterAssignment;
 use mcl_isa::ArchReg;
 use mcl_sched::SchedulerKind;
@@ -174,13 +175,14 @@ enum Expect {
     Wedged,
 }
 
-/// One campaign cell: a fault injected into a workload on an engine at
-/// a check level, with its expected structured detection.
+/// One campaign cell: a fault injected into a workload, single-stepped
+/// or fast-forwarded, at a check level, with its expected structured
+/// detection.
 #[derive(Debug, Clone)]
 struct Case {
     fault: FaultInjection,
     workload: Workload,
-    engine: Engine,
+    single_stepped: bool,
     level: CheckLevel,
     expect: Expect,
 }
@@ -191,22 +193,33 @@ impl Case {
             "chaos/{}/{}/{}/{}",
             self.fault.name(),
             self.workload.name(),
-            self.engine.name(),
+            engine_name(self.single_stepped),
             level_name(self.level)
         )
     }
 
-    fn config(&self, with_fault: bool) -> ProcessorConfig {
-        let mut cfg = self
-            .workload
-            .config()
-            .with_engine(self.engine)
-            .with_check_level(self.level);
+    fn processor(&self, with_fault: bool) -> Processor {
+        let mut cfg = self.workload.config().with_check_level(self.level);
         cfg.wedge_threshold = WEDGE_THRESHOLD;
         if with_fault {
             cfg.faults = vec![self.fault.clone()];
         }
-        cfg
+        let processor = Processor::new(cfg);
+        if self.single_stepped {
+            processor.single_stepped()
+        } else {
+            processor
+        }
+    }
+}
+
+/// The report's engine label: `ticked` for a single-stepped run,
+/// `event` for a fast-forwarded one.
+fn engine_name(single_stepped: bool) -> &'static str {
+    if single_stepped {
+        "ticked"
+    } else {
+        "event"
     }
 }
 
@@ -220,7 +233,7 @@ fn level_name(level: CheckLevel) -> &'static str {
 
 /// The full campaign matrix: each fault crossed with the workloads
 /// that guarantee it triggers, the check levels that guarantee it is
-/// detected, and both engines.
+/// detected, single-stepped and fast-forwarded.
 fn matrix() -> Vec<Case> {
     use CheckLevel::{Cycle, Off, Retire};
     use FaultInjection as F;
@@ -279,11 +292,11 @@ fn matrix() -> Vec<Case> {
     for (fault, workloads, levels, expect) in rows {
         for &workload in &workloads {
             for &level in &levels {
-                for engine in [Engine::Ticked, Engine::Event] {
+                for single_stepped in [true, false] {
                     cases.push(Case {
                         fault: fault.clone(),
                         workload,
-                        engine,
+                        single_stepped,
                         level,
                         expect,
                     });
@@ -365,7 +378,7 @@ pub struct ChaosRow {
     pub fault: &'static str,
     /// Workload name.
     pub workload: &'static str,
-    /// Engine name.
+    /// `ticked` (single-stepped) or `event` (fast-forwarded).
     pub engine: &'static str,
     /// Check-level name.
     pub level: &'static str,
@@ -407,7 +420,7 @@ impl ChaosReport {
 /// Runs one faulted attempt with the hard watchdog armed; timeouts are
 /// retried with a doubled budget and a short backoff.
 fn run_with_watchdog(
-    cfg: &ProcessorConfig,
+    processor: &Processor,
     ops: &[TraceOp],
     watchdog_seconds: f64,
 ) -> (Result<SimStats, SimError>, u32) {
@@ -417,7 +430,7 @@ fn run_with_watchdog(
         attempts += 1;
         let result = {
             let _armed = mcl_core::watchdog::arm_for(Duration::from_secs_f64(budget));
-            Processor::new(cfg.clone()).run_trace(ops).map(|r| r.stats)
+            processor.clone().run_trace(ops).map(|r| r.stats)
         };
         match result {
             Err(SimError::Timeout { .. }) if attempts <= TIMEOUT_RETRIES => {
@@ -433,11 +446,11 @@ fn run_with_watchdog(
 fn run_case(case: &Case, watchdog_seconds: f64) -> Result<ChaosRow, Error> {
     let ops = case.workload.ops()?;
     // Clean baseline: same configuration, no fault. Must succeed.
-    let (baseline, _) = run_with_watchdog(&case.config(false), &ops, watchdog_seconds);
+    let (baseline, _) = run_with_watchdog(&case.processor(false), &ops, watchdog_seconds);
     let baseline = baseline.map_err(|e| {
         Error::SelfCheck(format!("{}: clean baseline failed: {e}", case.id()))
     })?;
-    let (faulted, attempts) = run_with_watchdog(&case.config(true), &ops, watchdog_seconds);
+    let (faulted, attempts) = run_with_watchdog(&case.processor(true), &ops, watchdog_seconds);
     let outcome = match (faulted, case.expect) {
         (Err(SimError::Invariant { cycle, rule, .. }), Expect::Invariant(want))
             if rule == want =>
@@ -457,7 +470,7 @@ fn run_case(case: &Case, watchdog_seconds: f64) -> Result<ChaosRow, Error> {
     Ok(ChaosRow {
         fault: case.fault.name(),
         workload: case.workload.name(),
-        engine: case.engine.name(),
+        engine: engine_name(case.single_stepped),
         level: level_name(case.level),
         outcome,
     })
@@ -545,12 +558,14 @@ mod tests {
         let faults: std::collections::BTreeSet<&str> =
             cases.iter().map(|c| c.fault.name()).collect();
         assert_eq!(faults.len(), 8, "all eight faults campaign: {faults:?}");
-        for engine in [Engine::Ticked, Engine::Event] {
+        for single_stepped in [true, false] {
             for fault in &faults {
                 assert!(
-                    cases.iter().any(|c| c.fault.name() == *fault && c.engine == engine),
+                    cases
+                        .iter()
+                        .any(|c| c.fault.name() == *fault && c.single_stepped == single_stepped),
                     "{fault} missing on {}",
-                    engine.name()
+                    engine_name(single_stepped)
                 );
             }
         }
@@ -587,7 +602,7 @@ mod tests {
         let case = Case {
             fault: FaultInjection::LeakOperandBuffer { cycle: 0 },
             workload: Workload::PingPong,
-            engine: Engine::Ticked,
+            single_stepped: true,
             level: CheckLevel::Off,
             expect: Expect::Invariant("otb-accounting"),
         };

