@@ -33,7 +33,10 @@
 //! time, simulated cycles, throughput, and completion status.
 //!
 //! Arguments a command does not use are errors: an unknown `--flag`, a
-//! second positional argument, or a divisor that is not a `u32`.
+//! second positional argument, or a divisor that is not a `u32`. So is
+//! an unknown benchmark name, in `repro pipeline NAME` or in `MCL_ONLY`
+//! (which restricts `table2`, `explain`, `profile`, `pipetrace` and
+//! `all` to one benchmark).
 //!
 //! Robustness flags:
 //!
@@ -58,8 +61,10 @@
 //!   atomically, checksummed on read, and corrupt entries are
 //!   quarantined and transparently recomputed; the store is bounded
 //!   (LRU, `MCL_STORE_CAP_BYTES`, default 256 MiB) and safe for
-//!   concurrent `repro` processes. Disk counters land in
-//!   `BENCH_repro.json`.
+//!   concurrent `repro` processes. A request tier keyed by the running
+//!   binary maps each trace request to its trace's content digest, so
+//!   a warm rerun by the same binary builds no trace either. Disk
+//!   counters land in `BENCH_repro.json`.
 //!
 //! Observability flags (see `mcl_bench::obs`):
 //!
@@ -286,7 +291,10 @@ fn main() -> ExitCode {
     };
 
     if cmd == "pipeline" {
-        return match run_pipeline(args.get(1).map_or("compress", String::as_str)) {
+        let name = args.get(1).map_or("compress", String::as_str);
+        let run = benchmark_named(name, "pipeline")
+            .and_then(|bench| run_pipeline(bench).map_err(|e| e.to_string()));
+        return match run {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -319,6 +327,19 @@ fn main() -> ExitCode {
         };
     }
 
+    // `MCL_ONLY` restricts the per-benchmark commands to one benchmark.
+    let only = if matches!(cmd.as_str(), "table2" | "explain" | "profile" | "pipetrace" | "all") {
+        match mcl_only() {
+            Ok(only) => only,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    } else {
+        None
+    };
+
     // One trace store shared by every cell: distinct traces build once
     // and are reused across experiments (and across workers under
     // `--jobs N`). With `--store DIR`, simulation results are
@@ -338,7 +359,7 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "table1" => plan_table1(&mut plan),
         "table2" => {
-            plan_table2(&mut plan, &store, divisor, mcl_only().as_deref(), options.obs.as_ref());
+            plan_table2(&mut plan, &store, divisor, only, options.obs.as_ref());
         }
         "scenarios" => plan_scenarios(&mut plan, options.obs.as_ref()),
         "fig6" => plan_fig6(&mut plan),
@@ -364,7 +385,7 @@ fn main() -> ExitCode {
                 .map_or_else(|| PathBuf::from("critpath_out"), |s| s.dir.clone());
             options.explain =
                 Some((dir.display().to_string(), baseline.map(|b| b.name().to_owned())));
-            plan_explain(&mut plan, &store, divisor, dir, baseline, mcl_only().as_deref());
+            plan_explain(&mut plan, &store, divisor, dir, baseline, only);
         }
         "profile" => {
             let dir = options
@@ -372,7 +393,7 @@ fn main() -> ExitCode {
                 .as_ref()
                 .map_or_else(|| PathBuf::from("hostprof_out"), |s| s.dir.clone());
             options.profile = Some(dir.display().to_string());
-            plan_profile(&mut plan, &store, divisor, dir, mcl_only().as_deref());
+            plan_profile(&mut plan, &store, divisor, dir, only);
         }
         "pipetrace" => {
             let dir = out_dir.map(PathBuf::from).unwrap_or_else(|| {
@@ -390,9 +411,9 @@ fn main() -> ExitCode {
                 range_str,
                 baseline.map(|b| b.name().to_owned()),
             ));
-            plan_pipetrace(&mut plan, &store, divisor, dir, range, baseline, mcl_only().as_deref());
+            plan_pipetrace(&mut plan, &store, divisor, dir, range, baseline, only);
         }
-        "all" => plan_all(&mut plan, &store, divisor, options.obs.as_ref()),
+        "all" => plan_all(&mut plan, &store, divisor, only, options.obs.as_ref()),
         other => {
             eprintln!("unknown subcommand `{other}`; see the module docs for usage");
             return ExitCode::FAILURE;
@@ -516,8 +537,18 @@ fn check_leftover_args(cmd: &str, args: &[String]) -> Result<u32, String> {
     args.get(1).map_or(Ok(1), |v| v.parse().map_err(|_| format!("invalid divisor `{v}`")))
 }
 
-fn mcl_only() -> Option<String> {
-    std::env::var("MCL_ONLY").ok()
+/// The benchmark `MCL_ONLY` names, if it is set.
+fn mcl_only() -> Result<Option<Benchmark>, String> {
+    std::env::var("MCL_ONLY").ok().map(|name| benchmark_named(&name, "MCL_ONLY")).transpose()
+}
+
+/// The benchmark called `name`, or an error naming `source` (where the
+/// name came from), the name and the valid benchmarks.
+fn benchmark_named(name: &str, source: &str) -> Result<Benchmark, String> {
+    Benchmark::ALL.into_iter().find(|b| b.name() == name).ok_or_else(|| {
+        let valid: Vec<&str> = Benchmark::ALL.iter().map(|b| b.name()).collect();
+        format!("{source}: unknown benchmark `{name}`; expected one of {}", valid.join(", "))
+    })
 }
 
 /// What one cell computed: either a pre-rendered text fragment or a
@@ -701,11 +732,11 @@ fn plan_table2_cells(
     plan: &mut Plan,
     store: &Arc<TraceStore>,
     divisor: u32,
-    only: Option<&str>,
+    only: Option<Benchmark>,
     obs: Option<&ObsSettings>,
 ) -> Range<usize> {
     let start = plan.cells.len();
-    for &bench in Benchmark::ALL.iter().filter(|b| only.is_none_or(|name| b.name() == name)) {
+    for &bench in Benchmark::ALL.iter().filter(|&&b| only.is_none_or(|only| b == only)) {
         let scale = bench.scaled(divisor);
         let store = Arc::clone(store);
         let obs = obs.cloned();
@@ -724,7 +755,7 @@ fn plan_table2(
     plan: &mut Plan,
     store: &Arc<TraceStore>,
     divisor: u32,
-    only: Option<&str>,
+    only: Option<Benchmark>,
     obs: Option<&ObsSettings>,
 ) -> Range<usize> {
     let range = plan_table2_cells(plan, store, divisor, only, obs);
@@ -1112,11 +1143,11 @@ fn plan_explain(
     divisor: u32,
     dir: PathBuf,
     baseline: Option<Baseline>,
-    only: Option<&str>,
+    only: Option<Benchmark>,
 ) {
     let cells = Benchmark::ALL
         .iter()
-        .filter(|b| only.is_none_or(|name| b.name() == name))
+        .filter(|&&b| only.is_none_or(|only| b == only))
         .map(|&bench| {
             let store = Arc::clone(store);
             let dir = dir.clone();
@@ -1149,11 +1180,11 @@ fn plan_pipetrace(
     dir: PathBuf,
     range: (u64, u64),
     baseline: Option<Baseline>,
-    only: Option<&str>,
+    only: Option<Benchmark>,
 ) {
     let cells = Benchmark::ALL
         .iter()
-        .filter(|b| only.is_none_or(|name| b.name() == name))
+        .filter(|&&b| only.is_none_or(|only| b == only))
         .map(|&bench| {
             let store = Arc::clone(store);
             let dir = dir.clone();
@@ -1189,11 +1220,11 @@ fn plan_profile(
     store: &Arc<TraceStore>,
     divisor: u32,
     dir: PathBuf,
-    only: Option<&str>,
+    only: Option<Benchmark>,
 ) {
     let cells = Benchmark::ALL
         .iter()
-        .filter(|b| only.is_none_or(|name| b.name() == name))
+        .filter(|&&b| only.is_none_or(|only| b == only))
         .map(|&bench| {
             let store = Arc::clone(store);
             let dir = dir.clone();
@@ -1215,9 +1246,15 @@ fn plan_profile(
     );
 }
 
-fn plan_all(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
+fn plan_all(
+    plan: &mut Plan,
+    store: &Arc<TraceStore>,
+    divisor: u32,
+    only: Option<Benchmark>,
+    obs: Option<&ObsSettings>,
+) {
     plan_table1(plan);
-    let table2_cells = plan_table2(plan, store, divisor, mcl_only().as_deref(), obs);
+    let table2_cells = plan_table2(plan, store, divisor, only, obs);
     plan_scenarios(plan, obs);
     plan_fig6(plan);
     // The crossover analysis derives from Table 2's rows; reuse them
@@ -1225,7 +1262,7 @@ fn plan_all(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<
     // which case crossover still covers every benchmark (as the serial
     // driver always did). The extra rows never re-export observability
     // artifacts.
-    if mcl_only().is_none() {
+    if only.is_none() {
         plan_crossover(plan, table2_cells);
     } else {
         let full_rows = plan_table2_cells(plan, store, divisor, None, None);
@@ -1241,16 +1278,12 @@ fn plan_all(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<
     plan_mix(plan, divisor);
 }
 
-fn run_pipeline(bench_name: &str) -> Result<(), mcl_bench::Error> {
+fn run_pipeline(bench: Benchmark) -> Result<(), mcl_bench::Error> {
     use mcl_core::{render_pipeline, PipeViewOptions, Processor, ProcessorConfig};
     use mcl_isa::assign::RegisterAssignment;
     use mcl_sched::SchedulerKind;
     use mcl_trace::vm::trace_program_packed;
 
-    let Some(bench) = Benchmark::ALL.iter().find(|b| b.name() == bench_name) else {
-        eprintln!("unknown benchmark `{bench_name}`");
-        return Ok(());
-    };
     let il = bench.build((bench.default_scale() / 100).max(1));
     let assign = RegisterAssignment::even_odd_with_default_globals(2);
     let scheduled = mcl_sched::SchedulePipeline::new(SchedulerKind::Local, &assign)

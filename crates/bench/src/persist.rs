@@ -36,15 +36,26 @@
 //!   entries (by modification time, refreshed on every hit) are evicted
 //!   under an advisory lock file so concurrent `repro` processes do not
 //!   race the sweep.
+//! - **A request tier in front.** A second, tiny kind of entry maps a
+//!   normalized trace *request* to the [`TraceDigest`] of the trace it
+//!   builds, so a warm run can address results without building any
+//!   trace. Its key covers a fingerprint of the running executable
+//!   ([`PersistStore::request_key`]): any other binary misses the tier
+//!   and falls back to the content-addressed path, which stays the
+//!   source of truth. Request entries share the header, checksum,
+//!   quarantine and LRU rules above, and count in their own counters.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, SystemTime};
 
 use mcl_core::{FastForward, SimStats, STATS_WIRE_VERSION};
 use mcl_trace::PackedTrace;
+
+use crate::flight::SpanGuard;
 
 /// Version of the on-disk entry format. Bump on any layout change, and
 /// whenever the `Debug` rendering of `ProcessorConfig` changes (it is
@@ -54,15 +65,25 @@ use mcl_trace::PackedTrace;
 /// the configuration lost its `engine` field.
 pub const STORE_FORMAT_VERSION: u32 = 2;
 
-/// Magic tag opening every entry file.
+/// Magic tag opening every result entry file.
 const MAGIC: &[u8; 8] = b"MCLSTOR1";
 
-/// Entry header: magic, format version, key echo, payload length,
-/// payload checksum.
+/// Magic tag opening every request entry file.
+const REQUEST_MAGIC: &[u8; 8] = b"MCLREQS1";
+
+/// Domain tag opening every request key's hash stream, so a request
+/// key never collides with a result key by construction.
+const REQUEST_TAG: &[u8] = b"mcl-request-tier\0";
+
+/// Entry header (both kinds): magic, format version, key echo, payload
+/// length, payload checksum.
 const HEADER_LEN: usize = 8 + 4 + 16 + 8 + 8;
 
 /// Default store capacity when `MCL_STORE_CAP_BYTES` is unset.
 pub const DEFAULT_CAP_BYTES: u64 = 256 * 1024 * 1024;
+
+/// The environment variable overriding the store capacity (bytes).
+const CAP_VAR: &str = "MCL_STORE_CAP_BYTES";
 
 /// An advisory eviction lock older than this is considered leaked by a
 /// crashed process and is stolen.
@@ -87,40 +108,21 @@ fn fnv1a(basis: u64, chunks: &[&[u8]]) -> u64 {
     hash
 }
 
-/// The configuration-independent prefix of every [`EntryKey`] of one
-/// trace: both FNV-1a states after the store format version, the
-/// statistics wire version and the trace's wire bytes.
-///
-/// FNV-1a is a streaming hash, so [`TraceDigest::key`] continuing
-/// these states over a configuration's bytes yields exactly the key a
-/// single pass over the whole stream would — a trace replayed under
-/// many configurations is hashed once, not once per configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceDigest {
+/// Two FNV-1a-64 chains over one byte stream, from independent bases:
+/// the 128-bit hash behind every key of the store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Fnv128 {
     hi: u64,
     lo: u64,
 }
 
-impl TraceDigest {
-    /// Hashes `trace`'s key prefix, feeding both halves in one pass
-    /// (two independent multiply chains per byte).
-    #[must_use]
-    pub fn of(trace: &PackedTrace) -> TraceDigest {
-        let mut digest = TraceDigest { hi: FNV_OFFSET, lo: FNV_OFFSET_LO };
-        digest.absorb(&STORE_FORMAT_VERSION.to_le_bytes());
-        digest.absorb(&STATS_WIRE_VERSION.to_le_bytes());
-        trace.for_each_wire_record(|rec| digest.absorb(rec));
-        digest
+impl Fnv128 {
+    const fn new() -> Fnv128 {
+        Fnv128 { hi: FNV_OFFSET, lo: FNV_OFFSET_LO }
     }
 
-    /// The key for simulating the digested trace under the
-    /// configuration whose canonical rendering is `sim_key`.
-    #[must_use]
-    pub fn key(mut self, sim_key: &str) -> EntryKey {
-        self.absorb(sim_key.as_bytes());
-        EntryKey { hi: self.hi, lo: self.lo }
-    }
-
+    /// Feeds both halves in one pass (two independent multiply chains
+    /// per byte).
     fn absorb(&mut self, bytes: &[u8]) {
         let (mut hi, mut lo) = (self.hi, self.lo);
         for &byte in bytes {
@@ -129,9 +131,71 @@ impl TraceDigest {
         }
         (self.hi, self.lo) = (hi, lo);
     }
+
+    fn key(self) -> EntryKey {
+        EntryKey { hi: self.hi, lo: self.lo }
+    }
 }
 
-/// The 128-bit content address of one simulation result.
+/// The configuration-independent prefix of every [`EntryKey`] of one
+/// trace: both FNV-1a states after the store format version, the
+/// statistics wire version and the trace's wire bytes.
+///
+/// FNV-1a is a streaming hash, so [`TraceDigest::key`] continuing
+/// these states over a configuration's bytes yields exactly the key a
+/// single pass over the whole stream would — a trace replayed under
+/// many configurations is hashed once, not once per configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TraceDigest(Fnv128);
+
+impl TraceDigest {
+    /// Hashes `trace`'s key prefix.
+    #[must_use]
+    pub fn of(trace: &PackedTrace) -> TraceDigest {
+        let mut hash = Fnv128::new();
+        hash.absorb(&STORE_FORMAT_VERSION.to_le_bytes());
+        hash.absorb(&STATS_WIRE_VERSION.to_le_bytes());
+        trace.for_each_wire_record(|rec| hash.absorb(rec));
+        TraceDigest(hash)
+    }
+
+    /// The key for simulating the digested trace under the
+    /// configuration whose canonical rendering is `sim_key`.
+    #[must_use]
+    pub fn key(self, sim_key: &str) -> EntryKey {
+        let mut hash = self.0;
+        hash.absorb(sim_key.as_bytes());
+        hash.key()
+    }
+}
+
+/// The FNV-128 of the running executable's bytes, read and hashed once
+/// per process on first use; `None` when the executable cannot be read
+/// (that process simply has no request tier).
+fn exe_fingerprint() -> Option<u128> {
+    static FINGERPRINT: OnceLock<Option<u128>> = OnceLock::new();
+    *FINGERPRINT.get_or_init(|| {
+        let bytes = std::env::current_exe().and_then(fs::read).ok()?;
+        let mut hash = Fnv128::new();
+        hash.absorb(&bytes);
+        Some(u128::from(hash.hi) << 64 | u128::from(hash.lo))
+    })
+}
+
+/// The store capacity `MCL_STORE_CAP_BYTES` asks for: the default when
+/// unset, an error naming the variable when it is not a byte count.
+fn cap_from_env(value: Result<String, std::env::VarError>) -> Result<u64, String> {
+    match value {
+        Err(std::env::VarError::NotPresent) => Ok(DEFAULT_CAP_BYTES),
+        Ok(v) => v.parse().map_err(|_| format!("invalid {CAP_VAR} value `{v}`")),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            Err(format!("invalid {CAP_VAR} value `{}`", v.to_string_lossy()))
+        }
+    }
+}
+
+/// The 128-bit address of one entry: a simulation result's content
+/// key, or a request key ([`PersistStore::request_key`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryKey {
     hi: u64,
@@ -166,8 +230,13 @@ pub struct PersistCounters {
     pub stores: u64,
     /// Entries evicted by the LRU capacity sweep.
     pub evictions: u64,
-    /// Corrupt entries moved to quarantine (each also counts a miss).
+    /// Corrupt entries moved to quarantine (each also counts a miss of
+    /// its tier).
     pub quarantined: u64,
+    /// Request-tier loads that named a trace digest.
+    pub request_hits: u64,
+    /// Request-tier loads that found no (usable) entry.
+    pub request_misses: u64,
 }
 
 /// The on-disk result store. See the [module docs](self) for the
@@ -184,22 +253,24 @@ pub struct PersistStore {
     stores: AtomicU64,
     evictions: AtomicU64,
     quarantined: AtomicU64,
+    request_hits: AtomicU64,
+    request_misses: AtomicU64,
+    /// The code fingerprint request keys cover; set on first use.
+    fingerprint: OnceLock<Option<u128>>,
 }
 
 impl PersistStore {
     /// Opens (creating if needed) a store rooted at `dir`. Capacity
-    /// comes from `MCL_STORE_CAP_BYTES` when set and parseable,
-    /// otherwise [`DEFAULT_CAP_BYTES`].
+    /// comes from `MCL_STORE_CAP_BYTES` when set, otherwise
+    /// [`DEFAULT_CAP_BYTES`].
     ///
     /// # Errors
     ///
     /// Returns the rendered I/O error when the directories cannot be
-    /// created.
+    /// created, and an error naming `MCL_STORE_CAP_BYTES` when it is
+    /// set but not a byte count.
     pub fn open(dir: &Path) -> Result<PersistStore, String> {
-        let cap_bytes = std::env::var("MCL_STORE_CAP_BYTES")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(DEFAULT_CAP_BYTES);
+        let cap_bytes = cap_from_env(std::env::var(CAP_VAR))?;
         PersistStore::open_with_cap(dir, cap_bytes)
     }
 
@@ -227,7 +298,18 @@ impl PersistStore {
             stores: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
+            request_hits: AtomicU64::new(0),
+            request_misses: AtomicU64::new(0),
+            fingerprint: OnceLock::new(),
         })
+    }
+
+    /// Pins the code fingerprint request keys cover, instead of the
+    /// running executable's — a store "filled by another binary".
+    #[cfg(test)]
+    pub(crate) fn with_fingerprint(self, fingerprint: u128) -> PersistStore {
+        let _ = self.fingerprint.set(Some(fingerprint));
+        self
     }
 
     /// The store's root directory.
@@ -242,6 +324,29 @@ impl PersistStore {
         self.entries.join(format!("{}.bin", key.hex()))
     }
 
+    /// The on-disk path a request entry for `key` lives at (in the same
+    /// directory, so the LRU capacity covers both kinds).
+    #[must_use]
+    pub fn request_path(&self, key: &EntryKey) -> PathBuf {
+        self.entries.join(format!("{}.req", key.hex()))
+    }
+
+    /// The request-tier key of a normalized trace request, `request`
+    /// being its canonical byte rendering: a domain-separated FNV-128
+    /// over a tag, [`STORE_FORMAT_VERSION`], the running executable's
+    /// fingerprint and `request`. `None` when the executable cannot be
+    /// read — the tier is then off for this process.
+    #[must_use]
+    pub fn request_key(&self, request: &[u8]) -> Option<EntryKey> {
+        let fingerprint = (*self.fingerprint.get_or_init(exe_fingerprint))?;
+        let mut hash = Fnv128::new();
+        hash.absorb(REQUEST_TAG);
+        hash.absorb(&STORE_FORMAT_VERSION.to_le_bytes());
+        hash.absorb(&fingerprint.to_le_bytes());
+        hash.absorb(request);
+        Some(hash.key())
+    }
+
     /// A snapshot of the hit/miss/store/eviction/quarantine counters.
     #[must_use]
     pub fn counters(&self) -> PersistCounters {
@@ -251,6 +356,8 @@ impl PersistStore {
             stores: self.stores.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
+            request_hits: self.request_hits.load(Ordering::Relaxed),
+            request_misses: self.request_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -272,29 +379,43 @@ impl PersistStore {
         // flight recording; the span is renamed once the outcome is
         // known and records at drop.
         let mut flight = crate::flight::span("persist", || "load miss".to_owned());
-        let path = self.entry_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match decode_entry(&bytes, key) {
+        let result = self.read_entry(&self.entry_path(key), |bytes| decode_entry(bytes, key));
+        count_load(result.is_some(), [&self.hits, &self.misses], &mut flight, "load hit");
+        result
+    }
+
+    /// Loads the trace digest a request entry names, under the same
+    /// rules as [`PersistStore::load`], counted as a request hit or
+    /// miss.
+    #[must_use]
+    pub fn load_request(&self, key: &EntryKey) -> Option<TraceDigest> {
+        let mut flight = crate::flight::span("persist", || "request miss".to_owned());
+        let result =
+            self.read_entry(&self.request_path(key), |bytes| decode_request(bytes, key));
+        let counters = [&self.request_hits, &self.request_misses];
+        count_load(result.is_some(), counters, &mut flight, "request hit");
+        result
+    }
+
+    /// Reads and decodes the entry at `path`: `None` when absent, and
+    /// also when corrupt, after quarantining it. A decoded entry gets
+    /// its modification time refreshed.
+    fn read_entry<T>(
+        &self,
+        path: &Path,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Option<T> {
+        let bytes = fs::read(path).ok()?;
+        match decode(&bytes) {
             Ok(result) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = flight.as_mut() {
-                    s.rename("load hit");
-                }
                 // Best-effort LRU touch; a read-only store still serves.
-                if let Ok(f) = fs::File::options().append(true).open(&path) {
+                if let Ok(f) = fs::File::options().append(true).open(path) {
                     let _ = f.set_modified(SystemTime::now());
                 }
                 Some(result)
             }
             Err(_) => {
-                self.quarantine_entry(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.quarantine_entry(path);
                 None
             }
         }
@@ -306,7 +427,21 @@ impl PersistStore {
     /// must not fail the simulation that just succeeded.
     pub fn store(&self, key: &EntryKey, stats: &SimStats, ff: &FastForward) {
         let _flight = crate::flight::span("persist", || "store".to_owned());
-        let bytes = encode_entry(key, stats, ff);
+        if self.write_entry(&self.entry_path(key), &encode_entry(key, stats, ff)) {
+            self.stores.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Persists a request entry naming `digest` under `key`, like
+    /// [`PersistStore::store`] (but not counted among its stores).
+    pub fn store_request(&self, key: &EntryKey, digest: &TraceDigest) {
+        let _flight = crate::flight::span("persist", || "store request".to_owned());
+        self.write_entry(&self.request_path(key), &encode_request(key, digest));
+    }
+
+    /// Writes `bytes` to `path` atomically and sweeps the capacity;
+    /// returns whether the entry landed.
+    fn write_entry(&self, path: &Path, bytes: &[u8]) -> bool {
         let tmp = self.root.join(format!(
             "tmp.{}.{}",
             std::process::id(),
@@ -314,16 +449,16 @@ impl PersistStore {
         ));
         let written = fs::File::create(&tmp)
             .and_then(|mut f| {
-                f.write_all(&bytes)?;
+                f.write_all(bytes)?;
                 f.sync_all()
             })
-            .and_then(|()| fs::rename(&tmp, self.entry_path(key)));
+            .and_then(|()| fs::rename(&tmp, path));
         if written.is_err() {
             let _ = fs::remove_file(&tmp);
-            return;
+            return false;
         }
-        self.stores.fetch_add(1, Ordering::Relaxed);
         self.evict_to_cap();
+        true
     }
 
     /// Moves a corrupt entry aside for post-mortems (removing it if
@@ -377,6 +512,24 @@ impl PersistStore {
     }
 }
 
+/// Counts one load as a hit or a miss (`[hits, misses]`), renaming its
+/// flight span on a hit.
+fn count_load(
+    hit: bool,
+    [hits, misses]: [&AtomicU64; 2],
+    flight: &mut Option<SpanGuard>,
+    hit_name: &str,
+) {
+    if hit {
+        hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(span) = flight.as_mut() {
+            span.rename(hit_name);
+        }
+    } else {
+        misses.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// RAII advisory lock around the eviction sweep: `create_new` on a
 /// lock file serializes cooperating processes, and a lock file older
 /// than [`STALE_LOCK`] (a crashed holder) is stolen.
@@ -413,39 +566,33 @@ impl Drop for EvictionLock {
     }
 }
 
-/// Encodes one entry: header (magic, version, key echo, payload
-/// length, FNV-64 payload checksum) followed by the payload (the
-/// statistics wire form, length-prefixed, plus the fast-forward
-/// counters).
-fn encode_entry(key: &EntryKey, stats: &SimStats, ff: &FastForward) -> Vec<u8> {
-    // Exhaustive destructure: adding a `FastForward` field refuses to
-    // compile until the entry format (and its version) are updated.
-    let FastForward { skipped_cycles, jumps } = *ff;
-    let wire = stats.to_wire_bytes();
-    let mut payload = Vec::with_capacity(4 + wire.len() + 16);
-    payload.extend_from_slice(&u32::try_from(wire.len()).expect("stats wire fits").to_le_bytes());
-    payload.extend_from_slice(&wire);
-    payload.extend_from_slice(&skipped_cycles.to_le_bytes());
-    payload.extend_from_slice(&jumps.to_le_bytes());
+/// Frames one entry: header (magic, version, key echo, payload length,
+/// FNV-64 payload checksum) followed by the payload.
+fn encode_frame(magic: &[u8; 8], key: &EntryKey, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(magic);
     out.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&key.hi.to_le_bytes());
     out.extend_from_slice(&key.lo.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(FNV_OFFSET, &[&payload]).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&fnv1a(FNV_OFFSET, &[payload]).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
-/// Decodes and fully validates one entry read for `key`. Every failure
-/// is a quarantine, so the error is just a reason string.
-fn decode_entry(bytes: &[u8], key: &EntryKey) -> Result<(SimStats, FastForward), String> {
+/// Validates one entry's frame as read for `key` and returns its
+/// payload. Every failure is a quarantine, so the error is just a
+/// reason string.
+fn decode_frame<'a>(
+    magic: &[u8; 8],
+    bytes: &'a [u8],
+    key: &EntryKey,
+) -> Result<&'a [u8], String> {
     if bytes.len() < HEADER_LEN {
         return Err(format!("truncated header: {} bytes", bytes.len()));
     }
     let (header, payload) = bytes.split_at(HEADER_LEN);
-    if &header[0..8] != MAGIC {
+    if &header[0..8] != magic {
         return Err("bad magic".into());
     }
     let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().unwrap());
@@ -462,6 +609,27 @@ fn decode_entry(bytes: &[u8], key: &EntryKey) -> Result<(SimStats, FastForward),
     if word(36) != fnv1a(FNV_OFFSET, &[payload]) {
         return Err("payload checksum mismatch".into());
     }
+    Ok(payload)
+}
+
+/// Encodes one result entry: the statistics wire form, length-prefixed,
+/// plus the fast-forward counters, framed.
+fn encode_entry(key: &EntryKey, stats: &SimStats, ff: &FastForward) -> Vec<u8> {
+    // Exhaustive destructure: adding a `FastForward` field refuses to
+    // compile until the entry format (and its version) are updated.
+    let FastForward { skipped_cycles, jumps } = *ff;
+    let wire = stats.to_wire_bytes();
+    let mut payload = Vec::with_capacity(4 + wire.len() + 16);
+    payload.extend_from_slice(&u32::try_from(wire.len()).expect("stats wire fits").to_le_bytes());
+    payload.extend_from_slice(&wire);
+    payload.extend_from_slice(&skipped_cycles.to_le_bytes());
+    payload.extend_from_slice(&jumps.to_le_bytes());
+    encode_frame(MAGIC, key, &payload)
+}
+
+/// Decodes and fully validates one result entry read for `key`.
+fn decode_entry(bytes: &[u8], key: &EntryKey) -> Result<(SimStats, FastForward), String> {
+    let payload = decode_frame(MAGIC, bytes, key)?;
     if payload.len() < 4 {
         return Err("payload too short for stats length".into());
     }
@@ -476,6 +644,25 @@ fn decode_entry(bytes: &[u8], key: &EntryKey) -> Result<(SimStats, FastForward),
         jumps: u64::from_le_bytes(rest[stats_len + 8..].try_into().unwrap()),
     };
     Ok((stats, ff))
+}
+
+/// Encodes one request entry: the named digest's two FNV states,
+/// framed.
+fn encode_request(key: &EntryKey, digest: &TraceDigest) -> Vec<u8> {
+    let mut payload = [0u8; 16];
+    payload[..8].copy_from_slice(&digest.0.hi.to_le_bytes());
+    payload[8..].copy_from_slice(&digest.0.lo.to_le_bytes());
+    encode_frame(REQUEST_MAGIC, key, &payload)
+}
+
+/// Decodes and fully validates one request entry read for `key`.
+fn decode_request(bytes: &[u8], key: &EntryKey) -> Result<TraceDigest, String> {
+    let payload = decode_frame(REQUEST_MAGIC, bytes, key)?;
+    let payload: &[u8; 16] = payload
+        .try_into()
+        .map_err(|_| format!("request payload is {} bytes, expected 16", payload.len()))?;
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    Ok(TraceDigest(Fnv128 { hi: word(0), lo: word(8) }))
 }
 
 #[cfg(test)]
@@ -619,74 +806,159 @@ mod tests {
         assert_ne!(EntryKey::of(&trace, &sim_key), EntryKey::of(&other_trace, &sim_key));
     }
 
-    /// The bit-flip property: flipping ANY single bit of a stored entry
-    /// must read back as a quarantined miss — never a different result,
-    /// never a panic — and a recompute-and-restore must serve the
-    /// original statistics again.
-    #[test]
-    fn any_single_bit_flip_quarantines_and_recomputes() {
-        let (trace, stats, ff, sim_key) = fixture();
-        let store = temp_store("bitflip", DEFAULT_CAP_BYTES);
-        let key = EntryKey::of(&trace, &sim_key);
-        store.store(&key, &stats, &ff);
-        let path = store.entry_path(&key);
-        let pristine = fs::read(&path).unwrap();
-        let mut flipped = 0u64;
-        for byte in 0..pristine.len() {
-            for bit in 0..8 {
-                let mut corrupt = pristine.clone();
-                corrupt[byte] ^= 1 << bit;
-                fs::write(&path, &corrupt).unwrap();
-                assert_eq!(
-                    store.load(&key),
-                    None,
-                    "flip of byte {byte} bit {bit} must not be served"
-                );
-                assert!(!path.exists(), "corrupt entry must leave the entries directory");
-                flipped += 1;
-                // The caller's contract: recompute and restore.
-                store.store(&key, &stats, &ff);
-                assert_eq!(store.load(&key), Some((stats.clone(), ff)));
+    /// One stored entry of either kind — a result, or a request naming
+    /// the fixture trace's digest — with the load and restore a caller
+    /// runs on it.
+    struct Stored {
+        store: PersistStore,
+        key: EntryKey,
+        request: Option<TraceDigest>,
+        result: (SimStats, FastForward),
+    }
+
+    impl Stored {
+        fn new(tag: &str, request: bool) -> Stored {
+            let (trace, stats, ff, sim_key) = fixture();
+            let store = temp_store(tag, DEFAULT_CAP_BYTES).with_fingerprint(7);
+            let (key, request) = if request {
+                (store.request_key(b"compress").unwrap(), Some(TraceDigest::of(&trace)))
+            } else {
+                (EntryKey::of(&trace, &sim_key), None)
+            };
+            let stored = Stored { store, key, request, result: (stats, ff) };
+            stored.restore();
+            stored
+        }
+
+        fn path(&self) -> PathBuf {
+            match self.request {
+                Some(_) => self.store.request_path(&self.key),
+                None => self.store.entry_path(&self.key),
             }
         }
-        let c = store.counters();
-        assert_eq!(c.quarantined, flipped, "every flip quarantined");
-        assert_eq!(c.misses, flipped, "every flip recomputed");
-        assert_eq!(store.quarantine_len(), flipped as usize);
-        let _ = fs::remove_dir_all(store.root());
+
+        /// Whether the entry loaded back intact; `None` on a miss.
+        fn load(&self) -> Option<bool> {
+            match self.request {
+                Some(digest) => self.store.load_request(&self.key).map(|d| d == digest),
+                None => self.store.load(&self.key).map(|r| r == self.result),
+            }
+        }
+
+        /// The caller's contract after a miss: recompute and restore.
+        fn restore(&self) {
+            match &self.request {
+                Some(digest) => self.store.store_request(&self.key, digest),
+                None => self.store.store(&self.key, &self.result.0, &self.result.1),
+            }
+        }
+
+        /// Misses of this entry's tier; the other tier must see none.
+        fn misses(&self) -> u64 {
+            let c = self.store.counters();
+            match self.request {
+                Some(_) => {
+                    assert_eq!((c.hits, c.misses), (0, 0), "request loads are not result loads");
+                    c.request_misses
+                }
+                None => {
+                    assert_eq!((c.request_hits, c.request_misses), (0, 0));
+                    c.misses
+                }
+            }
+        }
+    }
+
+    /// The bit-flip property: flipping ANY single bit of a stored entry
+    /// of either kind must read back as a quarantined miss — never a
+    /// different result or digest, never a panic — and a
+    /// recompute-and-restore must serve the original again.
+    #[test]
+    fn any_single_bit_flip_quarantines_and_recomputes() {
+        for (tag, request) in [("bitflip", false), ("bitflip-request", true)] {
+            let entry = Stored::new(tag, request);
+            let path = entry.path();
+            let pristine = fs::read(&path).unwrap();
+            let mut flipped = 0u64;
+            for byte in 0..pristine.len() {
+                for bit in 0..8 {
+                    let mut corrupt = pristine.clone();
+                    corrupt[byte] ^= 1 << bit;
+                    fs::write(&path, &corrupt).unwrap();
+                    assert_eq!(entry.load(), None, "{tag}: flip of byte {byte} bit {bit} served");
+                    assert!(!path.exists(), "corrupt entry must leave the entries directory");
+                    flipped += 1;
+                    entry.restore();
+                    assert_eq!(entry.load(), Some(true));
+                }
+            }
+            let quarantined = entry.store.counters().quarantined;
+            assert_eq!(quarantined, flipped, "{tag}: every flip quarantined");
+            assert_eq!(entry.misses(), flipped, "{tag}: every flip recomputed");
+            assert_eq!(entry.store.quarantine_len(), flipped as usize);
+            let _ = fs::remove_dir_all(entry.store.root());
+        }
     }
 
     /// Random multi-fault corruption (truncations, random tail garbage,
-    /// random byte stomps) on top of the exhaustive single-bit sweep.
+    /// random byte stomps) of either kind of entry, on top of the
+    /// exhaustive single-bit sweep.
     #[test]
     fn random_corruption_quarantines() {
-        let (trace, stats, ff, sim_key) = fixture();
-        let store = temp_store("fuzz", DEFAULT_CAP_BYTES);
-        let key = EntryKey::of(&trace, &sim_key);
-        store.store(&key, &stats, &ff);
-        let path = store.entry_path(&key);
-        let pristine = fs::read(&path).unwrap();
-        mcl_testutil::check_cases(64, |rng| {
-            let mut corrupt = pristine.clone();
-            match rng.range(0, 3) {
-                0 => corrupt.truncate(rng.range(0, corrupt.len())),
-                1 => corrupt.extend((0..rng.range(1, 64)).map(|_| rng.next_u64() as u8)),
-                _ => {
-                    for _ in 0..rng.range(1, 16) {
-                        let at = rng.range(0, corrupt.len());
-                        corrupt[at] = rng.next_u64() as u8;
+        for (tag, request) in [("fuzz", false), ("fuzz-request", true)] {
+            let entry = Stored::new(tag, request);
+            let path = entry.path();
+            let pristine = fs::read(&path).unwrap();
+            mcl_testutil::check_cases(64, |rng| {
+                let mut corrupt = pristine.clone();
+                match rng.range(0, 3) {
+                    0 => corrupt.truncate(rng.range(0, corrupt.len())),
+                    1 => corrupt.extend((0..rng.range(1, 64)).map(|_| rng.next_u64() as u8)),
+                    _ => {
+                        for _ in 0..rng.range(1, 16) {
+                            let at = rng.range(0, corrupt.len());
+                            corrupt[at] = rng.next_u64() as u8;
+                        }
                     }
                 }
-            }
-            if corrupt == pristine {
-                return; // a stomp can rewrite a byte to itself
-            }
-            fs::write(&path, &corrupt).unwrap();
-            assert_eq!(store.load(&key), None);
-            store.store(&key, &stats, &ff);
-            assert_eq!(store.load(&key), Some((stats.clone(), ff)));
-        });
+                if corrupt == pristine {
+                    return; // a stomp can rewrite a byte to itself
+                }
+                fs::write(&path, &corrupt).unwrap();
+                assert_eq!(entry.load(), None, "{tag}");
+                entry.restore();
+                assert_eq!(entry.load(), Some(true), "{tag}");
+            });
+            let _ = fs::remove_dir_all(entry.store.root());
+        }
+    }
+
+    #[test]
+    fn request_keys_cover_the_fingerprint_and_the_request() {
+        let store = temp_store("request-key", DEFAULT_CAP_BYTES);
+        let key = |fingerprint: u128, request: &[u8]| {
+            let store = PersistStore::open_with_cap(store.root(), DEFAULT_CAP_BYTES)
+                .unwrap()
+                .with_fingerprint(fingerprint);
+            store.request_key(request).unwrap()
+        };
+        assert_eq!(key(1, b"compress"), key(1, b"compress"));
+        assert_ne!(key(1, b"compress"), key(2, b"compress"), "another binary, another key");
+        assert_ne!(key(1, b"compress"), key(1, b"doduc"));
+        // The running executable is readable here, so the tier is on.
+        assert!(store.request_key(b"compress").is_some());
         let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn store_capacity_variable_must_be_a_byte_count() {
+        use std::env::VarError;
+        assert_eq!(cap_from_env(Err(VarError::NotPresent)), Ok(DEFAULT_CAP_BYTES));
+        assert_eq!(cap_from_env(Ok("4096".into())), Ok(4096));
+        for bad in ["abc", "", "-1", "1.5", "64MiB"] {
+            let err = cap_from_env(Ok(bad.into())).unwrap_err();
+            assert!(err.contains(&format!("MCL_STORE_CAP_BYTES value `{bad}`")), "{err}");
+        }
     }
 
     #[test]

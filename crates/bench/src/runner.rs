@@ -419,8 +419,11 @@ pub fn run_cells_isolated<R: Send>(
 /// time-window split run with its two top-level and four per-cell
 /// fields; every simulation is the one exact serial run. Version 12
 /// removed the top-level `engine` name: dead-cycle fast-forward is the
-/// only way `repro` simulates.
-pub const REPORT_SCHEMA_VERSION: u64 = 12;
+/// only way `repro` simulates. Version 13 added the persistent store's
+/// request tier to the `store` object: `disk_request_hits` /
+/// `disk_request_misses` (all 0 when no store is attached); a warm run
+/// whose requests all hit builds no trace (`trace_misses` 0).
+pub const REPORT_SCHEMA_VERSION: u64 = 13;
 
 /// Identity and options of one driver run, recorded at the top of the
 /// report.
@@ -545,7 +548,9 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
         .field("disk_misses", store.disk_misses.into())
         .field("disk_stores", store.disk_stores.into())
         .field("disk_evictions", store.disk_evictions.into())
-        .field("disk_quarantined", store.disk_quarantined.into());
+        .field("disk_quarantined", store.disk_quarantined.into())
+        .field("disk_request_hits", store.disk_request_hits.into())
+        .field("disk_request_misses", store.disk_request_misses.into());
     let mut report = Json::object();
     report
         .field("schema_version", REPORT_SCHEMA_VERSION.into())
@@ -727,6 +732,8 @@ mod tests {
             disk_stores: 2,
             disk_evictions: 1,
             disk_quarantined: 1,
+            disk_request_hits: 6,
+            disk_request_misses: 3,
         };
         let info = RunInfo {
             command: "table2".into(),
@@ -746,7 +753,7 @@ mod tests {
             flight_path: None,
         };
         let json = report_json(&info, &counters, &metrics).render();
-        assert!(json.starts_with("{\"schema_version\":12,\"command\":\"table2\","));
+        assert!(json.starts_with("{\"schema_version\":13,\"command\":\"table2\","));
         assert!(json.contains("\"jobs\":8,\"keep_going\":true"));
         assert!(json.contains("\"watchdog_seconds\":0.200000"));
         assert!(json.contains("\"failed_cells\":1"));
@@ -775,7 +782,7 @@ mod tests {
         assert!(json.contains(
             "\"store\":{\"trace_hits\":3,\"trace_misses\":1,\"sim_hits\":2,\"sim_misses\":4,\
              \"disk_hits\":5,\"disk_misses\":2,\"disk_stores\":2,\"disk_evictions\":1,\
-             \"disk_quarantined\":1}"
+             \"disk_quarantined\":1,\"disk_request_hits\":6,\"disk_request_misses\":3}"
         ));
         assert!(json.contains("\"obs\":null"), "no --obs recorded for this run");
         assert!(json.contains("\"explain\":null"), "not an explain run");

@@ -39,6 +39,14 @@
 //! a disk store is attached) and — since simulation is deterministic —
 //! one memoized simulation per configuration.
 //!
+//! With a disk store attached, [`TraceStore::sim`] first asks its
+//! *request tier* ([`PersistStore::load_request`]) for the digest of the
+//! trace a request builds. On a hit it addresses the persisted result
+//! directly and builds no trace at all; only a result that is missing
+//! there (evicted, corrupt) builds the trace after all. On a miss the
+//! trace is built, digested and simulated as above, and the request
+//! entry is written for the next run.
+//!
 //! The store serves *statistics only*; runs that need event logs
 //! (`repro pipeline`, the scenario timelines) bypass it.
 
@@ -77,6 +85,22 @@ struct TraceKey {
     /// The local scheduler's imbalance threshold, as bits (f64 is not
     /// `Hash`); normalized to the default for kinds that ignore it.
     threshold_bits: u64,
+}
+
+impl TraceKey {
+    /// The key's canonical byte rendering, hashed into its request-tier
+    /// key. The tier's code fingerprint covers the renderings used.
+    fn to_bytes(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(48);
+        for text in [self.il.bench.name(), &format!("{:?}", self.kind)] {
+            out.extend_from_slice(text.as_bytes());
+            out.push(0);
+        }
+        out.extend_from_slice(&self.il.scale.to_le_bytes());
+        out.extend_from_slice(&self.il.unroll.to_le_bytes());
+        out.extend_from_slice(&self.threshold_bits.to_le_bytes());
+        out
+    }
 }
 
 /// A request for one benchmark trace.
@@ -160,8 +184,14 @@ pub struct StoreCounters {
     pub disk_stores: u64,
     /// Disk entries evicted by the LRU capacity sweep.
     pub disk_evictions: u64,
-    /// Corrupt disk entries quarantined (each also counts a disk miss).
+    /// Corrupt disk entries quarantined (each also counts a miss of its
+    /// tier: `disk_misses` or `disk_request_misses`).
     pub disk_quarantined: u64,
+    /// Request-tier lookups that named a trace digest, so the request
+    /// skipped building its trace.
+    pub disk_request_hits: u64,
+    /// Request-tier lookups that found no usable entry.
+    pub disk_request_misses: u64,
 }
 
 /// Host-side wall-clock breakdown of one call's trace acquisition.
@@ -232,7 +262,7 @@ fn slot_of<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: K) -> Slot<T>
 /// A content-canonicalized trace, shared by every trace key whose built
 /// trace came out byte-identical.
 struct Canonical {
-    /// Indexes the simulation cache.
+    /// Indexes the simulation cache when no disk store is attached.
     id: u64,
     trace: Arc<PackedTrace>,
     /// The persistent-store key prefix, hashed on the first disk lookup
@@ -245,8 +275,24 @@ type CanonTrace = Arc<Canonical>;
 /// An IL build slot (infallible — `Benchmark::build` cannot fail).
 type IlSlot = Arc<OnceLock<Arc<Program<Vreg>>>>;
 /// Memoized simulation result: statistics and fast-forward counters,
-/// keyed by (canonical trace id, rendered configuration).
+/// keyed by (content id, rendered configuration).
 type SimSlot = Slot<(SimStats, FastForward)>;
+
+/// One trace key's request-tier state: the entry loaded from disk (at
+/// most once per process), and whether this process wrote one.
+#[derive(Default)]
+struct RequestSlot {
+    loaded: OnceLock<Option<TraceDigest>>,
+    written: OnceLock<()>,
+}
+
+/// How [`TraceStore::sim`] found a request's trace.
+enum Resolved {
+    /// The request tier named the trace's digest; nothing was built.
+    Digest(TraceDigest),
+    /// The trace was built (or memoized) in this process.
+    Built(CanonTrace),
+}
 
 /// The thread-safe, `Arc`-sharing memoization layer described in the
 /// [module docs](self).
@@ -281,6 +327,12 @@ pub struct TraceStore {
     /// correct).
     canonical: Mutex<HashMap<u64, Vec<CanonTrace>>>,
     next_content_id: AtomicU64,
+    /// Trace digest → content id, used instead of [`Canonical::id`]
+    /// when a disk store is attached: a request-tier hit knows only the
+    /// digest, and must share simulations with the built traces (and
+    /// other hits) of the same content.
+    content_ids: Mutex<HashMap<TraceDigest, u64>>,
+    requests: Mutex<HashMap<TraceKey, Arc<RequestSlot>>>,
     sims: Mutex<HashMap<(u64, String), SimSlot>>,
     /// The optional crash-safe on-disk result cache consulted when the
     /// in-process memo misses (see [`TraceStore::with_persist`]).
@@ -312,6 +364,8 @@ impl TraceStore {
             traces: Mutex::new(HashMap::new()),
             canonical: Mutex::new(HashMap::new()),
             next_content_id: AtomicU64::new(0),
+            content_ids: Mutex::new(HashMap::new()),
+            requests: Mutex::new(HashMap::new()),
             sims: Mutex::new(HashMap::new()),
             persist: None,
             trace_digests: AtomicU64::new(0),
@@ -358,6 +412,8 @@ impl TraceStore {
             disk_stores: disk.stores,
             disk_evictions: disk.evictions,
             disk_quarantined: disk.quarantined,
+            disk_request_hits: disk.request_hits,
+            disk_request_misses: disk.request_misses,
         }
     }
 
@@ -408,7 +464,7 @@ impl TraceStore {
     /// Scheduling or trace-generation failures surface as
     /// [`Error::Store`] (identically on every call for the same key).
     pub fn trace(&self, req: &TraceRequest) -> Result<(Arc<PackedTrace>, f64), Error> {
-        let (canon, phases) = self.canon_trace(req)?;
+        let (canon, phases) = self.canon_trace(req).map_err(Error::Store)?;
         Ok((Arc::clone(&canon.trace), phases.total_seconds))
     }
 
@@ -421,11 +477,13 @@ impl TraceStore {
         &self,
         req: &TraceRequest,
     ) -> Result<(Arc<PackedTrace>, TracePhases), Error> {
-        let (canon, phases) = self.canon_trace(req)?;
+        let (canon, phases) = self.canon_trace(req).map_err(Error::Store)?;
         Ok((Arc::clone(&canon.trace), phases))
     }
 
-    fn canon_trace(&self, req: &TraceRequest) -> Result<(CanonTrace, TracePhases), Error> {
+    /// The canonical trace of a request and this call's phases; a
+    /// failure is the build's cached reason.
+    fn canon_trace(&self, req: &TraceRequest) -> Result<(CanonTrace, TracePhases), String> {
         let start = Instant::now();
         let key = req.key();
         let slot = slot_of(&self.traces, key);
@@ -443,7 +501,7 @@ impl TraceStore {
         } else {
             self.trace_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let canon = result.clone().map_err(Error::Store)?;
+        let canon = result.clone()?;
         phases.total_seconds = start.elapsed().as_secs_f64();
         Ok((canon, phases))
     }
@@ -494,57 +552,137 @@ impl TraceStore {
         Ok(trace)
     }
 
+    /// The content id indexing the simulation cache for `digest`.
+    fn content_id(&self, digest: TraceDigest) -> u64 {
+        *self
+            .content_ids
+            .lock()
+            .unwrap()
+            .entry(digest)
+            .or_insert_with(|| self.next_content_id.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// The simulation-cache id of `key`'s built trace and, with a disk
+    /// store attached, its digest — hashed once per canonical trace, on
+    /// first use, and reused by every configuration after it. The
+    /// digest is also remembered in the request tier.
+    fn sim_id(&self, key: TraceKey, canon: &Canonical) -> (u64, Option<TraceDigest>) {
+        if self.persist.is_none() {
+            return (canon.id, None);
+        }
+        let digest = *canon.digest.get_or_init(|| {
+            self.trace_digests.fetch_add(1, Ordering::Relaxed);
+            TraceDigest::of(&canon.trace)
+        });
+        self.remember_request(key, digest);
+        (self.content_id(digest), Some(digest))
+    }
+
+    fn request_slot(&self, key: TraceKey) -> Arc<RequestSlot> {
+        Arc::clone(self.requests.lock().unwrap().entry(key).or_default())
+    }
+
+    /// The digest the request tier names for `key`, loaded from disk at
+    /// most once per process; `None` without a disk store, without a
+    /// code fingerprint, or without a usable entry.
+    fn requested_digest(&self, key: TraceKey) -> Option<TraceDigest> {
+        let persist = self.persist.as_deref()?;
+        *self.request_slot(key).loaded.get_or_init(|| {
+            let request_key = persist.request_key(&key.to_bytes())?;
+            persist.load_request(&request_key)
+        })
+    }
+
+    /// Records in the request tier that `key` builds the trace with
+    /// `digest`, unless its entry already says so; once per process.
+    fn remember_request(&self, key: TraceKey, digest: TraceDigest) {
+        let Some(persist) = self.persist.as_deref() else { return };
+        let slot = self.request_slot(key);
+        if slot.loaded.get().copied().flatten() != Some(digest) {
+            slot.written.get_or_init(|| {
+                if let Some(request_key) = persist.request_key(&key.to_bytes()) {
+                    persist.store_request(&request_key, &digest);
+                }
+            });
+        }
+    }
+
     /// Simulates a request's trace under `config`, serving memoized
     /// statistics when the identical (trace, configuration) pair already
     /// ran. Use only for statistics — the cached result has no event
     /// log.
+    ///
+    /// With a disk store attached, a request-tier hit serves the
+    /// persisted result without building the trace (see the
+    /// [module docs](self)).
     ///
     /// # Errors
     ///
     /// See [`TraceStore::trace`]; simulation failures also surface as
     /// [`Error::Store`].
     pub fn sim(&self, req: &TraceRequest, config: &ProcessorConfig) -> Result<SimProduct, Error> {
-        let (canon, phases) = self.canon_trace(req)?;
-        let trace = &canon.trace;
+        let key = req.key();
+        let resolve_start = Instant::now();
+        let (resolved, mut phases) = match self.requested_digest(key) {
+            Some(digest) => {
+                let phases = TracePhases {
+                    total_seconds: resolve_start.elapsed().as_secs_f64(),
+                    ..TracePhases::default()
+                };
+                (Resolved::Digest(digest), phases)
+            }
+            None => {
+                let (canon, phases) = self.canon_trace(req).map_err(Error::Store)?;
+                (Resolved::Built(canon), phases)
+            }
+        };
+        let (id, digest) = match &resolved {
+            Resolved::Digest(digest) => (self.content_id(*digest), Some(*digest)),
+            Resolved::Built(canon) => self.sim_id(key, canon),
+        };
         let start = Instant::now();
         // `ProcessorConfig` is not `Hash`; its derived `Debug` rendering
         // covers every field and so is a faithful key. Keying on the
         // content id (not the trace key) lets distinct requests whose
         // traces came out identical share one simulation.
         let sim_key = format!("{config:?}");
-        let slot = slot_of(&self.sims, (canon.id, sim_key.clone()));
+        let slot = slot_of(&self.sims, (id, sim_key.clone()));
         let mut built = false;
         let mut disk_served = false;
+        let mut late_build = TracePhases::default();
         let result = slot.get_or_init(|| {
             built = true;
             // Products are content-addressed on disk: consult the
             // persistent store before simulating, write back after a
             // fresh success. A corrupt or missing entry is a plain miss
-            // (the store quarantines internally), never an error. The
-            // trace's share of the key is hashed once per canonical
-            // trace, on its first disk lookup.
-            let persist_key = self.persist.as_deref().map(|p| {
-                let digest = canon.digest.get_or_init(|| {
-                    self.trace_digests.fetch_add(1, Ordering::Relaxed);
-                    TraceDigest::of(trace)
-                });
-                (p, digest.key(&sim_key))
-            });
-            if let Some((p, ekey)) = &persist_key {
-                if let Some(product) = p.load(ekey) {
+            // (the store quarantines internally), never an error.
+            let persist = self.persist.as_deref();
+            if let (Some(p), Some(digest)) = (persist, digest) {
+                if let Some(product) = p.load(&digest.key(&sim_key)) {
                     disk_served = true;
                     return Ok(product);
                 }
             }
+            let (canon, digest) = match &resolved {
+                Resolved::Built(canon) => (Arc::clone(canon), digest),
+                // The request tier named a result the store no longer
+                // holds: build the trace after all.
+                Resolved::Digest(_) => {
+                    let (canon, phases) = self.canon_trace(req)?;
+                    late_build = phases;
+                    let (_, digest) = self.sim_id(key, &canon);
+                    (canon, digest)
+                }
+            };
             let _flight = crate::flight::span("sim", || {
                 format!("simulate {}/{:?}", req.bench.name(), req.kind)
             });
             let result = Processor::new(config.clone())
-                .run_packed(trace)
+                .run_packed(&canon.trace)
                 .map(|r| (r.stats, r.ff))
                 .map_err(|e| e.to_string());
-            if let (Some((p, ekey)), Ok((stats, ff))) = (&persist_key, &result) {
-                p.store(ekey, stats, ff);
+            if let (Some(p), Some(digest), Ok((stats, ff))) = (persist, digest, &result) {
+                p.store(&digest.key(&sim_key), stats, ff);
             }
             result
         });
@@ -557,6 +695,7 @@ impl TraceStore {
             });
         }
         let (stats, ff) = result.clone().map_err(Error::Store)?;
+        phases.add(&late_build);
         Ok(SimProduct {
             stats,
             // A disk serve simulated nothing this run: throughput
@@ -564,7 +703,7 @@ impl TraceStore {
             fresh: built && !disk_served,
             ff,
             trace_build_seconds: phases.total_seconds,
-            simulate_seconds: start.elapsed().as_secs_f64(),
+            simulate_seconds: start.elapsed().as_secs_f64() - late_build.total_seconds,
             phases,
         })
     }
@@ -686,6 +825,8 @@ mod tests {
         let c = cold_store.counters();
         assert_eq!((c.disk_hits, c.disk_misses, c.disk_stores), (0, 1, 1));
 
+        assert_eq!((c.disk_request_hits, c.disk_request_misses, c.trace_misses), (0, 1, 1));
+
         let warm_store = TraceStore::new().with_persist(Arc::clone(&persist));
         let warm = warm_store.sim(&req, &cfg).unwrap();
         assert_eq!(cold.stats, warm.stats, "disk serve is byte-identical");
@@ -693,6 +834,9 @@ mod tests {
         assert!(!warm.fresh, "a disk serve simulated nothing this run");
         let w = warm_store.counters();
         assert_eq!((w.disk_hits, w.disk_misses, w.disk_stores), (1, 1, 1));
+        // The request tier named the digest: no trace was built.
+        assert_eq!((w.disk_request_hits, w.trace_misses, w.trace_hits), (1, 0, 0));
+        assert_eq!(warm.phases.schedule_seconds, 0.0);
         // And the in-process memo still serves repeats without touching
         // the disk again.
         let again = warm_store.sim(&req, &cfg).unwrap();
@@ -757,5 +901,125 @@ mod tests {
         assert_eq!(first.stats, fresh);
         let c = store.counters();
         assert_eq!((c.sim_hits, c.sim_misses), (1, 1));
+    }
+
+    /// A fresh disk store under `tag` whose request keys cover
+    /// `fingerprint` in place of the running executable's.
+    fn temp_persist(tag: &str, fingerprint: u128) -> Arc<PersistStore> {
+        let dir = std::env::temp_dir().join(format!("mcl-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        reopen(&dir, fingerprint)
+    }
+
+    /// The same disk store opened again, as by a later process.
+    fn reopen(dir: &std::path::Path, fingerprint: u128) -> Arc<PersistStore> {
+        Arc::new(PersistStore::open(dir).unwrap().with_fingerprint(fingerprint))
+    }
+
+    fn compress_local() -> (TraceRequest, ProcessorConfig) {
+        (
+            TraceRequest::new(Benchmark::Compress, 40, SchedulerKind::Local),
+            ProcessorConfig::dual_cluster_8way(),
+        )
+    }
+
+    #[test]
+    fn request_entry_pointing_at_evicted_results_falls_back_and_simulates() {
+        let (req, cfg) = compress_local();
+        let cold_persist = temp_persist("evicted", 1);
+        let cold_store = TraceStore::new().with_persist(Arc::clone(&cold_persist));
+        let cold = cold_store.sim(&req, &cfg).unwrap();
+        // Evict every result; the request entry stays.
+        let entries = cold_persist.root().join("entries");
+        for entry in std::fs::read_dir(&entries).unwrap().filter_map(Result::ok) {
+            if entry.path().extension().is_some_and(|x| x == "bin") {
+                std::fs::remove_file(entry.path()).unwrap();
+            }
+        }
+
+        let persist = reopen(cold_persist.root(), 1);
+        let store = TraceStore::new().with_persist(Arc::clone(&persist));
+        let warm = store.sim(&req, &cfg).unwrap();
+        assert_eq!(warm.stats, cold.stats, "the fallback simulates identical stats");
+        assert!(warm.fresh, "an evicted result is simulated again");
+        assert!(warm.phases.schedule_seconds > 0.0, "the fallback's build is attributed");
+        let c = store.counters();
+        assert_eq!((c.disk_request_hits, c.disk_request_misses), (1, 0));
+        assert_eq!((c.disk_hits, c.disk_misses, c.disk_stores), (0, 1, 1));
+        assert_eq!(c.trace_misses, 1, "the trace was built after all");
+
+        // The restored result serves the next process without a build.
+        let store = TraceStore::new().with_persist(reopen(cold_persist.root(), 1));
+        let served = store.sim(&req, &cfg).unwrap();
+        assert_eq!(served.stats, cold.stats);
+        let c = store.counters();
+        assert_eq!((c.disk_request_hits, c.disk_hits, c.trace_misses), (1, 1, 0));
+        let _ = std::fs::remove_dir_all(cold_persist.root());
+    }
+
+    #[test]
+    fn a_store_filled_by_another_binary_is_served_through_the_content_path() {
+        let (req, cfg) = compress_local();
+        let other = temp_persist("other-binary", 1);
+        let cold = TraceStore::new().with_persist(Arc::clone(&other)).sim(&req, &cfg).unwrap();
+
+        let store = TraceStore::new().with_persist(reopen(other.root(), 2));
+        let warm = store.sim(&req, &cfg).unwrap();
+        assert_eq!((warm.stats, warm.ff), (cold.stats, cold.ff));
+        assert!(!warm.fresh, "the result is served from disk");
+        let c = store.counters();
+        assert_eq!((c.disk_request_hits, c.disk_request_misses), (0, 1));
+        assert_eq!((c.disk_hits, c.disk_misses, c.disk_stores), (1, 0, 0));
+        assert_eq!(c.trace_misses, 1, "the content path builds the trace to key it");
+        let _ = std::fs::remove_dir_all(other.root());
+    }
+
+    /// Every flip of a request entry quarantines it; the next process
+    /// rebuilds the trace, serves identical stats from the content path
+    /// and writes the entry back intact.
+    #[test]
+    fn a_corrupt_request_entry_rebuilds_the_trace() {
+        let (req, cfg) = compress_local();
+        let persist = temp_persist("request-flip", 1);
+        let cold = TraceStore::new().with_persist(Arc::clone(&persist)).sim(&req, &cfg).unwrap();
+        let request_key = persist.request_key(&req.key().to_bytes()).unwrap();
+        let path = persist.request_path(&request_key);
+        let pristine = std::fs::read(&path).unwrap();
+        // One flip per byte (the exhaustive per-bit sweep of the format
+        // is `persist::any_single_bit_flip_quarantines_and_recomputes`).
+        for byte in 0..pristine.len() {
+            let mut corrupt = pristine.clone();
+            corrupt[byte] ^= 1 << (byte % 8);
+            std::fs::write(&path, &corrupt).unwrap();
+            let store = TraceStore::new().with_persist(reopen(persist.root(), 1));
+            let warm = store.sim(&req, &cfg).unwrap();
+            assert_eq!(warm.stats, cold.stats, "flip of byte {byte}");
+            let c = store.counters();
+            assert_eq!((c.disk_quarantined, c.disk_request_misses, c.trace_misses), (1, 1, 1));
+            assert_eq!((c.disk_hits, c.disk_misses), (1, 0), "flip of byte {byte}");
+            assert_eq!(std::fs::read(&path).unwrap(), pristine, "entry rewritten intact");
+        }
+        let _ = std::fs::remove_dir_all(persist.root());
+    }
+
+    #[test]
+    fn request_hits_share_simulations_like_built_traces() {
+        // The unrolled request builds a byte-identical trace (see
+        // `identical_content_shares_buffer_and_simulation`): cold and
+        // warm must count the same memo hits and misses.
+        let (base, cfg) = compress_local();
+        let persist = temp_persist("request-memo", 1);
+        let run = |persist: Arc<PersistStore>| {
+            let store = TraceStore::new().with_persist(persist);
+            store.sim(&base, &cfg).unwrap();
+            store.sim(&base.with_unroll(2), &cfg).unwrap();
+            store.counters()
+        };
+        let cold = run(Arc::clone(&persist));
+        let warm = run(reopen(persist.root(), 1));
+        assert_eq!((cold.sim_hits, cold.sim_misses), (1, 1));
+        assert_eq!((warm.sim_hits, warm.sim_misses), (1, 1));
+        assert_eq!((warm.disk_request_hits, warm.trace_misses), (2, 0));
+        let _ = std::fs::remove_dir_all(persist.root());
     }
 }

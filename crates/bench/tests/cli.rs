@@ -8,8 +8,13 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn repro(dir: &Path, args: &[&str]) -> Output {
+    repro_with_env(dir, args, &[])
+}
+
+fn repro_with_env(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
+        .envs(env.iter().copied())
         .current_dir(dir)
         .output()
         .expect("repro binary runs")
@@ -37,12 +42,55 @@ fn sample_interval_rejects_zero_and_garbage() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Asserts that `repro <args>` fails and that its error names `culprit`.
-fn assert_rejected(dir: &Path, args: &[&str], culprit: &str) {
-    let out = repro(dir, args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "repro {args:?} must fail");
-    assert!(stderr.contains(&format!("`{culprit}`")), "repro {args:?}: {stderr}");
+/// Asserts that `repro <args>` fails and that its error names `culprit`;
+/// returns the error output.
+fn assert_rejected(dir: &Path, args: &[&str], culprit: &str) -> String {
+    assert_rejected_with_env(dir, args, &[], culprit)
+}
+
+/// [`assert_rejected`] under extra environment variables.
+fn assert_rejected_with_env(
+    dir: &Path,
+    args: &[&str],
+    env: &[(&str, &str)],
+    culprit: &str,
+) -> String {
+    let out = repro_with_env(dir, args, env);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "repro {args:?} {env:?} must exit 1: {stderr}");
+    assert!(stderr.contains(&format!("`{culprit}`")), "repro {args:?} {env:?}: {stderr}");
+    stderr
+}
+
+const VALID_BENCHMARKS: &str = "compress, doduc, gcc1, ora, su2cor, tomcatv";
+
+#[test]
+fn an_unknown_pipeline_benchmark_is_rejected() {
+    let dir = temp_dir("pipeline-unknown");
+    let stderr = assert_rejected(&dir, &["pipeline", "nosuch"], "nosuch");
+    assert!(stderr.contains(VALID_BENCHMARKS), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_mcl_only_benchmark_is_rejected() {
+    let dir = temp_dir("mcl-only-unknown");
+    for cmd in ["table2", "explain", "profile", "pipetrace", "all"] {
+        let stderr =
+            assert_rejected_with_env(&dir, &[cmd, "64"], &[("MCL_ONLY", "nosuch")], "nosuch");
+        assert!(stderr.contains("MCL_ONLY") && stderr.contains(VALID_BENCHMARKS), "{stderr}");
+    }
+    assert!(!dir.join("BENCH_repro.json").exists(), "rejected runs must not write a report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unparseable_store_capacity_is_rejected() {
+    let dir = temp_dir("store-cap");
+    let env = [("MCL_STORE_CAP_BYTES", "abc")];
+    let stderr = assert_rejected_with_env(&dir, &["table1", "--store", "store"], &env, "abc");
+    assert!(stderr.contains("MCL_STORE_CAP_BYTES"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

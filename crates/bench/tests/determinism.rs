@@ -1,12 +1,15 @@
 //! Determinism regression for the experiment driver: the same
 //! (workload, configuration) cell must produce identical statistics
 //! when run twice serially, when served from a warm trace store, and
-//! when run through the parallel runner, regardless of the job count.
+//! when run through the parallel runner, regardless of the job count;
+//! and the same trace request must build the same trace in any process.
 
 use std::sync::Arc;
 
+use mcl_bench::persist::TraceDigest;
 use mcl_bench::runner::{run_cells, Cell};
-use mcl_bench::{table2, Table2Row, TraceStore};
+use mcl_bench::{table2, Table2Row, TraceRequest, TraceStore};
+use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
 /// A scale small enough for tests but large enough to exercise
@@ -86,5 +89,43 @@ fn parallel_runner_matches_serial_execution() {
         let want_ids: Vec<String> =
             Benchmark::ALL.iter().map(|b| format!("table2/{b}")).collect();
         assert_eq!(ids, want_ids);
+    }
+}
+
+/// The persistent store's request tier maps a trace request straight to
+/// the digest of the trace it builds, trusting that a build depends on
+/// nothing but the request and the binary. Two fresh stores on two
+/// threads — so every `HashMap` gets different `RandomState` keys —
+/// must therefore digest every trace `repro all 8` requests identically
+/// (an iteration-order dependence, like a past unroller bug, fails
+/// here instead of serving silently wrong statistics).
+#[test]
+fn trace_builds_do_not_depend_on_process_state() {
+    use SchedulerKind::{BankSplit, Local, LocalNoGlobals, Naive, RoundRobin};
+    let requests: Vec<TraceRequest> = Benchmark::ALL
+        .iter()
+        .flat_map(|&bench| {
+            let scale = bench.scaled(8);
+            let local = TraceRequest::new(bench, scale, Local);
+            let kinds = [Naive, Local, LocalNoGlobals, RoundRobin, BankSplit]
+                .map(|kind| TraceRequest::new(bench, scale, kind));
+            let sweeps = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0].map(|th| local.with_threshold(th));
+            kinds.into_iter().chain(sweeps).chain([2, 4].map(|factor| local.with_unroll(factor)))
+        })
+        .collect();
+    let digests = |requests: &[TraceRequest]| -> Vec<TraceDigest> {
+        let store = TraceStore::new();
+        requests
+            .iter()
+            .map(|req| TraceDigest::of(&store.trace(req).expect("trace builds").0))
+            .collect()
+    };
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| digests(&requests));
+        let b = scope.spawn(|| digests(&requests));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for ((req, a), b) in requests.iter().zip(&a).zip(&b) {
+        assert_eq!(a, b, "{req:?} built different traces in two stores");
     }
 }

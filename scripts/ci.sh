@@ -211,9 +211,10 @@ grep -q ' 0 leaked into stats; 0 broken cells' "$smoke_dir/chaos.txt" || {
 
 echo "== smoke: persistent result store (cold vs warm) =="
 # A warm `--store` run must render byte-identical output while serving
-# every simulation from disk. The speedup guard compares the
-# cells' simulate time (the cached work), not total wall — traces are
-# rebuilt either way; override with MCL_STORE_GUARD_SPEEDUP.
+# every simulation from disk, and every trace request from the request
+# tier, so it builds no trace. The speedup guard compares the cells'
+# simulate time (the cached work); override with
+# MCL_STORE_GUARD_SPEEDUP.
 store_speedup_floor="${MCL_STORE_GUARD_SPEEDUP:-5.0}"
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 1 --store result_store > all_cold.txt)
 cold_wall="$(grep -o '"total_simulate_seconds":[0-9.]*' "$smoke_dir/BENCH_repro.json" | head -1 | cut -d: -f2)"
@@ -233,6 +234,14 @@ grep -q '"disk_misses":0' "$smoke_dir/BENCH_repro.json" || {
 }
 grep -q '"disk_quarantined":0' "$smoke_dir/BENCH_repro.json" || {
     echo "FAIL: warm --store run quarantined entries" >&2
+    exit 1
+}
+grep -q '"disk_request_misses":0' "$smoke_dir/BENCH_repro.json" || {
+    echo "FAIL: warm --store run missed the request tier" >&2
+    exit 1
+}
+grep -q '"trace_misses":0' "$smoke_dir/BENCH_repro.json" || {
+    echo "FAIL: warm --store run built traces" >&2
     exit 1
 }
 if grep -q '"disk_hits":0' "$smoke_dir/BENCH_repro.json"; then
@@ -312,7 +321,13 @@ if git worktree add --detach "$base_dir/src" "$baseline_ref" >/dev/null 2>&1 \
             echo "FAIL: current binary quarantined entries of a $baseline_ref store" >&2
             exit 1
         }
-        echo "cross-version store OK: every lookup served from a $baseline_ref store, output byte-identical"
+        # Request entries cover the writing binary, so none of the
+        # baseline's may hit: the results came through the content path.
+        grep -q '"disk_request_hits":0' "$xv_dir/BENCH_repro.json" || {
+            echo "FAIL: current binary hit request entries of a $baseline_ref store" >&2
+            exit 1
+        }
+        echo "cross-version store OK: every lookup served from a $baseline_ref store through the content path, output byte-identical"
     fi
 else
     echo "WARN: baseline $baseline_ref unavailable; skipping overhead guard" >&2
