@@ -33,8 +33,10 @@
 //! time, simulated cycles, throughput, and completion status.
 //!
 //! Arguments a command does not use are errors: an unknown `--flag`, a
-//! second positional argument, or a divisor that is not a `u32`. So is
-//! an unknown benchmark name, in `repro pipeline NAME` or in `MCL_ONLY`
+//! flag given twice, a second positional argument, a divisor that is
+//! not a `u32`, or one of `--obs`, `--sample-interval`, `--baseline`,
+//! `--range` and `--out` on a command that would ignore it. So is an
+//! unknown benchmark name, in `repro pipeline NAME` or in `MCL_ONLY`
 //! (which restricts `table2`, `explain`, `profile`, `pipetrace` and
 //! `all` to one benchmark).
 //!
@@ -78,7 +80,7 @@
 //!   configuration under `ablate-<family>-<bench>`; scenario cells
 //!   export under `scenario<N>`.
 //! - `--sample-interval N` — sampling interval in cycles for `--obs`
-//!   (default 1024).
+//!   (default 1024); an error without `--obs`.
 //!
 //! Explain flags (see `mcl_bench::explain`):
 //!
@@ -109,8 +111,8 @@
 //! - `--range A..B` — restrict the recorded ops to retired sequence
 //!   numbers in `[A, B)`; `A..` and `..B` are accepted. Default: the
 //!   full run.
-//! - `--out DIR` — the export directory (`--obs OUT_DIR` is honored as
-//!   a fallback for symmetry with `explain` / `profile`).
+//! - `--out DIR` — the export directory (`--obs OUT_DIR` is accepted
+//!   instead, for symmetry with `explain` / `profile`; not both).
 //! - `--baseline single|dual-none` — differential mode: also trace the
 //!   named Table 2 reference cell and report per-op slip (the change in
 //!   each aligned op's retire-to-retire gap), ranked by contribution;
@@ -142,8 +144,8 @@ use mcl_bench::explain::{self, Baseline};
 use mcl_bench::obs::{self, ObsSettings, ObsTarget};
 use mcl_bench::runner::{self, Cell, CellCost, CellStatus, RunInfo};
 use mcl_bench::{
-    ablate, crossover, figure6, scenarios, selftest, table1, table2, Table2Row, TraceRequest,
-    TraceStore,
+    ablate, crossover, figure6, pipetrace, profile, scenarios, selftest, table1, table2,
+    Table2Row, TraceRequest, TraceStore,
 };
 use mcl_core::check::CheckLevel;
 use mcl_core::ProcessorConfig;
@@ -151,147 +153,28 @@ use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = match take_jobs_flag(&mut args) {
-        Ok(jobs) => jobs.unwrap_or_else(runner::default_jobs),
+    let cli = match parse_cli(std::env::args().skip(1).collect()) {
+        Ok(cli) => cli,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let keep_going = take_switch(&mut args, "--keep-going");
-    let check_level = match take_value_flag(&mut args, "--check") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let watchdog = match take_value_flag(&mut args, "--watchdog") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(level) = check_level {
-        match level.parse::<CheckLevel>() {
-            // Configuration presets built anywhere below (including deep
-            // inside experiment cells) read this process-wide default.
-            Ok(level) => mcl_core::check::set_global_level(level),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(level) = cli.check_level {
+        // Configuration presets built anywhere below (including deep
+        // inside experiment cells) read this process-wide default.
+        mcl_core::check::set_global_level(level);
     }
-    let watchdog_seconds = match watchdog {
-        None => None,
-        Some(v) => match v.parse::<f64>() {
-            Ok(secs) if secs > 0.0 => Some(secs),
-            _ => {
-                eprintln!("error: invalid --watchdog value `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let store_dir = match take_value_flag(&mut args, "--store") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs_dir = match take_value_flag(&mut args, "--obs") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sample_interval = match take_value_flag(&mut args, "--sample-interval") {
-        Ok(None) => 1024,
-        Ok(Some(v)) => match v.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: invalid --sample-interval value `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match take_value_flag(&mut args, "--baseline") {
-        Ok(None) => None,
-        Ok(Some(v)) => match Baseline::parse(&v) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let range = match take_value_flag(&mut args, "--range") {
-        Ok(None) => None,
-        Ok(Some(v)) => match mcl_bench::pipetrace::parse_range(&v) {
-            Ok(r) => Some((v, r)),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_dir = match take_value_flag(&mut args, "--out") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let flight_path = match take_value_flag(&mut args, "--flight") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if flight_path.is_some() {
+    if cli.options.flight.is_some() {
         // Turn the recorder on before any cell, trace build, or store
         // access so the recording covers the whole invocation.
         mcl_bench::flight::enable();
     }
-    let obs_settings =
-        obs_dir.map(|dir| ObsSettings { dir: PathBuf::from(dir), sample_interval });
-    let mut options = RunOptions {
-        keep_going,
-        watchdog_seconds,
-        obs: obs_settings,
-        explain: None,
-        profile: None,
-        pipetrace: None,
-        flight: flight_path,
-    };
-    let cmd = args.first().cloned().unwrap_or_else(|| "all".to_owned());
-    let divisor = match check_leftover_args(&cmd, &args) {
-        Ok(divisor) => divisor,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let Cli { cmd, arg, divisor, jobs, baseline, range, out_dir, store_dir, mut options, .. } =
+        cli;
 
     if cmd == "pipeline" {
-        let name = args.get(1).map_or("compress", String::as_str);
+        let name = arg.as_deref().unwrap_or("compress");
         let run = benchmark_named(name, "pipeline")
             .and_then(|bench| run_pipeline(bench).map_err(|e| e.to_string()));
         return match run {
@@ -304,18 +187,19 @@ fn main() -> ExitCode {
     }
 
     if cmd == "chaos" {
-        let budget = watchdog_seconds.unwrap_or(mcl_bench::chaos::DEFAULT_WATCHDOG_SECONDS);
+        let budget =
+            options.watchdog_seconds.unwrap_or(mcl_bench::chaos::DEFAULT_WATCHDOG_SECONDS);
         let report = mcl_bench::chaos::run(jobs, budget);
         print!("{}", mcl_bench::chaos::render(&report));
         return if report.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
     if cmd == "obs-validate" {
-        let Some(dir) = args.get(1) else {
+        let Some(dir) = arg else {
             eprintln!("error: obs-validate requires a directory");
             return ExitCode::FAILURE;
         };
-        return match obs::validate_dir(std::path::Path::new(dir)) {
+        return match obs::validate_dir(std::path::Path::new(&dir)) {
             Ok(summary) => {
                 println!("obs-validate {dir}: {summary}");
                 ExitCode::SUCCESS
@@ -355,6 +239,8 @@ fn main() -> ExitCode {
         }
     }
     let store = Arc::new(store);
+    // Where `explain`, `profile` and `pipetrace` export without `--out`.
+    let obs_dir = options.obs.as_ref().map(|s| s.dir.clone());
     let mut plan = Plan::default();
     match cmd.as_str() {
         "table1" => plan_table1(&mut plan),
@@ -379,31 +265,29 @@ fn main() -> ExitCode {
         "schedulers" => plan_schedulers(&mut plan, &store, divisor),
         "selftest" => plan_selftest(&mut plan, divisor),
         "explain" => {
-            let dir = options
-                .obs
-                .as_ref()
-                .map_or_else(|| PathBuf::from("critpath_out"), |s| s.dir.clone());
+            let dir = obs_dir.unwrap_or_else(|| PathBuf::from("critpath_out"));
             options.explain =
                 Some((dir.display().to_string(), baseline.map(|b| b.name().to_owned())));
-            plan_explain(&mut plan, &store, divisor, dir, baseline, only);
+            let header = "Critical-path cycle-loss attribution (dual-cluster, local scheduler)";
+            plan_benchmarks(&mut plan, "explain", Some(header), &store, divisor, only, {
+                move |store, bench, scale| {
+                    explain::explain_cell(store, bench, scale, &dir, baseline)
+                }
+            });
         }
         "profile" => {
-            let dir = options
-                .obs
-                .as_ref()
-                .map_or_else(|| PathBuf::from("hostprof_out"), |s| s.dir.clone());
+            let dir = obs_dir.unwrap_or_else(|| PathBuf::from("hostprof_out"));
             options.profile = Some(dir.display().to_string());
-            plan_profile(&mut plan, &store, divisor, dir, only);
+            let header = "Engine phase-cost profile (dual-cluster, local scheduler, event engine)";
+            plan_benchmarks(&mut plan, "profile", Some(header), &store, divisor, only, {
+                move |store, bench, scale| profile::profile_cell(store, bench, scale, &dir)
+            });
         }
         "pipetrace" => {
-            let dir = out_dir.map(PathBuf::from).unwrap_or_else(|| {
-                options
-                    .obs
-                    .as_ref()
-                    .map_or_else(|| PathBuf::from("pipetrace_out"), |s| s.dir.clone())
-            });
-            let (range_str, range) = match &range {
-                Some((s, r)) => (Some(s.clone()), *r),
+            let dir = out_dir.map(PathBuf::from).or(obs_dir);
+            let dir = dir.unwrap_or_else(|| PathBuf::from("pipetrace_out"));
+            let (range_str, range) = match range {
+                Some((s, r)) => (Some(s), r),
                 None => (None, (0, u64::MAX)),
             };
             options.pipetrace = Some((
@@ -411,7 +295,12 @@ fn main() -> ExitCode {
                 range_str,
                 baseline.map(|b| b.name().to_owned()),
             ));
-            plan_pipetrace(&mut plan, &store, divisor, dir, range, baseline, only);
+            let header = "Per-instruction pipeline lifecycle trace (dual-cluster, local scheduler)";
+            plan_benchmarks(&mut plan, "pipetrace", Some(header), &store, divisor, only, {
+                move |store, bench, scale| {
+                    pipetrace::pipetrace_cell(store, bench, scale, &dir, range, baseline)
+                }
+            });
         }
         "all" => plan_all(&mut plan, &store, divisor, only, options.obs.as_ref()),
         other => {
@@ -460,34 +349,121 @@ struct RunOptions {
     flight: Option<String>,
 }
 
-/// Extracts `--jobs N` / `--jobs=N` from the argument list.
-fn take_jobs_flag(args: &mut Vec<String>) -> Result<Option<usize>, String> {
-    let mut jobs = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = if args[i] == "--jobs" {
-            if i + 1 >= args.len() {
-                return Err("--jobs requires a value".to_owned());
-            }
-            let v = args[i + 1].clone();
-            args.drain(i..=i + 1);
-            v
-        } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-            let v = v.to_owned();
-            args.remove(i);
-            v
-        } else {
-            i += 1;
-            continue;
-        };
-        let parsed: usize =
-            value.parse().map_err(|_| format!("invalid --jobs value `{value}`"))?;
-        if parsed == 0 {
-            return Err("--jobs must be at least 1".to_owned());
-        }
-        jobs = Some(parsed);
+/// A parsed command line.
+struct Cli {
+    cmd: String,
+    /// The positional after the command: a divisor, a benchmark name or
+    /// a directory.
+    arg: Option<String>,
+    divisor: u32,
+    jobs: usize,
+    check_level: Option<CheckLevel>,
+    store_dir: Option<String>,
+    baseline: Option<Baseline>,
+    /// `--range` as given, and parsed.
+    range: Option<(String, (u64, u64))>,
+    out_dir: Option<String>,
+    options: RunOptions,
+}
+
+/// Commands whose `--obs` runs an instrumented companion of their
+/// cells (and so reads `--sample-interval`).
+const COMPANION_COMMANDS: [&str; 10] = [
+    "table2",
+    "crossover",
+    "scenarios",
+    "ablate-buffers",
+    "ablate-threshold",
+    "ablate-dq",
+    "ablate-globals",
+    "ablate-width",
+    "ablate-unroll",
+    "all",
+];
+
+/// Parses the arguments after the program name. Every error is a usage
+/// error: a malformed or repeated flag value, an unknown flag, a second
+/// positional, a divisor that is not a `u32`, or a command-specific
+/// flag the command would ignore.
+fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
+    let jobs = take_value_flag(&mut args, "--jobs")?
+        .map(|v| match v.parse::<usize>() {
+            Ok(0) => Err("--jobs must be at least 1".to_owned()),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("invalid --jobs value `{v}`")),
+        })
+        .transpose()?
+        .unwrap_or_else(runner::default_jobs);
+    let keep_going = take_switch(&mut args, "--keep-going");
+    let check_level = take_value_flag(&mut args, "--check")?;
+    let watchdog = take_value_flag(&mut args, "--watchdog")?;
+    let check_level = check_level.map(|v| v.parse::<CheckLevel>()).transpose()?;
+    let watchdog_seconds = watchdog
+        .map(|v| match v.parse::<f64>() {
+            Ok(secs) if secs > 0.0 => Ok(secs),
+            _ => Err(format!("invalid --watchdog value `{v}`")),
+        })
+        .transpose()?;
+    let store_dir = take_value_flag(&mut args, "--store")?;
+    let obs_dir = take_value_flag(&mut args, "--obs")?;
+    let sample_interval = take_value_flag(&mut args, "--sample-interval")?
+        .map(|v| match v.parse::<u64>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("invalid --sample-interval value `{v}`")),
+        })
+        .transpose()?;
+    let baseline =
+        take_value_flag(&mut args, "--baseline")?.map(|v| Baseline::parse(&v)).transpose()?;
+    let range = take_value_flag(&mut args, "--range")?
+        .map(|v| mcl_bench::pipetrace::parse_range(&v).map(|r| (v, r)))
+        .transpose()?;
+    let out_dir = take_value_flag(&mut args, "--out")?;
+    let flight = take_value_flag(&mut args, "--flight")?;
+    let cmd = args.first().cloned().unwrap_or_else(|| "all".to_owned());
+    let divisor = check_leftover_args(&cmd, &args)?;
+
+    // Each command-specific flag, whether it was given, and whether
+    // `cmd` reads it.
+    let companions = COMPANION_COMMANDS.contains(&cmd.as_str());
+    let tool = matches!(cmd.as_str(), "explain" | "profile" | "pipetrace");
+    let flags = [
+        ("--obs", obs_dir.is_some(), companions || tool),
+        ("--sample-interval", sample_interval.is_some(), companions),
+        ("--baseline", baseline.is_some(), matches!(cmd.as_str(), "explain" | "pipetrace")),
+        ("--range", range.is_some(), cmd == "pipetrace"),
+        ("--out", out_dir.is_some(), cmd == "pipetrace"),
+    ];
+    if let Some((flag, ..)) = flags.iter().find(|&&(_, given, read)| given && !read) {
+        return Err(format!("`{cmd}` does not read `{flag}`"));
     }
-    Ok(jobs)
+    if sample_interval.is_some() && obs_dir.is_none() {
+        return Err("`--sample-interval` is read only with `--obs`".to_owned());
+    }
+    if out_dir.is_some() && obs_dir.is_some() {
+        return Err("`--obs` is not read alongside `--out`".to_owned());
+    }
+
+    Ok(Cli {
+        arg: args.get(1).cloned(),
+        cmd,
+        divisor,
+        jobs,
+        check_level,
+        store_dir,
+        baseline,
+        range,
+        out_dir,
+        options: RunOptions {
+            keep_going,
+            watchdog_seconds,
+            obs: obs_dir.map(|dir| ObsSettings {
+                dir: PathBuf::from(dir),
+                sample_interval: sample_interval.unwrap_or(1024),
+            }),
+            flight,
+            ..RunOptions::default()
+        },
+    })
 }
 
 /// Extracts a boolean `--flag` switch; returns whether it was present.
@@ -497,23 +473,30 @@ fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     args.len() != before
 }
 
-/// Extracts `--flag VALUE` / `--flag=VALUE` from the argument list.
+/// Extracts `--flag VALUE` / `--flag=VALUE` from the argument list; a
+/// flag given twice is an error.
 fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
     let mut value = None;
     let prefix = format!("{flag}=");
     let mut i = 0;
     while i < args.len() {
-        if args[i] == flag {
+        let found = if args[i] == flag {
             if i + 1 >= args.len() {
                 return Err(format!("{flag} requires a value"));
             }
-            value = Some(args[i + 1].clone());
+            let v = args[i + 1].clone();
             args.drain(i..=i + 1);
+            v
         } else if let Some(v) = args[i].strip_prefix(&prefix) {
-            value = Some(v.to_owned());
+            let v = v.to_owned();
             args.remove(i);
+            v
         } else {
             i += 1;
+            continue;
+        };
+        if value.replace(found).is_some() {
+            return Err(format!("`{flag}` given more than once"));
         }
     }
     Ok(value)
@@ -804,32 +787,40 @@ fn plan_fig6(plan: &mut Plan) {
     );
 }
 
-/// The common shape of the sweep ablations (A1/A2/A3/A6): one cell per
-/// benchmark, each rendering its own sweep table.
-fn plan_sweep(
+/// Adds one cell per benchmark (just `only`, when set), each rendering
+/// its own text, printed in benchmark order under `header` — the shape
+/// of the sweep ablations (A1/A2/A3/A6) and of `explain`, `pipetrace`
+/// and `profile`.
+fn plan_benchmarks(
     plan: &mut Plan,
     id: &str,
+    header: Option<&'static str>,
     store: &Arc<TraceStore>,
     divisor: u32,
-    sweep: impl Fn(&TraceStore, Benchmark, u32) -> Result<(String, CellCost), mcl_bench::Error>
+    only: Option<Benchmark>,
+    cell: impl Fn(&TraceStore, Benchmark, u32) -> Result<(String, CellCost), mcl_bench::Error>
         + Send
         + Clone
         + 'static,
 ) {
     let cells = Benchmark::ALL
         .iter()
+        .filter(|&&b| only.is_none_or(|only| b == only))
         .map(|&bench| {
-            let sweep = sweep.clone();
+            let cell = cell.clone();
             let store = Arc::clone(store);
             Cell::new(format!("{id}/{bench}"), move || {
-                let (rendered, cost) = sweep(&store, bench, bench.scaled(divisor))?;
+                let (rendered, cost) = cell(&store, bench, bench.scaled(divisor))?;
                 Ok((Payload::Text(rendered), cost))
             })
         })
         .collect();
     plan.section(
         cells,
-        Box::new(|ps| {
+        Box::new(move |ps| {
+            if let Some(header) = header {
+                println!("{header}\n");
+            }
             for p in ps {
                 println!("{}", text(p));
             }
@@ -866,7 +857,7 @@ fn observe_ablate(
 
 fn plan_ablate_buffers(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
     let obs = obs.cloned();
-    plan_sweep(plan, "ablate-buffers", store, divisor, move |store, bench, scale| {
+    plan_benchmarks(plan, "ablate-buffers", None, store, divisor, None, move |store, bench, scale| {
         let (points, cost) = ablate::buffers(store, bench, scale, &[1, 2, 4, 8, 16, 32])?;
         observe_ablate(
             store,
@@ -888,7 +879,7 @@ fn plan_ablate_buffers(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, o
 
 fn plan_ablate_threshold(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
     let obs = obs.cloned();
-    plan_sweep(plan, "ablate-threshold", store, divisor, move |store, bench, scale| {
+    plan_benchmarks(plan, "ablate-threshold", None, store, divisor, None, move |store, bench, scale| {
         let (points, cost) =
             ablate::threshold(store, bench, scale, &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0])?;
         observe_ablate(
@@ -911,7 +902,7 @@ fn plan_ablate_threshold(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32,
 
 fn plan_ablate_dq(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
     let obs = obs.cloned();
-    plan_sweep(plan, "ablate-dq", store, divisor, move |store, bench, scale| {
+    plan_benchmarks(plan, "ablate-dq", None, store, divisor, None, move |store, bench, scale| {
         let (points, cost) = ablate::dq_single(store, bench, scale, &[16, 32, 64, 128, 256])?;
         observe_ablate(
             store,
@@ -933,7 +924,7 @@ fn plan_ablate_dq(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: O
 
 fn plan_ablate_unroll(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs: Option<&ObsSettings>) {
     let obs = obs.cloned();
-    plan_sweep(plan, "ablate-unroll", store, divisor, move |store, bench, scale| {
+    plan_benchmarks(plan, "ablate-unroll", None, store, divisor, None, move |store, bench, scale| {
         let (points, cost) = ablate::unroll(store, bench, scale, &[1, 2, 4])?;
         observe_ablate(
             store,
@@ -1109,19 +1100,20 @@ fn selftest_cell(
 }
 
 fn plan_selftest(plan: &mut Plan, divisor: u32) {
-    let cells = vec![
+    let mut cells = vec![
         selftest_cell("packed-vs-fat", move || selftest::packed_vs_fat(divisor)),
         selftest_cell("store-vs-fresh", move || selftest::store_vs_fresh(divisor)),
         selftest_cell("jobs-agree", move || selftest::jobs_agree(divisor)),
-        selftest_cell("stall-identity", move || selftest::stall_identity(divisor)),
-        selftest_cell("critpath-identity", move || selftest::critpath_identity(divisor)),
-        selftest_cell("pipetrace-identity", move || selftest::pipetrace_identity(divisor)),
-        selftest_cell("hostprof-identity", move || selftest::hostprof_identity(divisor)),
+    ];
+    cells.extend(selftest::IDENTITY_SWEEPS.map(|sweep| {
+        selftest_cell(sweep.name, move || selftest::identity_sweep(divisor, sweep))
+    }));
+    cells.extend([
         selftest_cell("fuzz-checker", || selftest::fuzz_checker(24)),
         selftest_cell("leak-fault", selftest::leak_fault_caught),
         selftest_cell("corrupt-packed", selftest::corrupt_packed_rejected),
         selftest_cell("store-recovery", move || selftest::store_recovery(divisor)),
-    ];
+    ]);
     plan.section(
         cells,
         Box::new(|ps| {
@@ -1130,118 +1122,6 @@ fn plan_selftest(plan: &mut Plan, divisor: u32) {
                 println!("{}", text(p));
             }
             println!();
-        }),
-    );
-}
-
-/// Adds one explain cell per benchmark: the critical-path attribution
-/// of the dual-cluster/local run (differential against `baseline` when
-/// given), exporting `<bench>.critpath.json` into `dir`.
-fn plan_explain(
-    plan: &mut Plan,
-    store: &Arc<TraceStore>,
-    divisor: u32,
-    dir: PathBuf,
-    baseline: Option<Baseline>,
-    only: Option<Benchmark>,
-) {
-    let cells = Benchmark::ALL
-        .iter()
-        .filter(|&&b| only.is_none_or(|only| b == only))
-        .map(|&bench| {
-            let store = Arc::clone(store);
-            let dir = dir.clone();
-            Cell::new(format!("explain/{bench}"), move || {
-                let (rendered, cost) =
-                    explain::explain_cell(&store, bench, bench.scaled(divisor), &dir, baseline)?;
-                Ok((Payload::Text(rendered), cost))
-            })
-        })
-        .collect();
-    plan.section(
-        cells,
-        Box::new(move |ps| {
-            println!("Critical-path cycle-loss attribution (dual-cluster, local scheduler)\n");
-            for p in ps {
-                println!("{}", text(p));
-            }
-        }),
-    );
-}
-
-/// Adds one pipetrace cell per benchmark: the per-instruction lifecycle
-/// trace of the dual-cluster/local run (differential against `baseline`
-/// when given), exporting `<bench>.konata` and `<bench>.pipetrace.json`
-/// into `dir`.
-fn plan_pipetrace(
-    plan: &mut Plan,
-    store: &Arc<TraceStore>,
-    divisor: u32,
-    dir: PathBuf,
-    range: (u64, u64),
-    baseline: Option<Baseline>,
-    only: Option<Benchmark>,
-) {
-    let cells = Benchmark::ALL
-        .iter()
-        .filter(|&&b| only.is_none_or(|only| b == only))
-        .map(|&bench| {
-            let store = Arc::clone(store);
-            let dir = dir.clone();
-            Cell::new(format!("pipetrace/{bench}"), move || {
-                let (rendered, cost) = mcl_bench::pipetrace::pipetrace_cell(
-                    &store,
-                    bench,
-                    bench.scaled(divisor),
-                    &dir,
-                    range,
-                    baseline,
-                )?;
-                Ok((Payload::Text(rendered), cost))
-            })
-        })
-        .collect();
-    plan.section(
-        cells,
-        Box::new(move |ps| {
-            println!("Per-instruction pipeline lifecycle trace (dual-cluster, local scheduler)\n");
-            for p in ps {
-                println!("{}", text(p));
-            }
-        }),
-    );
-}
-
-/// Adds one profile cell per benchmark: the host phase-cost profile of
-/// the dual-cluster/local run, exporting
-/// `<bench>.hostprof.json` into `dir`.
-fn plan_profile(
-    plan: &mut Plan,
-    store: &Arc<TraceStore>,
-    divisor: u32,
-    dir: PathBuf,
-    only: Option<Benchmark>,
-) {
-    let cells = Benchmark::ALL
-        .iter()
-        .filter(|&&b| only.is_none_or(|only| b == only))
-        .map(|&bench| {
-            let store = Arc::clone(store);
-            let dir = dir.clone();
-            Cell::new(format!("profile/{bench}"), move || {
-                let (rendered, cost) =
-                    mcl_bench::profile::profile_cell(&store, bench, bench.scaled(divisor), &dir)?;
-                Ok((Payload::Text(rendered), cost))
-            })
-        })
-        .collect();
-    plan.section(
-        cells,
-        Box::new(move |ps| {
-            println!("Engine phase-cost profile (dual-cluster, local scheduler, event engine)\n");
-            for p in ps {
-                println!("{}", text(p));
-            }
         }),
     );
 }

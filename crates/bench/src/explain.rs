@@ -19,18 +19,19 @@
 //! loses 14.2%: 9.1% inter-cluster forward, 3.8% spill code, 1.3% OTB
 //! credit" is an identity, not an estimate.
 //!
-//! Like the `--obs` exports, the instrumented runs are companions: the
-//! reported statistics come from the uninstrumented store simulation,
-//! and the two are cross-checked for byte identity, so attribution can
+//! Like the `--obs` exports, the instrumented runs are
+//! `obs::companion` runs: the reported statistics
+//! come from the uninstrumented store simulation, and attribution can
 //! never perturb what it explains.
 
 use std::path::Path;
 
-use mcl_core::{CritAttribution, CritCause, CritPathProbe, Processor, ProcessorConfig};
+use mcl_core::{CritAttribution, CritCause, CritPathProbe, ProcessorConfig, SimStats};
 use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
 use crate::json::Json;
+use crate::obs::{companion, obs_err, write_export, Instrument, Reference};
 use crate::runner::CellCost;
 use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
@@ -96,71 +97,43 @@ impl Baseline {
     }
 }
 
-/// One attributed run: its identity, headline statistics, and the exact
-/// per-cause breakdown.
+/// One attributed run: its labels, statistics, and the exact per-cause
+/// breakdown.
 #[derive(Debug, Clone)]
 struct AttributedRun {
-    config_label: &'static str,
-    sched_label: &'static str,
-    cycles: u64,
-    retired: u64,
-    ipc: f64,
+    labels: (&'static str, &'static str),
+    stats: SimStats,
     attr: CritAttribution,
 }
 
-fn explain_err(stem: &str, detail: impl std::fmt::Display) -> Error {
-    Error::Obs(format!("critpath {stem}: {detail}"))
-}
-
-/// Runs one `(request, configuration)` pair instrumented with a
-/// [`CritPathProbe`], cross-checks byte identity against the store's
-/// uninstrumented run, and enforces the attribution identity.
-fn attribute_run(
-    store: &TraceStore,
+/// Runs one companion with a [`CritPathProbe`] and enforces the
+/// critical-path identity: the per-cause breakdown sums exactly to the
+/// run's cycles, and the probe saw every retirement. `repro explain`
+/// cells and the `repro selftest` sweep both check through it.
+///
+/// # Errors
+///
+/// As [`companion`], or [`Error::Obs`] naming `stem` when the identity
+/// fails.
+pub(crate) fn attribute(
     stem: &str,
-    req: &TraceRequest,
     cfg: &ProcessorConfig,
-    labels: (&'static str, &'static str),
-    cost: &mut CellCost,
-) -> Result<AttributedRun, Error> {
-    let expected = store.sim(req, cfg)?;
-    cost.charge_sim(&expected);
-    let (trace, _) = store.trace(req)?;
+    reference: Reference<'_>,
+) -> Result<(SimStats, CritAttribution), Error> {
     let mut probe = CritPathProbe::new();
-    let observed = Processor::new(cfg.clone())
-        .run_packed_observed(&trace, &mut probe)
-        .map_err(Error::Sim)?;
-    // Observe, never perturb: the companion's cycles are deliberately
-    // not charged, so report aggregates match a probe-free run.
-    if observed.stats != expected.stats {
-        return Err(explain_err(
-            stem,
-            format!(
-                "instrumented run diverged from the store run ({} vs {} cycles) — \
-                 probes must not affect simulation",
-                observed.stats.cycles, expected.stats.cycles
-            ),
-        ));
-    }
-    let attr = probe.attribution(observed.stats.cycles);
-    attr.check_identity(observed.stats.cycles).map_err(|e| explain_err(stem, e))?;
-    if attr.retired != observed.stats.retired {
-        return Err(explain_err(
+    let run = companion(stem, cfg, reference, Instrument::Probe(&mut probe))?;
+    let attr = probe.attribution(run.stats.cycles);
+    attr.check_identity(run.stats.cycles).map_err(|e| obs_err(stem, e))?;
+    if attr.retired != run.stats.retired {
+        return Err(obs_err(
             stem,
             format!(
                 "probe saw {} retirements, simulator reported {}",
-                attr.retired, observed.stats.retired
+                attr.retired, run.stats.retired
             ),
         ));
     }
-    Ok(AttributedRun {
-        config_label: labels.0,
-        sched_label: labels.1,
-        cycles: observed.stats.cycles,
-        retired: observed.stats.retired,
-        ipc: observed.stats.ipc(),
-        attr,
-    })
+    Ok((run.stats, attr))
 }
 
 /// Runs the explain cell of one benchmark: attributes the dual-cluster
@@ -181,34 +154,25 @@ pub fn explain_cell(
     baseline: Option<Baseline>,
 ) -> Result<(String, CellCost), Error> {
     let mut cost = CellCost::default();
-    let target = attribute_run(
-        store,
+    let mut run = |stem: &str, req: &TraceRequest, cfg: &ProcessorConfig, labels| {
+        let (stats, attr) = attribute(stem, cfg, Reference::Store(store, req, &mut cost))?;
+        Ok::<_, Error>(AttributedRun { labels, stats, attr })
+    };
+    let target = run(
         bench.name(),
         &TraceRequest::new(bench, scale, SchedulerKind::Local),
         &ProcessorConfig::dual_cluster_8way(),
         ("dual_cluster_8way", "local"),
-        &mut cost,
     )?;
     let base = baseline
         .map(|b| {
-            attribute_run(
-                store,
-                &format!("{} baseline", bench.name()),
-                &b.request(bench, scale),
-                &b.config(),
-                b.labels(),
-                &mut cost,
-            )
+            let stem = format!("{} baseline", bench.name());
+            run(&stem, &b.request(bench, scale), &b.config(), b.labels())
         })
         .transpose()?;
 
-    std::fs::create_dir_all(dir)
-        .map_err(|e| explain_err(bench.name(), format!("creating {}: {e}", dir.display())))?;
-    let path = dir.join(format!("{}.critpath.json", bench.name()));
     let doc = critpath_json(bench, &target, baseline, base.as_ref());
-    std::fs::write(&path, doc.render() + "\n")
-        .map_err(|e| explain_err(bench.name(), format!("writing {}: {e}", path.display())))?;
-
+    write_export(dir, &format!("{}.critpath.json", bench.name()), &(doc.render() + "\n"))?;
     Ok((render_cell(bench, &target, baseline, base.as_ref()), cost))
 }
 
@@ -222,11 +186,11 @@ fn attribution_json(attr: &CritAttribution) -> Json {
 
 fn run_json(run: &AttributedRun) -> Json {
     let mut obj = Json::object();
-    obj.field("config", run.config_label.into())
-        .field("scheduler", run.sched_label.into())
-        .field("cycles", run.cycles.into())
-        .field("retired", run.retired.into())
-        .field("ipc", run.ipc.into())
+    obj.field("config", run.labels.0.into())
+        .field("scheduler", run.labels.1.into())
+        .field("cycles", run.stats.cycles.into())
+        .field("retired", run.stats.retired.into())
+        .field("ipc", run.stats.ipc().into())
         .field("attribution", attribution_json(&run.attr));
     obj
 }
@@ -263,7 +227,7 @@ fn critpath_json(
 /// Cycle cost of the target relative to the baseline, as a percentage
 /// of baseline cycles (positive = the target is slower).
 fn slowdown_pct(target: &AttributedRun, base: &AttributedRun) -> f64 {
-    (target.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0
+    (target.stats.cycles as f64 - base.stats.cycles as f64) / base.stats.cycles as f64 * 100.0
 }
 
 /// Per-cause share of the slowdown, as a percentage of baseline cycles.
@@ -271,7 +235,7 @@ fn slowdown_pct(target: &AttributedRun, base: &AttributedRun) -> f64 {
 /// exactly to [`slowdown_pct`].
 fn delta_pct(target: &AttributedRun, base: &AttributedRun, cause: CritCause) -> f64 {
     (target.attr.cycles(cause) as f64 - base.attr.cycles(cause) as f64)
-        / base.cycles as f64
+        / base.stats.cycles as f64
         * 100.0
 }
 
@@ -294,8 +258,8 @@ fn render_cell(
         out,
         "{}: {} cycles, IPC {:.2} (dual-cluster, local scheduler)",
         bench.name(),
-        target.cycles,
-        target.ipc
+        target.stats.cycles,
+        target.stats.ipc()
     );
     for (cause, cycles) in ranked(&target.attr) {
         if cycles == 0 {
@@ -305,7 +269,7 @@ fn render_cell(
             out,
             "  {:<22} {:>5.1}%  {:>12} cycles",
             cause.name(),
-            cycles as f64 / target.cycles as f64 * 100.0,
+            cycles as f64 / target.stats.cycles as f64 * 100.0,
             cycles
         );
     }
@@ -316,8 +280,8 @@ fn render_cell(
             out,
             "  vs {} ({} cycles, IPC {:.2}): {verb} {:.1}% of baseline cycles",
             b.name(),
-            base.cycles,
-            base.ipc,
+            base.stats.cycles,
+            base.stats.ipc(),
             slow.abs()
         );
         let mut deltas: Vec<(CritCause, f64)> = target
@@ -336,26 +300,19 @@ fn render_cell(
     out
 }
 
-/// Validates one `*.critpath.json` export: schema version, a complete
-/// per-cause attribution, and — re-checked from the file itself — the
-/// attribution identity (causes sum to the run's cycles), for both the
-/// target and any baseline.
+/// Checks one parsed `*.critpath.json` export (its schema version is
+/// checked by [`crate::obs::validate_dir`]): a complete per-cause
+/// attribution and — re-checked from the file itself — the attribution
+/// identity (causes sum to the run's cycles), for both the target and
+/// any baseline.
 ///
 /// # Errors
 ///
-/// [`Error::Obs`] describing the first violation.
-pub fn validate_critpath(path: &Path) -> Result<(), Error> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| explain_err(&path.display().to_string(), format!("reading: {e}")))?;
-    let doc = Json::parse(&text)
-        .map_err(|e| explain_err(&path.display().to_string(), e))?;
-    let fail = |what: &str| explain_err(&path.display().to_string(), what.to_owned());
-    if doc.get("schema_version").and_then(Json::as_u64) != Some(CRITPATH_SCHEMA_VERSION) {
-        return Err(fail("schema_version missing or unsupported"));
-    }
+/// The first violation.
+pub(crate) fn validate_critpath(doc: &Json) -> Result<usize, String> {
     for key in ["target", "baseline"] {
         let Some(run) = doc.get(key) else {
-            return Err(fail(&format!("{key} object missing")));
+            return Err(format!("{key} object missing"));
         };
         if matches!(run, Json::Null) {
             continue; // baseline-less export
@@ -363,28 +320,28 @@ pub fn validate_critpath(path: &Path) -> Result<(), Error> {
         let cycles = run
             .get("cycles")
             .and_then(Json::as_u64)
-            .ok_or_else(|| fail(&format!("{key}.cycles missing")))?;
-        let attr = run
-            .get("attribution")
-            .ok_or_else(|| fail(&format!("{key}.attribution missing")))?;
+            .ok_or_else(|| format!("{key}.cycles missing"))?;
+        let attr = run.get("attribution").ok_or_else(|| format!("{key}.attribution missing"))?;
         let mut sum = 0u64;
         for cause in CritCause::ALL {
-            sum += attr.get(cause.name()).and_then(Json::as_u64).ok_or_else(|| {
-                fail(&format!("{key}.attribution.{} missing", cause.name()))
-            })?;
+            sum += attr
+                .get(cause.name())
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("{key}.attribution.{} missing", cause.name()))?;
         }
         if sum != cycles {
-            return Err(fail(&format!(
+            return Err(format!(
                 "{key} attribution identity violated: causes sum to {sum}, run has {cycles} cycles"
-            )));
+            ));
         }
     }
-    Ok(())
+    Ok(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::validate_file;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
@@ -405,7 +362,7 @@ mod tests {
         assert!(cost.simulated_cycles > 0);
 
         let path = dir.join("compress.critpath.json");
-        validate_critpath(&path).unwrap();
+        validate_file(&path).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let target = doc.get("target").unwrap();
         let base = doc.get("baseline").unwrap();
@@ -435,7 +392,7 @@ mod tests {
             explain_cell(&store, Benchmark::Compress, 40, &dir, None).unwrap();
         assert!(!rendered.contains("vs "), "{rendered}");
         let path = dir.join("compress.critpath.json");
-        validate_critpath(&path).unwrap();
+        validate_file(&path).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(matches!(doc.get("baseline"), Some(Json::Null)));
         let _ = std::fs::remove_dir_all(&dir);
@@ -458,7 +415,7 @@ mod tests {
              \"attribution\":{{{attr}}}}},\"baseline\":null}}"
         );
         std::fs::write(&path, doc).unwrap();
-        let err = validate_critpath(&path).unwrap_err().to_string();
+        let err = validate_file(&path).unwrap_err().to_string();
         assert!(err.contains("identity violated"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

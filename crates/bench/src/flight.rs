@@ -187,55 +187,37 @@ pub fn write(path: &Path) -> Result<(), Error> {
         .map_err(|e| Error::Obs(format!("flight: writing {}: {e}", path.display())))
 }
 
-/// Validates a flight recording: the shared Chrome trace shape
+/// Checks a parsed flight recording: the shared Chrome trace shape
 /// (non-empty `traceEvents`, each with `ph`/`ts`/`pid`) plus the
 /// flight-specific contract — at least one completed `X` span with a
-/// numeric `dur` and a `cat`, and timestamps non-decreasing are not
-/// required (workers interleave) but every `ts` must be finite and
-/// non-negative. Returns the event count.
+/// numeric `dur`, a `cat` on every event, and every `ts` finite and
+/// non-negative (non-decreasing is not required: workers interleave).
+/// Returns the event count.
 ///
 /// # Errors
 ///
-/// [`Error::Obs`] describing the first violation.
-pub fn validate_flight(path: &Path) -> Result<usize, Error> {
-    let count = obs::validate_trace(path)?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| Error::Obs(format!("flight: reading {}: {e}", path.display())))?;
-    let doc = Json::parse(&text).map_err(|e| Error::Obs(format!("flight: {e}")))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .ok_or_else(|| Error::Obs("flight: traceEvents is not an array".into()))?;
+/// The first violation.
+pub(crate) fn validate_flight(doc: &Json) -> Result<usize, String> {
+    let count = obs::validate_trace(doc)?;
+    let events = doc.get("traceEvents").and_then(Json::as_array).unwrap_or_default();
     let mut spans = 0usize;
     for e in events {
         let ts = e.get("ts").and_then(Json::as_f64).unwrap_or(-1.0);
         if !ts.is_finite() || ts < 0.0 {
-            return Err(Error::Obs(format!(
-                "flight: {}: event with non-finite or negative ts",
-                path.display()
-            )));
+            return Err("event with non-finite or negative ts".into());
         }
         if e.get("cat").and_then(Json::as_str).is_none() {
-            return Err(Error::Obs(format!(
-                "flight: {}: event missing cat",
-                path.display()
-            )));
+            return Err("event missing cat".into());
         }
         if e.get("ph").and_then(Json::as_str) == Some("X") {
             if e.get("dur").and_then(Json::as_f64).is_none() {
-                return Err(Error::Obs(format!(
-                    "flight: {}: X span missing numeric dur",
-                    path.display()
-                )));
+                return Err("X span missing numeric dur".into());
             }
             spans += 1;
         }
     }
     if spans == 0 {
-        return Err(Error::Obs(format!(
-            "flight: {}: no completed spans recorded",
-            path.display()
-        )));
+        return Err("no completed spans recorded".into());
     }
     Ok(count)
 }
@@ -278,7 +260,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.flight.json");
         write(&path).expect("writes");
-        let n = validate_flight(&path).expect("validates");
+        let n = obs::validate_file(&path).expect("validates");
         assert!(n >= 2);
         // A spanless document fails flight validation even though it is
         // a well-formed Chrome trace.
@@ -288,7 +270,7 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"i\",\"cat\":\"t\",\"ph\":\"i\",\"ts\":1,\"pid\":1,\"tid\":1,\"s\":\"t\"}],\"displayTimeUnit\":\"ns\"}",
         )
         .unwrap();
-        assert!(validate_flight(&spanless).is_err());
+        assert!(obs::validate_file(&spanless).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

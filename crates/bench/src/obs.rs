@@ -1,4 +1,5 @@
-//! Observability exports behind `repro --obs OUT_DIR`.
+//! Observability exports behind `repro --obs OUT_DIR`, and the two
+//! pieces every probe tool shares.
 //!
 //! For each observed cell this module runs one *additional* instrumented
 //! simulation — dual-cluster machine, local-scheduler trace served by
@@ -15,28 +16,33 @@
 //!   a [`SimError`]: the ring's surviving tail rendered through
 //!   [`mcl_core::pipeview`].
 //!
-//! The instrumented run is *extra* work: the cell's reported statistics
-//! still come from the ordinary uninstrumented store simulation, and
-//! [`observe_cell`] cross-checks that both runs produced byte-identical
-//! [`mcl_core::SimStats`] — the probe layer's "observe, never perturb"
-//! guarantee, enforced on every `--obs` run. Its cycles are deliberately
-//! *not* charged to the cell cost, so `BENCH_repro.json` aggregates stay
-//! identical with `--obs` on or off.
+//! Every probe tool (`--obs`, `repro explain`, `repro pipetrace`,
+//! `repro profile`) runs its instrumented simulation through
+//! `companion`: the one place that looks up the reference run, charges
+//! it, runs the instrumented processor, and demands bit-identical
+//! [`SimStats`] — the "observe, never perturb" guarantee. The
+//! companion's own cycles are deliberately *not* charged, so
+//! `BENCH_repro.json` aggregates stay identical with a probe on or off.
 //!
-//! [`validate_dir`] re-reads a directory of exports with the hand-rolled
-//! [`Json::parse`] and checks the schema (`repro obs-validate`).
+//! [`validate_dir`] re-reads a directory of exports (`repro
+//! obs-validate`) through one table of export kinds (`EXPORTS`): the
+//! file read, the [`Json::parse`] and the `schema_version` comparison
+//! happen once here, and each kind contributes only its own checks.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use mcl_core::obs::{EventRing, ObsConfig, ObsProbe, StallCause};
 use mcl_core::events::EventKind;
-use mcl_core::{PipeViewOptions, Processor, ProcessorConfig, SimError};
+use mcl_core::obs::{EventRing, ObsConfig, ObsProbe, Probe, StallCause};
+use mcl_core::{HostProfReport, PipeViewOptions, Processor, ProcessorConfig, SimError, SimStats};
 use mcl_sched::SchedulerKind;
+use mcl_trace::PackedTrace;
 use mcl_workloads::Benchmark;
 
 use crate::json::Json;
+use crate::runner::CellCost;
 use crate::store::TraceRequest;
-use crate::{Error, TraceStore};
+use crate::{explain, flight, pipetrace, profile, Error, TraceStore};
 
 /// Schema version of the `*.series.json` exports.
 pub const SERIES_SCHEMA_VERSION: u64 = 1;
@@ -53,8 +59,88 @@ pub struct ObsSettings {
     pub sample_interval: u64,
 }
 
-fn obs_err(context: &str, detail: impl std::fmt::Display) -> Error {
+/// The observability error every probe tool and validator reports.
+pub(crate) fn obs_err(context: &str, detail: impl std::fmt::Display) -> Error {
     Error::Obs(format!("{context}: {detail}"))
+}
+
+/// Writes one export file into `dir`, creating the directory first.
+pub(crate) fn write_export(dir: &Path, name: &str, contents: &str) -> Result<(), Error> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| obs_err(&format!("creating {}", dir.display()), e))?;
+    let path = dir.join(name);
+    std::fs::write(&path, contents).map_err(|e| obs_err(&format!("writing {}", path.display()), e))
+}
+
+/// The uninstrumented run a [`companion`] must reproduce.
+pub(crate) enum Reference<'a> {
+    /// A store-served cell: the store's simulation is the reference,
+    /// and is charged to the cost.
+    Store(&'a TraceStore, &'a TraceRequest, &'a mut CellCost),
+    /// A trace and the statistics of its uninstrumented run.
+    Run(Arc<PackedTrace>, &'a SimStats),
+}
+
+/// What a [`companion`] run attaches to the processor.
+pub(crate) enum Instrument<'p, P> {
+    /// A probe on the simulated machine (forces single-stepping).
+    Probe(&'p mut P),
+    /// The host phase profiler (keeps the fast-forward engine path).
+    HostProf,
+}
+
+/// A companion run whose statistics equal its reference's.
+pub(crate) struct Companion {
+    pub(crate) stats: SimStats,
+    /// The trace the companion ran.
+    pub(crate) trace: Arc<PackedTrace>,
+    /// The host profile of an [`Instrument::HostProf`] run.
+    pub(crate) hostprof: Option<HostProfReport>,
+}
+
+/// Runs the instrumented companion of `reference` under `cfg` and
+/// checks that it reproduced the reference's statistics bit for bit:
+/// instruments observe, they never perturb.
+///
+/// # Errors
+///
+/// [`Error::Sim`] when the instrumented run fails (a probe keeps what it
+/// saw until then); [`Error::Obs`] naming `stem` and both cycle counts
+/// when the statistics diverge; store errors propagate.
+pub(crate) fn companion<P: Probe>(
+    stem: &str,
+    cfg: &ProcessorConfig,
+    reference: Reference<'_>,
+    instrument: Instrument<'_, P>,
+) -> Result<Companion, Error> {
+    let product;
+    let (trace, expected) = match reference {
+        Reference::Store(store, req, cost) => {
+            product = store.sim(req, cfg)?;
+            cost.charge_sim(&product);
+            (store.trace(req)?.0, &product.stats)
+        }
+        Reference::Run(trace, stats) => (trace, stats),
+    };
+    let mut processor = Processor::new(cfg.clone());
+    let (result, hostprof) = match instrument {
+        Instrument::Probe(probe) => (processor.run_packed_observed(&trace, probe)?, None),
+        Instrument::HostProf => {
+            let (result, report) = processor.run_packed_profiled(&trace)?;
+            (result, Some(report))
+        }
+    };
+    if result.stats != *expected {
+        return Err(obs_err(
+            stem,
+            format!(
+                "instrumented run diverged from the reference run ({} vs {} cycles) — \
+                 instruments must not affect simulation",
+                result.stats.cycles, expected.cycles
+            ),
+        ));
+    }
+    Ok(Companion { stats: result.stats, trace, hostprof })
 }
 
 /// Identity of one instrumented export: the file stem the artifacts
@@ -74,11 +160,9 @@ pub struct ObsTarget<'a> {
 ///
 /// # Errors
 ///
-/// [`Error::Obs`] if the instrumented run's statistics diverge from the
-/// store's uninstrumented run (a probe perturbed the simulation) or an
-/// export cannot be written; harness errors propagate. On [`SimError`]
-/// the ring tail is written to `<bench>.postmortem.txt` before the
-/// error propagates.
+/// As `companion`, or [`Error::Obs`] when an export cannot be written.
+/// On [`SimError`] the ring tail is written to `<bench>.postmortem.txt`
+/// before the error propagates.
 pub fn observe_cell(
     store: &TraceStore,
     bench: Benchmark,
@@ -110,9 +194,8 @@ pub fn observe_request(
     target: ObsTarget<'_>,
     settings: &ObsSettings,
 ) -> Result<Vec<String>, Error> {
-    let (trace, _) = store.trace(req)?;
-    let expected = store.sim(req, cfg)?;
-    observe_trace(&trace, cfg, &expected.stats, target, settings)
+    // Exports are not charged: the cell's report covers its own runs.
+    observe(cfg, Reference::Store(store, req, &mut CellCost::default()), target, settings)
 }
 
 /// Instrumented companion of one prescheduled scenario program
@@ -130,10 +213,9 @@ pub fn observe_scenario(
     let cfg = ProcessorConfig::dual_cluster_8way();
     let expected = Processor::new(cfg.clone()).run_packed(&trace)?;
     let stem = format!("scenario{}", scenario.number);
-    observe_trace(
-        &trace,
+    observe(
         &cfg,
-        &expected.stats,
+        Reference::Run(Arc::new(trace), &expected.stats),
         ObsTarget {
             stem: &stem,
             config_label: "dual_cluster_8way",
@@ -143,12 +225,12 @@ pub fn observe_scenario(
     )
 }
 
-/// The shared export path: instrumented run, byte-identity cross-check
-/// against `expected`, series + Chrome trace written under the stem.
-fn observe_trace(
-    trace: &mcl_trace::PackedTrace,
+/// The `--obs` export path: an [`ObsProbe`] companion, then series +
+/// Chrome trace written under the stem, or the postmortem when the
+/// instrumented run fails.
+fn observe(
     cfg: &ProcessorConfig,
-    expected: &mcl_core::SimStats,
+    reference: Reference<'_>,
     target: ObsTarget<'_>,
     settings: &ObsSettings,
 ) -> Result<Vec<String>, Error> {
@@ -156,44 +238,24 @@ fn observe_trace(
         sample_interval: settings.sample_interval,
         ring_capacity: RING_CAPACITY,
     });
-    std::fs::create_dir_all(&settings.dir)
-        .map_err(|e| obs_err(&format!("creating {}", settings.dir.display()), e))?;
-
-    let observed = match Processor::new(cfg.clone()).run_packed_observed(trace, &mut probe) {
-        Ok(result) => result,
-        Err(e) => {
-            probe.finish();
-            let name = format!("{}.postmortem.txt", target.stem);
+    let observed = companion(target.stem, cfg, reference, Instrument::Probe(&mut probe));
+    probe.finish();
+    let observed = match observed {
+        Ok(observed) => observed,
+        Err(Error::Sim(e)) => {
             let rendered = render_postmortem(target.stem, &e, probe.ring());
-            let path = settings.dir.join(&name);
-            std::fs::write(&path, rendered)
-                .map_err(|io| obs_err(&format!("writing {}", path.display()), io))?;
+            write_export(&settings.dir, &format!("{}.postmortem.txt", target.stem), &rendered)?;
             return Err(Error::Sim(e));
         }
+        Err(e) => return Err(e),
     };
-    probe.finish();
-
-    // The probe must have observed, never perturbed: the instrumented
-    // statistics must equal the uninstrumented run bit for bit.
-    if observed.stats != *expected {
-        return Err(obs_err(
-            "probe perturbation",
-            format!(
-                "{}: instrumented run diverged from the reference run \
-                 ({} vs {} cycles) — probes must not affect simulation",
-                target.stem, observed.stats.cycles, expected.cycles
-            ),
-        ));
-    }
 
     let series_name = format!("{}.series.json", target.stem);
     let trace_name = format!("{}.trace.json", target.stem);
     let series = series_json(target, observed.stats.cycles, &probe);
     let chrome = chrome_trace_json(probe.ring());
     for (name, json) in [(&series_name, series), (&trace_name, chrome)] {
-        let path = settings.dir.join(name);
-        std::fs::write(&path, json.render() + "\n")
-            .map_err(|e| obs_err(&format!("writing {}", path.display()), e))?;
+        write_export(&settings.dir, name, &(json.render() + "\n"))?;
     }
     Ok(vec![series_name, trace_name])
 }
@@ -375,17 +437,11 @@ pub(crate) fn chrome_trace_document(events: Vec<Json>) -> Json {
     obj
 }
 
-fn parse_file(path: &Path) -> Result<Json, Error> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| obs_err(&format!("reading {}", path.display()), e))?;
-    Json::parse(&text).map_err(|e| obs_err(&format!("{}", path.display()), e))
-}
-
-fn require(ok: bool, path: &Path, what: &str) -> Result<(), Error> {
+fn require(ok: bool, what: &str) -> Result<(), String> {
     if ok {
         Ok(())
     } else {
-        Err(obs_err(&format!("{}", path.display()), what))
+        Err(what.to_owned())
     }
 }
 
@@ -398,23 +454,13 @@ const HISTOGRAM_KEYS: [&str; 5] = [
     "rtb_residency",
 ];
 
-fn validate_series(path: &Path) -> Result<(), Error> {
-    let doc = parse_file(path)?;
-    require(
-        doc.get("schema_version").and_then(Json::as_u64) == Some(SERIES_SCHEMA_VERSION),
-        path,
-        "schema_version missing or unsupported",
-    )?;
-    let samples = doc
-        .get("samples")
-        .and_then(Json::as_array)
-        .ok_or_else(|| obs_err(&format!("{}", path.display()), "samples is not an array"))?;
+fn validate_series(doc: &Json) -> Result<usize, String> {
+    let samples = doc.get("samples").and_then(Json::as_array).ok_or("samples is not an array")?;
     for s in samples {
         require(
             s.get("cycle_end").and_then(Json::as_u64).is_some()
                 && s.get("ipc").and_then(Json::as_f64).is_some()
                 && s.get("stalls").and_then(|v| v.get("replay")).is_some(),
-            path,
             "sample missing cycle_end/ipc/stalls",
         )?;
     }
@@ -422,44 +468,131 @@ fn validate_series(path: &Path) -> Result<(), Error> {
         let h = doc
             .get("histograms")
             .and_then(|v| v.get(key))
-            .ok_or_else(|| obs_err(&format!("{}", path.display()), format!("histogram {key} missing")))?;
+            .ok_or_else(|| format!("histogram {key} missing"))?;
         require(
             h.get("count").and_then(Json::as_u64).is_some()
                 && h.get("buckets").and_then(Json::as_array).is_some(),
-            path,
             "histogram missing count/buckets",
         )?;
     }
-    Ok(())
+    Ok(0)
 }
 
-pub(crate) fn validate_trace(path: &Path) -> Result<usize, Error> {
-    let doc = parse_file(path)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .ok_or_else(|| obs_err(&format!("{}", path.display()), "traceEvents is not an array"))?;
-    require(!events.is_empty(), path, "traceEvents is empty")?;
+/// Checks the Chrome trace shape every trace export shares; returns the
+/// event count.
+pub(crate) fn validate_trace(doc: &Json) -> Result<usize, String> {
+    let events =
+        doc.get("traceEvents").and_then(Json::as_array).ok_or("traceEvents is not an array")?;
+    require(!events.is_empty(), "traceEvents is empty")?;
     for e in events {
         require(
             e.get("ph").and_then(Json::as_str).is_some()
                 && e.get("ts").and_then(Json::as_f64).is_some()
                 && e.get("pid").and_then(Json::as_f64).is_some(),
-            path,
             "trace event missing ph/ts/pid",
         )?;
     }
     Ok(events.len())
 }
 
-/// Validates a directory of exports: every `*.series.json` and
-/// `*.trace.json` (from `--obs`), every `*.critpath.json` (from
-/// `repro explain`), every `*.hostprof.json` (from `repro profile`),
-/// every `*.pipetrace.json` and `*.konata` (from `repro pipetrace`),
-/// and every `*.flight.json` (from `--flight`) must parse and carry
-/// the expected schema — for critpath, hostprof, and pipetrace exports
-/// that includes re-checking the identity guarantees from the file.
-/// Returns a one-line summary.
+/// How an export is read before its own checks see it. A check returns
+/// the count its summary label reports (`{events}`), or what is wrong.
+#[derive(Clone, Copy)]
+enum Format {
+    /// A JSON document that must carry this `schema_version`, if any.
+    Json(Option<u64>, fn(&Json) -> Result<usize, String>),
+    /// A text file.
+    Text(fn(&str) -> Result<usize, String>),
+}
+
+/// One kind of export `validate_dir` recognises by file-name suffix.
+struct Export {
+    suffix: &'static str,
+    /// Summary label after the file count; `{events}` is replaced by the
+    /// sum of the kind's check counts.
+    label: &'static str,
+    format: Format,
+}
+
+/// Every export kind, in summary order.
+const EXPORTS: [Export; 7] = [
+    Export {
+        suffix: ".series.json",
+        label: "series file(s)",
+        format: Format::Json(Some(SERIES_SCHEMA_VERSION), validate_series),
+    },
+    Export {
+        suffix: ".trace.json",
+        label: "Chrome trace file(s) ({events} events)",
+        format: Format::Json(None, validate_trace),
+    },
+    Export {
+        suffix: ".critpath.json",
+        label: "critpath attribution file(s)",
+        format: Format::Json(Some(explain::CRITPATH_SCHEMA_VERSION), explain::validate_critpath),
+    },
+    Export {
+        suffix: ".hostprof.json",
+        label: "hostprof profile(s)",
+        format: Format::Json(Some(profile::HOSTPROF_SCHEMA_VERSION), profile::validate_hostprof),
+    },
+    Export {
+        suffix: ".pipetrace.json",
+        label: "pipetrace export(s)",
+        format: Format::Json(
+            Some(pipetrace::PIPETRACE_SCHEMA_VERSION),
+            pipetrace::validate_pipetrace,
+        ),
+    },
+    Export {
+        suffix: ".konata",
+        label: "Konata trace(s)",
+        format: Format::Text(pipetrace::validate_konata),
+    },
+    Export {
+        suffix: ".flight.json",
+        label: "flight recording(s)",
+        format: Format::Json(None, flight::validate_flight),
+    },
+];
+
+/// Reads, parses and checks one export of the given kind; returns its
+/// check's count.
+fn validate_export(export: &Export, path: &Path) -> Result<usize, Error> {
+    let fail = |detail: String| obs_err(&path.display().to_string(), detail);
+    let text = std::fs::read_to_string(path).map_err(|e| fail(format!("reading: {e}")))?;
+    match export.format {
+        Format::Text(check) => check(&text),
+        Format::Json(schema, check) => {
+            let doc = Json::parse(&text).map_err(|e| fail(e.to_string()))?;
+            if schema.is_some() && doc.get("schema_version").and_then(Json::as_u64) != schema {
+                return Err(fail("schema_version missing or unsupported".to_owned()));
+            }
+            check(&doc)
+        }
+    }
+    .map_err(fail)
+}
+
+/// Validates one export file by its kind.
+///
+/// # Panics
+///
+/// When the file name matches no export kind.
+#[cfg(test)]
+pub(crate) fn validate_file(path: &Path) -> Result<usize, Error> {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+    let export = EXPORTS.iter().find(|e| name.ends_with(e.suffix)).expect("an export file name");
+    validate_export(export, path)
+}
+
+/// Validates a directory of exports: every file whose name ends in one
+/// of the `EXPORTS` suffixes — `--obs` series and Chrome traces,
+/// `repro explain` critpath attributions, `repro profile` host profiles,
+/// `repro pipetrace` JSON and Konata traces, `--flight` recordings —
+/// must parse and carry its kind's schema; for critpath, hostprof and
+/// pipetrace exports that includes re-checking the identity guarantees
+/// from the file. Returns a one-line summary.
 ///
 /// An empty or missing directory is a hard failure, never a vacuous
 /// pass: `repro obs-validate` exists to prove exports were produced.
@@ -471,78 +604,51 @@ pub(crate) fn validate_trace(path: &Path) -> Result<usize, Error> {
 /// [`Error::Obs`] when the directory is unreadable or holds no exports,
 /// or — listing every failing file — when any export fails validation.
 pub fn validate_dir(dir: &Path) -> Result<String, Error> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| obs_err(&format!("reading {}", dir.display()), e))?;
-    let mut names: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .collect();
+    let context = dir.display().to_string();
+    let entries = std::fs::read_dir(dir).map_err(|e| obs_err(&format!("reading {context}"), e))?;
+    let mut names: Vec<PathBuf> = entries.filter_map(Result::ok).map(|e| e.path()).collect();
     names.sort();
-    let (mut series, mut traces, mut trace_events, mut critpaths) = (0usize, 0usize, 0usize, 0usize);
-    let (mut hostprofs, mut flights, mut pipetraces, mut konatas) = (0usize, 0usize, 0usize, 0usize);
-    // Validation failures accumulate: a directory with three broken
-    // exports reports all three, not just the first one hit.
+    let mut files = [0usize; EXPORTS.len()];
+    let mut counts = [0usize; EXPORTS.len()];
     let mut failures: Vec<String> = Vec::new();
-    let mut check = |counter: &mut usize, result: Result<(), Error>| {
-        *counter += 1;
-        if let Err(e) = result {
-            failures.push(e.to_string());
-        }
-    };
     for path in &names {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        if name.ends_with(".series.json") {
-            check(&mut series, validate_series(path));
-        } else if name.ends_with(".flight.json") {
-            // Checked before `.trace.json` so a flight recording never
-            // trips the series/trace pairing rule below.
-            check(&mut flights, crate::flight::validate_flight(path).map(|_| ()));
-        } else if name.ends_with(".pipetrace.json") {
-            check(&mut pipetraces, crate::pipetrace::validate_pipetrace(path));
-        } else if name.ends_with(".konata") {
-            check(&mut konatas, crate::pipetrace::validate_konata(path));
-        } else if name.ends_with(".trace.json") {
-            check(&mut traces, validate_trace(path).map(|n| trace_events += n));
-        } else if name.ends_with(".critpath.json") {
-            check(&mut critpaths, crate::explain::validate_critpath(path));
-        } else if name.ends_with(".hostprof.json") {
-            check(&mut hostprofs, crate::profile::validate_hostprof(path));
+        let Some(kind) = EXPORTS.iter().position(|e| name.ends_with(e.suffix)) else { continue };
+        files[kind] += 1;
+        match validate_export(&EXPORTS[kind], path) {
+            Ok(n) => counts[kind] += n,
+            Err(e) => failures.push(e.to_string()),
         }
     }
     if !failures.is_empty() {
         return Err(obs_err(
-            &format!("{}", dir.display()),
+            &context,
             format!("{} invalid export(s):\n  {}", failures.len(), failures.join("\n  ")),
         ));
     }
-    if series == 0
-        && traces == 0
-        && critpaths == 0
-        && hostprofs == 0
-        && flights == 0
-        && pipetraces == 0
-        && konatas == 0
-    {
+    if files.iter().all(|&n| n == 0) {
         return Err(obs_err(
-            &format!("{}", dir.display()),
+            &context,
             "no observability exports found (empty or missing exports are a failure, \
              not a vacuous pass)",
         ));
     }
     // `--obs` always writes series and trace files in pairs; a lone kind
     // means a partial or corrupted export run.
+    let (series, traces) = (files[0], files[1]);
     if (series == 0) != (traces == 0) {
         return Err(obs_err(
-            &format!("{}", dir.display()),
+            &context,
             format!("expected both export kinds, found {series} series and {traces} trace files"),
         ));
     }
-    Ok(format!(
-        "{series} series file(s), {traces} Chrome trace file(s) ({trace_events} events), \
-         {critpaths} critpath attribution file(s), {hostprofs} hostprof profile(s), \
-         {pipetraces} pipetrace export(s), {konatas} Konata trace(s), \
-         and {flights} flight recording(s) valid"
-    ))
+    let parts: Vec<String> = EXPORTS
+        .iter()
+        .zip(files.iter().zip(counts))
+        .map(|(e, (n, count))| format!("{n} {}", e.label.replace("{events}", &count.to_string())))
+        .collect();
+    let (last, rest) = parts.split_last().expect("the export table is not empty");
+    Ok(format!("{}, and {last} valid", rest.join(", ")))
 }
 
 #[cfg(test)]
@@ -593,7 +699,8 @@ mod tests {
         let summary = validate_dir(&dir).unwrap();
         assert!(summary.contains("1 series"), "{summary}");
         // Spot-check the series export round-trips through the parser.
-        let doc = parse_file(&dir.join("compress.series.json")).unwrap();
+        let text = std::fs::read_to_string(dir.join("compress.series.json")).unwrap();
+        let doc = Json::parse(&text).unwrap();
         assert_eq!(doc.get("benchmark").and_then(Json::as_str), Some("compress"));
         assert_eq!(doc.get("sample_interval").and_then(Json::as_u64), Some(256));
         assert!(doc.get("cycles").and_then(Json::as_u64).unwrap() > 0);
@@ -613,14 +720,45 @@ mod tests {
     #[test]
     fn validate_dir_reports_every_invalid_export_not_just_the_first() {
         let dir = temp_dir("multi");
-        std::fs::write(dir.join("a.konata"), "not a konata file").unwrap();
-        std::fs::write(dir.join("b.pipetrace.json"), "{\"schema_version\":99}").unwrap();
-        std::fs::write(dir.join("c.critpath.json"), "{").unwrap();
+        let broken = [
+            ("a.konata", "not a konata file"),
+            ("b.pipetrace.json", "{\"schema_version\":99}"),
+            ("c.critpath.json", "{"),
+            ("d.series.json", "{\"schema_version\":1}"),
+            ("d.trace.json", "{\"traceEvents\":[]}"),
+            ("e.hostprof.json", "{\"schema_version\":1,\"cycles\":1}"),
+            ("f.flight.json", "{\"traceEvents\":[{\"ph\":\"i\",\"ts\":1,\"pid\":1}]}"),
+        ];
+        assert_eq!(broken.len(), EXPORTS.len(), "one broken file per export kind");
+        for (name, contents) in broken {
+            std::fs::write(dir.join(name), contents).unwrap();
+        }
         let err = validate_dir(&dir).unwrap_err().to_string();
-        assert!(err.contains("3 invalid export(s)"), "{err}");
-        for name in ["a.konata", "b.pipetrace.json", "c.critpath.json"] {
+        assert!(err.contains("7 invalid export(s)"), "{err}");
+        for (name, _) in broken {
             assert!(err.contains(name), "missing {name} in: {err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn companion_rejects_a_run_that_diverges_from_its_reference() {
+        let (trace, _) = mcl_trace::vm::trace_program_packed(
+            &mcl_workloads::scenarios::all()[0].program,
+            0,
+        )
+        .unwrap();
+        let cfg = ProcessorConfig::dual_cluster_8way();
+        let mut expected = Processor::new(cfg.clone()).run_packed(&trace).unwrap().stats;
+        expected.cycles += 1;
+        let mut probe = mcl_core::CritPathProbe::new();
+        let reference = Reference::Run(Arc::new(trace), &expected);
+        let err = companion("perturbed", &cfg, reference, Instrument::Probe(&mut probe))
+            .err()
+            .expect("a diverging run is rejected");
+        let Error::Obs(detail) = err else { panic!("expected Error::Obs, got {err}") };
+        assert!(detail.starts_with("perturbed: "), "{detail}");
+        let counts = format!("({} vs {} cycles)", expected.cycles - 1, expected.cycles);
+        assert!(detail.contains(&counts), "{detail}");
     }
 }

@@ -22,9 +22,9 @@
 //! contributes +40 cycles of the slowdown" is an identity, not an
 //! estimate.
 //!
-//! Like every probe layer, the instrumented runs are companions: the
-//! reported statistics come from the uninstrumented store simulation
-//! and the two are cross-checked for byte identity, and the probe's
+//! Like every probe layer, the instrumented runs are
+//! `obs::companion` runs: the reported statistics
+//! come from the uninstrumented store simulation, and the probe's
 //! [`PipeTrace::check_identity`] enforces retire exactness (every
 //! retired op exactly once, monotone lifecycle, well-formed edges,
 //! count equal to `SimStats` retirements).
@@ -32,13 +32,14 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use mcl_core::{PipeTrace, PipeTraceProbe, Processor, ProcessorConfig, TransferKind};
+use mcl_core::{PipeTrace, PipeTraceProbe, ProcessorConfig, SimStats, TransferKind};
 use mcl_sched::SchedulerKind;
 use mcl_trace::PackedTrace;
 use mcl_workloads::Benchmark;
 
 use crate::explain::Baseline;
 use crate::json::Json;
+use crate::obs::{companion, obs_err, write_export, Companion, Instrument, Reference};
 use crate::runner::CellCost;
 use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
@@ -49,10 +50,6 @@ pub const PIPETRACE_SCHEMA_VERSION: u64 = 1;
 /// Slips kept in the JSON export (the full ranking is summarized by
 /// `slip_total`, which is exact).
 const MAX_SLIPS: usize = 100;
-
-fn pt_err(stem: &str, detail: impl std::fmt::Display) -> Error {
-    Error::Obs(format!("pipetrace {stem}: {detail}"))
-}
 
 /// Parses a `--range A..B` value: `A..B`, `A..` (to the end) or `..B`
 /// (from the start), with `A <= B`.
@@ -72,60 +69,35 @@ pub fn parse_range(s: &str) -> Result<(u64, u64), String> {
     Ok((start, end))
 }
 
-/// One traced run: its identity, headline statistics, the lifecycle
-/// snapshot, and the packed trace for op metadata (pc, mnemonic).
+/// One traced run: its labels, statistics, the lifecycle snapshot, and
+/// the packed trace for op metadata (pc, mnemonic).
 struct TracedRun {
-    config_label: &'static str,
-    sched_label: &'static str,
-    cycles: u64,
-    retired: u64,
-    ipc: f64,
+    labels: (&'static str, &'static str),
+    stats: SimStats,
     trace: PipeTrace,
     ops: Arc<PackedTrace>,
 }
 
-/// Runs one `(request, configuration)` pair instrumented with a
-/// [`PipeTraceProbe`], cross-checks byte identity against the store's
-/// uninstrumented run, and enforces the retire-exactness identity.
-fn traced_run(
-    store: &TraceStore,
+/// Runs one companion with a [`PipeTraceProbe`] recording retired ops
+/// in `range` and enforces the retire-exactness identity
+/// ([`PipeTrace::check_identity`]). `repro pipetrace` cells and the
+/// `repro selftest` sweep both check through it.
+///
+/// # Errors
+///
+/// As [`companion`], or [`Error::Obs`] naming `stem` when the identity
+/// fails.
+pub(crate) fn record(
     stem: &str,
-    req: &TraceRequest,
     cfg: &ProcessorConfig,
-    labels: (&'static str, &'static str),
+    reference: Reference<'_>,
     range: (u64, u64),
-    cost: &mut CellCost,
-) -> Result<TracedRun, Error> {
-    let expected = store.sim(req, cfg)?;
-    cost.charge_sim(&expected);
-    let (trace, _) = store.trace(req)?;
+) -> Result<(Companion, PipeTrace), Error> {
     let mut probe = PipeTraceProbe::new(range.0, range.1);
-    let observed = Processor::new(cfg.clone())
-        .run_packed_observed(&trace, &mut probe)
-        .map_err(Error::Sim)?;
-    // Observe, never perturb: the companion's cycles are deliberately
-    // not charged, so report aggregates match a probe-free run.
-    if observed.stats != expected.stats {
-        return Err(pt_err(
-            stem,
-            format!(
-                "instrumented run diverged from the store run ({} vs {} cycles) — \
-                 probes must not affect simulation",
-                observed.stats.cycles, expected.stats.cycles
-            ),
-        ));
-    }
-    let pipetrace = probe.finish();
-    pipetrace.check_identity(observed.stats.retired).map_err(|e| pt_err(stem, e))?;
-    Ok(TracedRun {
-        config_label: labels.0,
-        sched_label: labels.1,
-        cycles: observed.stats.cycles,
-        retired: observed.stats.retired,
-        ipc: observed.stats.ipc(),
-        trace: pipetrace,
-        ops: trace,
-    })
+    let run = companion(stem, cfg, reference, Instrument::Probe(&mut probe))?;
+    let trace = probe.finish();
+    trace.check_identity(run.stats.retired).map_err(|e| obs_err(stem, e))?;
+    Ok((run, trace))
 }
 
 /// One aligned target-vs-baseline retirement with its slip: the change
@@ -168,13 +140,13 @@ fn compute_slips(
     {
         let pc = target.ops.get(op.seq as usize).pc;
         let Some(&(bpc, bretire)) = aligned.get(skipped + k) else {
-            return Err(pt_err(
+            return Err(obs_err(
                 stem,
                 format!("target op {} has no baseline counterpart", op.seq),
             ));
         };
         if pc != bpc {
-            return Err(pt_err(
+            return Err(obs_err(
                 stem,
                 format!(
                     "alignment drifted at op {}: target pc {pc:#x}, baseline pc {bpc:#x}",
@@ -195,7 +167,7 @@ fn compute_slips(
     let total = prev_t as i64 - prev_b as i64;
     let sum: i64 = slips.iter().map(|s| s.slip).sum();
     if sum != total {
-        return Err(pt_err(
+        return Err(obs_err(
             stem,
             format!("slips sum to {sum}, final retire drift is {total} — not telescoping"),
         ));
@@ -223,28 +195,23 @@ pub fn pipetrace_cell(
     baseline: Option<Baseline>,
 ) -> Result<(String, CellCost), Error> {
     let mut cost = CellCost::default();
-    let target = traced_run(
-        store,
+    let mut run = |stem: &str, req: &TraceRequest, cfg: &ProcessorConfig, labels, range| {
+        let (run, trace) = record(stem, cfg, Reference::Store(store, req, &mut cost), range)?;
+        Ok::<_, Error>(TracedRun { labels, stats: run.stats, trace, ops: run.trace })
+    };
+    let target = run(
         bench.name(),
         &TraceRequest::new(bench, scale, SchedulerKind::Local),
         &ProcessorConfig::dual_cluster_8way(),
         ("dual_cluster_8way", "local"),
         range,
-        &mut cost,
     )?;
     // The baseline records the full run: alignment needs its whole
     // architectural retire stream whatever the target range is.
     let base = baseline
         .map(|b| {
-            traced_run(
-                store,
-                &format!("{} baseline", bench.name()),
-                &b.request(bench, scale),
-                &b.config(),
-                b.labels(),
-                (0, u64::MAX),
-                &mut cost,
-            )
+            let stem = format!("{} baseline", bench.name());
+            run(&stem, &b.request(bench, scale), &b.config(), b.labels(), (0, u64::MAX))
         })
         .transpose()?;
     let slips = base
@@ -252,16 +219,9 @@ pub fn pipetrace_cell(
         .map(|b| compute_slips(bench.name(), &target, b))
         .transpose()?;
 
-    std::fs::create_dir_all(dir)
-        .map_err(|e| pt_err(bench.name(), format!("creating {}: {e}", dir.display())))?;
-    let konata_path = dir.join(format!("{}.konata", bench.name()));
-    std::fs::write(&konata_path, render_konata(&target))
-        .map_err(|e| pt_err(bench.name(), format!("writing {}: {e}", konata_path.display())))?;
-    let json_path = dir.join(format!("{}.pipetrace.json", bench.name()));
+    write_export(dir, &format!("{}.konata", bench.name()), &render_konata(&target))?;
     let doc = pipetrace_json(bench, &target, baseline, base.as_ref(), slips.as_ref());
-    std::fs::write(&json_path, doc.render() + "\n")
-        .map_err(|e| pt_err(bench.name(), format!("writing {}: {e}", json_path.display())))?;
-
+    write_export(dir, &format!("{}.pipetrace.json", bench.name()), &(doc.render() + "\n"))?;
     Ok((render_cell(bench, &target, baseline, base.as_ref(), slips.as_ref()), cost))
 }
 
@@ -360,11 +320,11 @@ fn render_konata(run: &TracedRun) -> String {
 
 fn run_json(run: &TracedRun) -> Json {
     let mut obj = Json::object();
-    obj.field("config", run.config_label.into())
-        .field("scheduler", run.sched_label.into())
-        .field("cycles", run.cycles.into())
-        .field("retired", run.retired.into())
-        .field("ipc", run.ipc.into());
+    obj.field("config", run.labels.0.into())
+        .field("scheduler", run.labels.1.into())
+        .field("cycles", run.stats.cycles.into())
+        .field("retired", run.stats.retired.into())
+        .field("ipc", run.stats.ipc().into());
     obj
 }
 
@@ -491,9 +451,9 @@ fn render_cell(
         "{}: {} op(s) traced (range {range}) of {} retired, {} cycles, IPC {:.2}",
         bench.name(),
         pt.ops.len(),
-        target.retired,
-        target.cycles,
-        target.ipc
+        target.stats.retired,
+        target.stats.cycles,
+        target.stats.ipc()
     );
     let replays: u64 = pt.ops.iter().map(|o| u64::from(o.replays)).sum();
     let _ = writeln!(
@@ -510,7 +470,7 @@ fn render_cell(
             out,
             "  vs {} ({} cycles): retire drift {total:+} cycle(s) over {} aligned op(s)",
             b.name(),
-            base.cycles,
+            base.stats.cycles,
             slips.len()
         );
         for s in slips.iter().take(5) {
@@ -533,47 +493,40 @@ fn render_cell(
 
 // -- validation -------------------------------------------------------------
 
-/// Validates one `*.pipetrace.json` export: schema version, a dense
-/// monotone op list consistent with the declared range and retirement
-/// count, referentially-intact edges, and a sane baseline block.
+/// Checks one parsed `*.pipetrace.json` export (its schema version is
+/// checked by [`crate::obs::validate_dir`]): a dense monotone op list
+/// consistent with the declared range and retirement count,
+/// referentially-intact edges, and a sane baseline block.
 ///
 /// # Errors
 ///
-/// [`Error::Obs`] describing the first violation.
-pub fn validate_pipetrace(path: &Path) -> Result<(), Error> {
-    let stem = path.display().to_string();
-    let text =
-        std::fs::read_to_string(path).map_err(|e| pt_err(&stem, format!("reading: {e}")))?;
-    let doc = Json::parse(&text).map_err(|e| pt_err(&stem, e))?;
-    let fail = |what: String| pt_err(&stem, what);
-    if doc.get("schema_version").and_then(Json::as_u64) != Some(PIPETRACE_SCHEMA_VERSION) {
-        return Err(fail("schema_version missing or unsupported".into()));
-    }
+/// The first violation.
+pub(crate) fn validate_pipetrace(doc: &Json) -> Result<usize, String> {
     let retired = doc
         .get("target")
         .and_then(|t| t.get("retired"))
         .and_then(Json::as_u64)
-        .ok_or_else(|| fail("target.retired missing".into()))?;
-    let range = doc.get("range").ok_or_else(|| fail("range missing".into()))?;
+        .ok_or("target.retired missing")?;
+    let range = doc.get("range").ok_or("range missing")?;
     let start = range
         .get("start")
         .and_then(Json::as_u64)
-        .ok_or_else(|| fail("range.start missing".into()))?;
+        .ok_or("range.start missing")?;
     let end = match range.get("end") {
         Some(Json::Null) => u64::MAX,
-        Some(v) => v.as_u64().ok_or_else(|| fail("range.end not an integer".into()))?,
-        None => return Err(fail("range.end missing".into())),
+        Some(v) => v.as_u64().ok_or("range.end not an integer")?,
+        None => return Err("range.end missing".into()),
     };
     let ops = doc
         .get("ops")
         .and_then(Json::as_array)
-        .ok_or_else(|| fail("ops array missing".into()))?;
+        .ok_or("ops array missing")?;
     let expected = end.min(retired) - start.min(retired);
     if ops.len() as u64 != expected {
-        return Err(fail(format!(
+        return Err(format!(
             "{} op(s) recorded, range {start}..{end} of {retired} retired expects {expected}",
             ops.len()
-        )));
+        ));
     }
     let first = start.min(retired);
     let mut issue_by_index = Vec::with_capacity(ops.len());
@@ -581,14 +534,14 @@ pub fn validate_pipetrace(path: &Path) -> Result<(), Error> {
         let num = |key: &str| {
             op.get(key)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| fail(format!("ops[{i}].{key} missing")))
+                .ok_or_else(|| format!("ops[{i}].{key} missing"))
         };
         let seq = num("seq")?;
         if seq != first + i as u64 {
-            return Err(fail(format!(
+            return Err(format!(
                 "ops[{i}].seq is {seq}, expected {} — retired ops appear exactly once, in order",
                 first + i as u64
-            )));
+            ));
         }
         let stages = [
             ("fetch", num("fetch")?),
@@ -600,9 +553,9 @@ pub fn validate_pipetrace(path: &Path) -> Result<(), Error> {
         for pair in stages.windows(2) {
             let ((a, at), (b, bt)) = (pair[0], pair[1]);
             if at > bt {
-                return Err(fail(format!(
+                return Err(format!(
                     "ops[{i}] lifecycle not monotone: {a} {at} > {b} {bt}"
-                )));
+                ));
             }
         }
         issue_by_index.push(stages[2].1);
@@ -610,25 +563,25 @@ pub fn validate_pipetrace(path: &Path) -> Result<(), Error> {
     let edges = doc
         .get("edges")
         .and_then(Json::as_array)
-        .ok_or_else(|| fail("edges array missing".into()))?;
+        .ok_or("edges array missing")?;
     for (i, e) in edges.iter().enumerate() {
         let num = |key: &str| {
             e.get(key)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| fail(format!("edges[{i}].{key} missing")))
+                .ok_or_else(|| format!("edges[{i}].{key} missing"))
         };
         let (producer, consumer, deliver) = (num("producer")?, num("consumer")?, num("deliver")?);
         for (name, seq) in [("producer", producer), ("consumer", consumer)] {
             if seq < first || seq >= first + ops.len() as u64 {
-                return Err(fail(format!(
+                return Err(format!(
                     "edges[{i}].{name} {seq} references no recorded op"
-                )));
+                ));
             }
         }
         if deliver > issue_by_index[(consumer - first) as usize] {
-            return Err(fail(format!(
+            return Err(format!(
                 "edges[{i}] delivered at {deliver} after consumer {consumer} issued"
-            )));
+            ));
         }
     }
     if let Some(base) = doc.get("baseline") {
@@ -636,22 +589,22 @@ pub fn validate_pipetrace(path: &Path) -> Result<(), Error> {
             let total = base
                 .get("slip_total")
                 .and_then(Json::as_i64)
-                .ok_or_else(|| fail("baseline.slip_total missing".into()))?;
+                .ok_or("baseline.slip_total missing")?;
             let slips = base
                 .get("slips")
                 .and_then(Json::as_array)
-                .ok_or_else(|| fail("baseline.slips missing".into()))?;
+                .ok_or("baseline.slips missing")?;
             let mut prev = i64::MAX;
             let mut sum = 0i64;
             for (i, s) in slips.iter().enumerate() {
                 let slip = s
                     .get("slip")
                     .and_then(Json::as_i64)
-                    .ok_or_else(|| fail(format!("baseline.slips[{i}].slip missing")))?;
+                    .ok_or_else(|| format!("baseline.slips[{i}].slip missing"))?;
                 if slip.abs() > prev {
-                    return Err(fail(format!(
+                    return Err(format!(
                         "baseline.slips[{i}] not ranked by contribution"
-                    )));
+                    ));
                 }
                 prev = slip.abs();
                 sum += slip;
@@ -661,13 +614,13 @@ pub fn validate_pipetrace(path: &Path) -> Result<(), Error> {
             let aligned =
                 base.get("aligned_ops").and_then(Json::as_u64).unwrap_or(slips.len() as u64);
             if aligned == slips.len() as u64 && sum != total {
-                return Err(fail(format!(
+                return Err(format!(
                     "baseline slips sum to {sum}, slip_total is {total}"
-                )));
+                ));
             }
         }
     }
-    Ok(())
+    Ok(0)
 }
 
 /// Validates one `*.konata` export against the Kanata 0004 grammar the
@@ -677,16 +630,13 @@ pub fn validate_pipetrace(path: &Path) -> Result<(), Error> {
 ///
 /// # Errors
 ///
-/// [`Error::Obs`] describing the first violation.
-pub fn validate_konata(path: &Path) -> Result<(), Error> {
-    let stem = path.display().to_string();
-    let text =
-        std::fs::read_to_string(path).map_err(|e| pt_err(&stem, format!("reading: {e}")))?;
-    let fail = |line: usize, what: String| pt_err(&stem, format!("line {}: {what}", line + 1));
+/// The first violation.
+pub(crate) fn validate_konata(text: &str) -> Result<usize, String> {
+    let fail = |line: usize, what: String| format!("line {}: {what}", line + 1);
     let mut lines = text.lines().enumerate();
     match lines.next() {
         Some((_, "Kanata\t0004")) => {}
-        _ => return Err(pt_err(&stem, "missing `Kanata\\t0004` header")),
+        _ => return Err("missing `Kanata\\t0004` header".into()),
     }
     let mut declared = std::collections::HashSet::new();
     let mut retired = std::collections::HashSet::new();
@@ -697,7 +647,7 @@ pub fn validate_konata(path: &Path) -> Result<(), Error> {
         }
         let fields: Vec<&str> = line.split('\t').collect();
         let tag = fields[0];
-        let num_at = |idx: usize, name: &str| -> Result<u64, Error> {
+        let num_at = |idx: usize, name: &str| -> Result<u64, String> {
             let v = fields
                 .get(idx)
                 .ok_or_else(|| fail(i, format!("{tag}: {name} missing")))?;
@@ -746,15 +696,16 @@ pub fn validate_konata(path: &Path) -> Result<(), Error> {
     }
     for id in &declared {
         if !retired.contains(id) {
-            return Err(pt_err(&stem, format!("instruction {id} never retired or flushed")));
+            return Err(format!("instruction {id} never retired or flushed"));
         }
     }
-    Ok(())
+    Ok(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::validate_file;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
@@ -787,9 +738,9 @@ mod tests {
         assert!(cost.simulated_cycles > 0);
 
         let json_path = dir.join("compress.pipetrace.json");
-        validate_pipetrace(&json_path).unwrap();
+        validate_file(&json_path).unwrap();
         let konata_path = dir.join("compress.konata");
-        validate_konata(&konata_path).unwrap();
+        validate_file(&konata_path).unwrap();
 
         let doc = Json::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
         let base = doc.get("baseline").unwrap();
@@ -807,8 +758,8 @@ mod tests {
             pipetrace_cell(&store, Benchmark::Compress, 40, &dir, (5, 60), None).unwrap();
         assert!(rendered.contains("(range 5..60)"), "{rendered}");
         let json_path = dir.join("compress.pipetrace.json");
-        validate_pipetrace(&json_path).unwrap();
-        validate_konata(&dir.join("compress.konata")).unwrap();
+        validate_file(&json_path).unwrap();
+        validate_file(&dir.join("compress.konata")).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
         let ops = doc.get("ops").unwrap().as_array().unwrap();
         assert_eq!(ops.len(), 55);
@@ -829,7 +780,7 @@ mod tests {
              \"retire\":8}],\"edges\":[],\"baseline\":null}",
         )
         .unwrap();
-        let err = validate_pipetrace(&path).unwrap_err().to_string();
+        let err = validate_file(&path).unwrap_err().to_string();
         assert!(err.contains("not monotone"), "{err}");
         // Edge referencing a missing op.
         std::fs::write(
@@ -841,16 +792,16 @@ mod tests {
              \"buffer\":\"operand\",\"occupancy\":1}],\"baseline\":null}",
         )
         .unwrap();
-        let err = validate_pipetrace(&path).unwrap_err().to_string();
+        let err = validate_file(&path).unwrap_err().to_string();
         assert!(err.contains("references no recorded op"), "{err}");
         // Konata: undeclared id.
         let kpath = dir.join("x.konata");
         std::fs::write(&kpath, "Kanata\t0004\nC=\t0\nS\t7\t0\tF\n").unwrap();
-        let err = validate_konata(&kpath).unwrap_err().to_string();
+        let err = validate_file(&kpath).unwrap_err().to_string();
         assert!(err.contains("undeclared id 7"), "{err}");
         // Konata: missing header.
         std::fs::write(&kpath, "Konata\t0004\n").unwrap();
-        let err = validate_konata(&kpath).unwrap_err().to_string();
+        let err = validate_file(&kpath).unwrap_err().to_string();
         assert!(err.contains("header"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

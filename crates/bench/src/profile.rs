@@ -12,22 +12,24 @@
 //! causes, `repro profile` attributes *host nanoseconds* to engine
 //! phases: where the wall time of a live cycle actually goes inside the
 //! simulator (dispatch, issue, wakeup, completion drains, retire,
-//! checker, fast-forward bookkeeping). The profiled run deliberately
-//! takes the real engine path — unlike probes, a [`HostProf`] does not
-//! force single-stepping — and its statistics are cross-checked for
-//! equality against the store's unprofiled run, so profiling can never
-//! perturb what it measures. Each report also carries the hard
-//! sum-to-elapsed identity ([`HostProfReport::check_identity`]), which
-//! is re-checked from the file by [`validate_hostprof`].
+//! checker, fast-forward bookkeeping). The profiled run is an
+//! `obs::companion` run that deliberately takes the real engine path —
+//! unlike probes, a [`HostProf`](mcl_core::HostProf) does not force
+//! single-stepping — so profiling can never perturb what it measures.
+//! Each report also carries the hard sum-to-elapsed identity
+//! ([`HostProfReport::check_identity`]), which `repro obs-validate`
+//! re-checks from the file.
 
 use std::path::Path;
 
 use mcl_core::obs::hostprof::HOSTPROF_SLOP_NS;
-use mcl_core::{HostPhase, HostProfReport, Processor, ProcessorConfig};
+use mcl_core::obs::NullProbe;
+use mcl_core::{HostPhase, HostProfReport, ProcessorConfig};
 use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
 use crate::json::Json;
+use crate::obs::{companion, obs_err, write_export, Instrument, Reference};
 use crate::runner::CellCost;
 use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
@@ -35,40 +37,34 @@ use crate::{Error, TraceStore};
 /// Schema version of the `*.hostprof.json` exports.
 pub const HOSTPROF_SCHEMA_VERSION: u64 = 1;
 
-fn profile_err(stem: &str, detail: impl std::fmt::Display) -> Error {
-    Error::Obs(format!("hostprof {stem}: {detail}"))
-}
-
-/// Runs one profiled companion of the dual-cluster local-scheduler cell
-/// and cross-checks it against the store's unprofiled run.
-fn profiled_run(
-    store: &TraceStore,
+/// Runs one profiled companion and enforces the host-profile identity:
+/// phase nanoseconds sum to the sampled span, the profiler counted the
+/// run's cycles, and no more live cycles than that. `repro profile`
+/// cells and the `repro selftest` sweep both check through it.
+///
+/// # Errors
+///
+/// As [`companion`], or [`Error::Obs`] naming `stem` when the identity
+/// fails.
+pub(crate) fn profile(
     stem: &str,
-    req: &TraceRequest,
     cfg: &ProcessorConfig,
-    cost: &mut CellCost,
+    reference: Reference<'_>,
 ) -> Result<HostProfReport, Error> {
-    let expected = store.sim(req, cfg)?;
-    cost.charge_sim(&expected);
-    let (trace, _) = store.trace(req)?;
-    let (result, report) = Processor::new(cfg.clone())
-        .run_packed_profiled(&trace)
-        .map_err(Error::Sim)?;
-    // Observe, never perturb: a profiler only reads the host clock, so
-    // the simulated machine must be bit-identical to the unprofiled run.
-    if result.stats != expected.stats {
-        return Err(profile_err(
+    let run = companion(stem, cfg, reference, Instrument::<NullProbe>::HostProf)?;
+    let report = run.hostprof.expect("a profiled companion carries its report");
+    report.check_identity().map_err(|e| obs_err(stem, e))?;
+    if report.cycles != run.stats.cycles {
+        return Err(obs_err(
             stem,
             format!(
-                "profiled run diverged from the store run ({} vs {} cycles) — \
-                 host profiling must not affect simulation",
-                result.stats.cycles, expected.stats.cycles
+                "profiler saw {} cycles, simulator reported {}",
+                report.cycles, run.stats.cycles
             ),
         ));
     }
-    report.check_identity().map_err(|e| profile_err(stem, e))?;
     if report.live_cycles > report.cycles {
-        return Err(profile_err(
+        return Err(obs_err(
             stem,
             format!(
                 "profiler counted {} live cycles in a {}-cycle run",
@@ -95,21 +91,13 @@ pub fn profile_cell(
     dir: &Path,
 ) -> Result<(String, CellCost), Error> {
     let mut cost = CellCost::default();
-    let report = profiled_run(
-        store,
+    let report = profile(
         bench.name(),
-        &TraceRequest::new(bench, scale, SchedulerKind::Local),
         &ProcessorConfig::dual_cluster_8way(),
-        &mut cost,
+        Reference::Store(store, &TraceRequest::new(bench, scale, SchedulerKind::Local), &mut cost),
     )?;
-
-    std::fs::create_dir_all(dir)
-        .map_err(|e| profile_err(bench.name(), format!("creating {}: {e}", dir.display())))?;
-    let path = dir.join(format!("{}.hostprof.json", bench.name()));
     let doc = hostprof_json(bench, &report);
-    std::fs::write(&path, doc.render() + "\n")
-        .map_err(|e| profile_err(bench.name(), format!("writing {}: {e}", path.display())))?;
-
+    write_export(dir, &format!("{}.hostprof.json", bench.name()), &(doc.render() + "\n"))?;
     Ok((render_cell(bench, &report), cost))
 }
 
@@ -175,61 +163,47 @@ fn render_cell(bench: Benchmark, report: &HostProfReport) -> String {
     out
 }
 
-/// Validates one `*.hostprof.json` export: schema version, a complete
-/// per-phase breakdown, and — re-checked from the file itself — the
-/// sum-to-elapsed identity (phase buckets sum to no more than
-/// `elapsed_ns` and trail it by at most the file's recorded `slop_ns`).
+/// Checks one parsed `*.hostprof.json` export (its schema version is
+/// checked by [`crate::obs::validate_dir`]): a complete per-phase
+/// breakdown and — re-checked from the file itself — the sum-to-elapsed
+/// identity (phase buckets sum to no more than `elapsed_ns` and trail it
+/// by at most the file's recorded `slop_ns`).
 ///
 /// # Errors
 ///
-/// [`Error::Obs`] describing the first violation.
-pub fn validate_hostprof(path: &Path) -> Result<(), Error> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| profile_err(&path.display().to_string(), format!("reading: {e}")))?;
-    let doc = Json::parse(&text)
-        .map_err(|e| profile_err(&path.display().to_string(), e))?;
-    let fail = |what: &str| profile_err(&path.display().to_string(), what.to_owned());
-    if doc.get("schema_version").and_then(Json::as_u64) != Some(HOSTPROF_SCHEMA_VERSION) {
-        return Err(fail("schema_version missing or unsupported"));
-    }
-    for key in ["cycles", "live_cycles", "elapsed_ns", "slop_ns"] {
-        if doc.get(key).and_then(Json::as_u64).is_none() {
-            return Err(fail(&format!("{key} missing")));
-        }
-    }
-    let cycles = doc.get("cycles").and_then(Json::as_u64).unwrap();
-    let live = doc.get("live_cycles").and_then(Json::as_u64).unwrap();
+/// The first violation.
+pub(crate) fn validate_hostprof(doc: &Json) -> Result<usize, String> {
+    let field =
+        |key: &str| doc.get(key).and_then(Json::as_u64).ok_or_else(|| format!("{key} missing"));
+    let (cycles, live) = (field("cycles")?, field("live_cycles")?);
+    let (elapsed, slop) = (field("elapsed_ns")?, field("slop_ns")?);
     if live == 0 || live > cycles {
-        return Err(fail(&format!("implausible live_cycles {live} of {cycles} cycles")));
+        return Err(format!("implausible live_cycles {live} of {cycles} cycles"));
     }
-    let elapsed = doc.get("elapsed_ns").and_then(Json::as_u64).unwrap();
-    let slop = doc.get("slop_ns").and_then(Json::as_u64).unwrap();
-    let phases = doc
-        .get("phase_ns")
-        .ok_or_else(|| fail("phase_ns object missing"))?;
+    let phases = doc.get("phase_ns").ok_or("phase_ns object missing")?;
     let mut sum = 0u64;
     for phase in HostPhase::ALL {
-        sum += phases.get(phase.name()).and_then(Json::as_u64).ok_or_else(|| {
-            fail(&format!("phase_ns.{} missing", phase.name()))
-        })?;
+        sum += phases
+            .get(phase.name())
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("phase_ns.{} missing", phase.name()))?;
     }
     if sum > elapsed {
-        return Err(fail(&format!(
-            "identity violated: phases sum to {sum} ns, elapsed is {elapsed} ns"
-        )));
+        return Err(format!("identity violated: phases sum to {sum} ns, elapsed is {elapsed} ns"));
     }
     if elapsed - sum > slop {
-        return Err(fail(&format!(
+        return Err(format!(
             "identity violated: {} ns unattributed (slop {slop} ns)",
             elapsed - sum
-        )));
+        ));
     }
-    Ok(())
+    Ok(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::validate_file;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
@@ -249,7 +223,7 @@ mod tests {
         assert!(cost.simulated_cycles > 0);
 
         let path = dir.join("compress.hostprof.json");
-        validate_hostprof(&path).unwrap();
+        validate_file(&path).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("benchmark").and_then(Json::as_str), Some("compress"));
         assert_eq!(doc.get("scheduler").and_then(Json::as_str), Some("local"));
@@ -285,7 +259,7 @@ mod tests {
              \"ns_per_live_cycle\":1.0,\"phase_ns\":{{{phases}}}}}"
         );
         std::fs::write(&path, doc).unwrap();
-        let err = validate_hostprof(&path).unwrap_err().to_string();
+        let err = validate_file(&path).unwrap_err().to_string();
         assert!(err.contains("identity violated"), "{err}");
         // An unattributed gap past the recorded slop also fails.
         let doc = format!(
@@ -294,7 +268,7 @@ mod tests {
              \"ns_per_live_cycle\":1.0,\"phase_ns\":{{{phases}}}}}"
         );
         std::fs::write(&path, doc).unwrap();
-        let err = validate_hostprof(&path).unwrap_err().to_string();
+        let err = validate_file(&path).unwrap_err().to_string();
         assert!(err.contains("unattributed"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -304,14 +278,14 @@ mod tests {
         let dir = temp_dir("missing");
         let path = dir.join("x.hostprof.json");
         std::fs::write(&path, "{\"schema_version\":99}").unwrap();
-        assert!(validate_hostprof(&path).is_err(), "wrong schema_version");
+        assert!(validate_file(&path).is_err(), "wrong schema_version");
         std::fs::write(
             &path,
             "{\"schema_version\":1,\"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":10,\
              \"slop_ns\":10,\"phase_ns\":{\"dispatch\":1}}",
         )
         .unwrap();
-        let err = validate_hostprof(&path).unwrap_err().to_string();
+        let err = validate_file(&path).unwrap_err().to_string();
         assert!(err.contains("phase_ns.timeq missing"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

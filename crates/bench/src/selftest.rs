@@ -11,23 +11,16 @@
 //!   equal a from-scratch schedule/trace/simulate of the same cell;
 //! - [`jobs_agree`] — the worker pool at `--jobs N` must produce the
 //!   payloads of a serial run;
-//! - [`stall_identity`] — every benchmark × machine preset must satisfy
-//!   the stall-accounting identity of [`mcl_core::stats::SimStats`]
-//!   (every cycle lands in exactly one dispatch/drain/stall bucket);
-//! - [`critpath_identity`] — every benchmark × machine preset, rerun
-//!   with a [`mcl_core::CritPathProbe`] attached, must satisfy the
-//!   critical-path attribution identity (per-cause cycles sum exactly
-//!   to total cycles) without perturbing the statistics;
-//! - [`pipetrace_identity`] — every benchmark × machine preset, rerun
-//!   with a [`mcl_core::PipeTraceProbe`] attached, must satisfy the
-//!   retire-exactness identity (every retired op recorded exactly once,
-//!   monotone lifecycle stamps, well-formed dataflow edges, count equal
-//!   to the simulator's retirements) without perturbing the statistics;
-//! - [`hostprof_identity`] — every benchmark × machine preset, rerun
-//!   with the host phase profiler
-//!   ([`mcl_core::Processor::run_packed_profiled`]), must satisfy the
-//!   sum-to-elapsed identity (phase nanoseconds telescope to the
-//!   sampled host span) without perturbing the statistics;
+//! - [`IDENTITY_SWEEPS`], run by [`identity_sweep`] — every benchmark ×
+//!   scheduler × machine preset must satisfy the stall-accounting
+//!   identity of [`mcl_core::stats::SimStats`] (every cycle lands in
+//!   exactly one dispatch/drain/stall bucket), and, rerun as a companion
+//!   of each probe tool, that tool's identity without perturbing the
+//!   statistics: critical-path attribution (per-cause cycles sum exactly
+//!   to total cycles), pipetrace retire exactness (every retired op
+//!   recorded exactly once, monotone lifecycle stamps, well-formed
+//!   dataflow edges, count equal to the simulator's retirements) and
+//!   the host profile's sum-to-elapsed identity;
 //! - [`fuzz_checker`] — randomized straightline programs (deterministic
 //!   [`mcl_testutil::Rng`] seeds) run under the cycle-level invariant
 //!   checker on both machine presets, and the checker must neither fire
@@ -54,7 +47,9 @@ use mcl_testutil::Rng;
 use mcl_trace::{vm::trace_program, PackedDecodeError, PackedTrace, Program, ProgramBuilder};
 use mcl_workloads::Benchmark;
 
+use crate::obs::{obs_err, Reference};
 use crate::runner::{run_cells, Cell, CellCost};
+use crate::{explain, pipetrace, profile};
 use crate::{schedule_and_trace, simulate, Error, TraceRequest, TraceStore};
 
 fn quick_scale(bench: Benchmark, divisor: u32) -> u32 {
@@ -174,25 +169,82 @@ pub fn jobs_agree(divisor: u32) -> Result<(String, CellCost), Error> {
     Ok((format!("{} cells agree between --jobs 1 and --jobs 4", serial.len()), cost))
 }
 
-/// Every repro benchmark, on every machine preset, must satisfy the
-/// stall-accounting identity documented on
-/// [`mcl_core::stats::SimStats`]: total cycles = dispatching cycles +
-/// drain cycles + the six stall counters, i.e. the simulator charged
-/// every cycle to exactly one bucket.
-///
-/// # Errors
-///
-/// [`Error::SelfCheck`] naming the first unbalanced cell; harness
-/// errors propagate.
-pub fn stall_identity(divisor: u32) -> Result<(String, CellCost), Error> {
+/// A check one cell of an identity sweep must pass: the cell's stem,
+/// configuration, store and request, and the cost to charge.
+type CellCheck =
+    fn(&str, &ProcessorConfig, &TraceStore, &TraceRequest, &mut CellCost) -> Result<(), Error>;
+
+/// One identity sweep of `repro selftest`: a check every benchmark ×
+/// scheduler × machine preset cell must pass.
+#[derive(Clone, Copy)]
+pub struct IdentitySweep {
+    /// The selftest cell name.
+    pub name: &'static str,
+    /// What the success detail says of the swept cells.
+    outcome: &'static str,
+    check: CellCheck,
+}
+
+/// The identity sweeps. The stall sweep checks the stall-accounting
+/// identity of the store's run ([`mcl_core::SimStats::check_stall_identity`]);
+/// the others rerun each cell as a companion of one probe tool, through
+/// the same identity function that tool's `repro` cells use. The
+/// tiny-buffer preset forces replay exceptions through every probe.
+pub const IDENTITY_SWEEPS: [IdentitySweep; 4] = [
+    IdentitySweep {
+        name: "stall-identity",
+        outcome: "cells balance",
+        check: |stem, cfg, store, req, cost| {
+            let product = store.sim(req, cfg)?;
+            cost.charge_sim(&product);
+            product.stats.check_stall_identity().map_err(|e| obs_err(stem, e))
+        },
+    },
+    IdentitySweep {
+        name: "critpath-identity",
+        outcome: "attributions balance",
+        check: |stem, cfg, store, req, cost| {
+            explain::attribute(stem, cfg, Reference::Store(store, req, cost)).map(drop)
+        },
+    },
+    IdentitySweep {
+        name: "pipetrace-identity",
+        outcome: "lifecycles exact",
+        check: |stem, cfg, store, req, cost| {
+            pipetrace::record(stem, cfg, Reference::Store(store, req, cost), (0, u64::MAX))
+                .map(drop)
+        },
+    },
+    IdentitySweep {
+        name: "hostprof-identity",
+        outcome: "profiles balance",
+        check: |stem, cfg, store, req, cost| {
+            profile::profile(stem, cfg, Reference::Store(store, req, cost)).map(drop)
+        },
+    },
+];
+
+/// Single-cluster, dual-cluster, and dual-cluster with one-entry
+/// transfer buffers (which forces replay exceptions).
+fn presets() -> [(&'static str, ProcessorConfig); 3] {
     let mut tiny = ProcessorConfig::dual_cluster_8way();
     tiny.operand_buffer = 1;
     tiny.result_buffer = 1;
-    let presets = [
+    [
         ("single", ProcessorConfig::single_cluster_8way()),
         ("dual", ProcessorConfig::dual_cluster_8way()),
         ("dual-tiny-buffers", tiny),
-    ];
+    ]
+}
+
+/// Runs `sweep`'s check on every benchmark × scheduler × machine preset.
+///
+/// # Errors
+///
+/// [`Error::SelfCheck`] naming the sweep and the first failing cell;
+/// harness errors propagate.
+pub fn identity_sweep(divisor: u32, sweep: IdentitySweep) -> Result<(String, CellCost), Error> {
+    let presets = presets();
     let store = TraceStore::new();
     let mut cost = CellCost::default();
     let mut cells = 0u32;
@@ -200,211 +252,16 @@ pub fn stall_identity(divisor: u32) -> Result<(String, CellCost), Error> {
         for kind in [SchedulerKind::Naive, SchedulerKind::Local] {
             let req = TraceRequest::new(bench, quick_scale(bench, divisor), kind);
             for (preset, cfg) in &presets {
-                let product = store.sim(&req, cfg)?;
-                cost.charge_sim(&product);
-                product.stats.check_stall_identity().map_err(|detail| {
-                    mismatch(
-                        "stall-identity",
-                        format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
-                    )
+                let stem = format!("{}/{kind:?}/{preset}", bench.name());
+                (sweep.check)(&stem, cfg, &store, &req, &mut cost).map_err(|e| match e {
+                    Error::Obs(detail) => mismatch(sweep.name, detail),
+                    e => e,
                 })?;
                 cells += 1;
             }
         }
     }
-    Ok((format!("{cells} benchmark × scheduler × preset cells balance"), cost))
-}
-
-/// Every benchmark × scheduler × machine preset, rerun with a
-/// [`mcl_core::CritPathProbe`] attached, must satisfy the critical-path
-/// attribution identity ([`mcl_core::CritAttribution::check_identity`]):
-/// the per-cause cycle breakdown sums exactly to the run's total cycles.
-/// The instrumented run must also reproduce the uninstrumented store
-/// run's statistics bit for bit — attaching the attribution probe can
-/// never change what it measures.
-///
-/// # Errors
-///
-/// [`Error::SelfCheck`] naming the first unbalanced or diverging cell;
-/// harness errors propagate.
-pub fn critpath_identity(divisor: u32) -> Result<(String, CellCost), Error> {
-    use mcl_core::CritPathProbe;
-
-    let mut tiny = ProcessorConfig::dual_cluster_8way();
-    tiny.operand_buffer = 1;
-    tiny.result_buffer = 1;
-    let presets = [
-        ("single", ProcessorConfig::single_cluster_8way()),
-        ("dual", ProcessorConfig::dual_cluster_8way()),
-        ("dual-tiny-buffers", tiny),
-    ];
-    let store = TraceStore::new();
-    let mut cost = CellCost::default();
-    let mut cells = 0u32;
-    for bench in Benchmark::ALL {
-        for kind in [SchedulerKind::Naive, SchedulerKind::Local] {
-            let req = TraceRequest::new(bench, quick_scale(bench, divisor), kind);
-            for (preset, cfg) in &presets {
-                let cell = |detail: String| {
-                    mismatch(
-                        "critpath-identity",
-                        format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
-                    )
-                };
-                let product = store.sim(&req, cfg)?;
-                cost.charge_sim(&product);
-                let (trace, _) = store.trace(&req)?;
-                let mut probe = CritPathProbe::new();
-                let observed =
-                    Processor::new((*cfg).clone()).run_packed_observed(&trace, &mut probe)?;
-                if observed.stats != product.stats {
-                    return Err(cell(format!(
-                        "instrumented run diverged ({} vs {} cycles)",
-                        observed.stats.cycles, product.stats.cycles
-                    )));
-                }
-                let attr = probe.attribution(observed.stats.cycles);
-                attr.check_identity(observed.stats.cycles).map_err(cell)?;
-                if attr.retired != observed.stats.retired {
-                    return Err(cell(format!(
-                        "probe saw {} retirements, simulator reported {}",
-                        attr.retired, observed.stats.retired
-                    )));
-                }
-                cells += 1;
-            }
-        }
-    }
-    Ok((format!("{cells} benchmark × scheduler × preset attributions balance"), cost))
-}
-
-/// Every benchmark × scheduler × machine preset, rerun with a
-/// [`mcl_core::PipeTraceProbe`] attached, must satisfy the
-/// retire-exactness identity ([`mcl_core::PipeTrace::check_identity`]):
-/// every retired op recorded exactly once with a monotone
-/// fetch ≤ dispatch ≤ issue ≤ complete ≤ retire lifecycle, every
-/// dataflow edge referencing recorded ops, and the op count equal to
-/// the simulator's retirement count. The instrumented run must also
-/// reproduce the uninstrumented store run's statistics bit for bit —
-/// tracing lifecycles can never change them.
-///
-/// # Errors
-///
-/// [`Error::SelfCheck`] naming the first violating or diverging cell;
-/// harness errors propagate.
-///
-/// The tiny-buffer preset forces replay exceptions through the probe,
-/// so flushed-incarnation bookkeeping is covered on every benchmark.
-pub fn pipetrace_identity(divisor: u32) -> Result<(String, CellCost), Error> {
-    use mcl_core::PipeTraceProbe;
-
-    let mut tiny = ProcessorConfig::dual_cluster_8way();
-    tiny.operand_buffer = 1;
-    tiny.result_buffer = 1;
-    let presets = [
-        ("single", ProcessorConfig::single_cluster_8way()),
-        ("dual", ProcessorConfig::dual_cluster_8way()),
-        ("dual-tiny-buffers", tiny),
-    ];
-    let store = TraceStore::new();
-    let mut cost = CellCost::default();
-    let mut cells = 0u32;
-    for bench in Benchmark::ALL {
-        for kind in [SchedulerKind::Naive, SchedulerKind::Local] {
-            let req = TraceRequest::new(bench, quick_scale(bench, divisor), kind);
-            for (preset, cfg) in &presets {
-                let cell = |detail: String| {
-                    mismatch(
-                        "pipetrace-identity",
-                        format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
-                    )
-                };
-                let product = store.sim(&req, cfg)?;
-                cost.charge_sim(&product);
-                let (trace, _) = store.trace(&req)?;
-                let mut probe = PipeTraceProbe::new(0, u64::MAX);
-                let observed =
-                    Processor::new((*cfg).clone()).run_packed_observed(&trace, &mut probe)?;
-                if observed.stats != product.stats {
-                    return Err(cell(format!(
-                        "instrumented run diverged ({} vs {} cycles)",
-                        observed.stats.cycles, product.stats.cycles
-                    )));
-                }
-                probe.finish().check_identity(observed.stats.retired).map_err(cell)?;
-                cells += 1;
-            }
-        }
-    }
-    Ok((format!("{cells} benchmark × scheduler × preset lifecycles exact"), cost))
-}
-
-/// Every benchmark × scheduler × machine preset, rerun with the host
-/// phase profiler ([`mcl_core::Processor::run_packed_profiled`]), must
-/// satisfy the sum-to-elapsed identity
-/// ([`mcl_core::HostProfReport::check_identity`]): the per-phase host
-/// nanoseconds telescope — one clock sample ends one phase and starts
-/// the next — so they sum exactly to the sampled span, and the span
-/// tracks the cell's elapsed wall time within the stated slop. The
-/// profiled run must also reproduce the uninstrumented store run's
-/// statistics bit for bit — charging host time to phases can never
-/// change what the machine does.
-///
-/// # Errors
-///
-/// [`Error::SelfCheck`] naming the first unbalanced or diverging cell;
-/// harness errors propagate.
-pub fn hostprof_identity(divisor: u32) -> Result<(String, CellCost), Error> {
-    let mut tiny = ProcessorConfig::dual_cluster_8way();
-    tiny.operand_buffer = 1;
-    tiny.result_buffer = 1;
-    let presets = [
-        ("single", ProcessorConfig::single_cluster_8way()),
-        ("dual", ProcessorConfig::dual_cluster_8way()),
-        ("dual-tiny-buffers", tiny),
-    ];
-    let store = TraceStore::new();
-    let mut cost = CellCost::default();
-    let mut cells = 0u32;
-    for bench in Benchmark::ALL {
-        for kind in [SchedulerKind::Naive, SchedulerKind::Local] {
-            let req = TraceRequest::new(bench, quick_scale(bench, divisor), kind);
-            for (preset, cfg) in &presets {
-                let cell = |detail: String| {
-                    mismatch(
-                        "hostprof-identity",
-                        format!("{}/{kind:?}/{preset}: {detail}", bench.name()),
-                    )
-                };
-                let product = store.sim(&req, cfg)?;
-                cost.charge_sim(&product);
-                let (trace, _) = store.trace(&req)?;
-                let (profiled, report) =
-                    Processor::new((*cfg).clone()).run_packed_profiled(&trace)?;
-                if profiled.stats != product.stats {
-                    return Err(cell(format!(
-                        "profiled run diverged ({} vs {} cycles)",
-                        profiled.stats.cycles, product.stats.cycles
-                    )));
-                }
-                report.check_identity().map_err(cell)?;
-                if report.cycles != profiled.stats.cycles {
-                    return Err(cell(format!(
-                        "profiler saw {} cycles, simulator reported {}",
-                        report.cycles, profiled.stats.cycles
-                    )));
-                }
-                if report.live_cycles > report.cycles {
-                    return Err(cell(format!(
-                        "{} live cycles exceed {} total cycles",
-                        report.live_cycles, report.cycles
-                    )));
-                }
-                cells += 1;
-            }
-        }
-    }
-    Ok((format!("{cells} benchmark × scheduler × preset profiles balance"), cost))
+    Ok((format!("{cells} benchmark × scheduler × preset {}", sweep.outcome), cost))
 }
 
 /// A random but valid straightline program: integer and floating-point
@@ -457,20 +314,13 @@ fn random_program(rng: &mut Rng) -> Program<ArchReg> {
 /// [`Error::SelfCheck`] if the checker fires on, or perturbs, a valid
 /// program.
 pub fn fuzz_checker(cases: u64) -> Result<(String, CellCost), Error> {
-    let mut tiny = ProcessorConfig::dual_cluster_8way();
-    tiny.operand_buffer = 1;
-    tiny.result_buffer = 1;
-    let presets = [
-        ProcessorConfig::single_cluster_8way(),
-        ProcessorConfig::dual_cluster_8way(),
-        tiny,
-    ];
+    let presets = presets();
     let mut cost = CellCost::default();
     for seed in 0..cases {
         let mut rng = Rng::new(seed);
         let program = random_program(&mut rng);
         let (trace, _) = trace_program(&program).map_err(Error::Vm)?;
-        for cfg in &presets {
+        for (_, cfg) in &presets {
             let off = cfg.clone().with_check_level(CheckLevel::Off);
             let baseline = Processor::new(off)
                 .run_trace(&trace)
@@ -707,32 +557,31 @@ mod tests {
         jobs_agree(divisor).unwrap();
     }
 
-    #[test]
-    fn stall_identity_holds_at_a_coarse_scale() {
-        let (detail, cost) = stall_identity(64).unwrap();
+    fn sweep_holds_at_a_coarse_scale(name: &str) {
+        let sweep = IDENTITY_SWEEPS.into_iter().find(|s| s.name == name).unwrap();
+        let (detail, cost) = identity_sweep(64, sweep).unwrap();
         assert!(detail.contains("36 benchmark"), "{detail}");
         assert!(cost.simulated_cycles > 0);
+    }
+
+    #[test]
+    fn stall_identity_holds_at_a_coarse_scale() {
+        sweep_holds_at_a_coarse_scale("stall-identity");
     }
 
     #[test]
     fn critpath_identity_holds_at_a_coarse_scale() {
-        let (detail, cost) = critpath_identity(64).unwrap();
-        assert!(detail.contains("36 benchmark"), "{detail}");
-        assert!(cost.simulated_cycles > 0);
+        sweep_holds_at_a_coarse_scale("critpath-identity");
     }
 
     #[test]
     fn pipetrace_identity_holds_at_a_coarse_scale() {
-        let (detail, cost) = pipetrace_identity(64).unwrap();
-        assert!(detail.contains("36 benchmark"), "{detail}");
-        assert!(cost.simulated_cycles > 0);
+        sweep_holds_at_a_coarse_scale("pipetrace-identity");
     }
 
     #[test]
     fn hostprof_identity_holds_at_a_coarse_scale() {
-        let (detail, cost) = hostprof_identity(64).unwrap();
-        assert!(detail.contains("36 benchmark"), "{detail}");
-        assert!(cost.simulated_cycles > 0);
+        sweep_holds_at_a_coarse_scale("hostprof-identity");
     }
 
     #[test]

@@ -152,6 +152,38 @@ fn removed_engine_and_history_arguments_are_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A command-specific flag on a command that would ignore it is a
+/// usage error naming the flag, and nothing runs.
+#[test]
+fn a_flag_the_command_does_not_read_is_rejected() {
+    let dir = temp_dir("unread-flag");
+    let cases: [(&[&str], &str); 7] = [
+        (&["explain", "64", "--out", "zz"], "--out"),
+        (&["profile", "64", "--range", "0..5"], "--range"),
+        (&["profile", "64", "--baseline", "single"], "--baseline"),
+        (&["mix", "64", "--obs", "d"], "--obs"),
+        (&["explain", "64", "--obs", "d", "--sample-interval", "64"], "--sample-interval"),
+        (&["table2", "64", "--sample-interval", "64"], "--sample-interval"),
+        (&["pipetrace", "64", "--obs", "d", "--out", "zz"], "--obs"),
+    ];
+    for (args, flag) in cases {
+        assert_rejected_with_env(&dir, args, &[("MCL_ONLY", "ora")], flag);
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "rejected runs must write nothing: {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_repeated_value_flag_is_rejected() {
+    let dir = temp_dir("repeated-flag");
+    assert_rejected(&dir, &["table2", "64", "--obs", "a", "--obs", "b"], "--obs");
+    assert_rejected(&dir, &["table2", "64", "--jobs", "1", "--jobs=2"], "--jobs");
+    assert_rejected(&dir, &["pipetrace", "64", "--range=0..5", "--range", "5..9"], "--range");
+    assert!(!dir.join("BENCH_repro.json").exists(), "rejected runs must not write a report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn range_flag_rejects_malformed_values() {
     let dir = temp_dir("range");

@@ -192,6 +192,26 @@ grep -q 'vs single (' "$smoke_dir/pipetrace_diff.txt" || {
 }
 target/release/repro obs-validate "$smoke_dir/pipetrace_diff"
 
+echo "== smoke: every export kind in one directory =="
+# obs-validate ignores files whose suffix matches no export kind, so a
+# kind whose table entry stopped matching would pass silently. One
+# directory holding every kind must be counted as seven nonzero kinds.
+all_dir="$smoke_dir/all_exports"
+for cmd in "table2 8 --obs $all_dir" "explain 8 --baseline single --obs $all_dir" \
+        "profile 8 --obs $all_dir" "pipetrace 8 --out $all_dir"; do
+    # shellcheck disable=SC2086 # word-splitting the command is intended
+    (cd "$smoke_dir" && MCL_ONLY=compress "$OLDPWD/target/release/repro" $cmd > /dev/null)
+done
+cp "$smoke_dir/run.flight.json" "$all_dir/"
+target/release/repro obs-validate "$all_dir" | tee "$smoke_dir/all_exports.txt"
+for kind in 'series file' 'Chrome trace file' 'critpath attribution file' 'hostprof profile' \
+        'pipetrace export' 'Konata trace' 'flight recording'; do
+    grep -Eq "(^|[ :])[1-9][0-9]* ${kind}" "$smoke_dir/all_exports.txt" || {
+        echo "FAIL: obs-validate counted no ${kind}(s) in a directory holding every kind" >&2
+        exit 1
+    }
+done
+
 echo "== smoke: chaos fault-injection campaign =="
 # Every injected fault must surface as a structured error (invariant
 # violation or wedge) — never silently perturb statistics. The campaign
