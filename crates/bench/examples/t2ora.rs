@@ -35,8 +35,8 @@ fn main() {
         let native = TraceRequest::new(Benchmark::Ora, Benchmark::Ora.scaled(1), SchedulerKind::Naive);
         let local = TraceRequest::new(Benchmark::Ora, Benchmark::Ora.scaled(1), SchedulerKind::Local);
         let start = Instant::now();
-        let (nt, _) = store.trace(&native).expect("trace");
-        let (lt, _) = store.trace(&local).expect("trace");
+        let nt = store.trace(&native).expect("trace");
+        let lt = store.trace(&local).expect("trace");
         t_trace = t_trace.min(start.elapsed().as_secs_f64());
         let cfgs = [
             ProcessorConfig::single_cluster_8way(),

@@ -30,15 +30,17 @@
 //! available parallelism. Results are collected in cell order before
 //! anything is printed, so the output is byte-identical for every job
 //! count. Each run also writes `BENCH_repro.json` with per-cell wall
-//! time, simulated cycles, throughput, and completion status.
+//! time, simulated cycles, throughput, and completion status. The
+//! per-cell wall clock and the run's total are the report's only host
+//! timers; `--flight` splits host time into the benchmark's layers.
 //!
 //! Arguments a command does not use are errors: an unknown `--flag`, a
 //! flag given twice, a second positional argument, a divisor that is
-//! not a `u32`, or one of `--obs`, `--sample-interval`, `--baseline`,
-//! `--range` and `--out` on a command that would ignore it. So is an
-//! unknown benchmark name, in `repro pipeline NAME` or in `MCL_ONLY`
-//! (which restricts `table2`, `explain`, `profile`, `pipetrace` and
-//! `all` to one benchmark).
+//! not a positive `u32`, or one of `--obs`, `--sample-interval`,
+//! `--baseline`, `--range` and `--out` on a command that would ignore
+//! it. So is an unknown benchmark name, in `repro pipeline NAME` or in
+//! `MCL_ONLY` (which restricts `table2`, `explain`, `profile`,
+//! `pipetrace` and `all` to one benchmark).
 //!
 //! Robustness flags:
 //!
@@ -48,10 +50,11 @@
 //! - `--check LEVEL` — run every simulation with the architectural
 //!   invariant checker at `off`, `retire`, or `cycle` level
 //!   (see `mcl_core::check`).
-//! - `--watchdog SECS` — each cell's simulations run under a hard
-//!   cooperative deadline: a cell whose simulation exceeds the budget is
-//!   cancelled with a structured timeout error and the run exits
-//!   nonzero. Cells that overrun the budget *outside* the simulator
+//! - `--watchdog SECS` — a positive budget whose deadline is
+//!   representable (so not `inf`). Each cell's simulations run under a
+//!   hard cooperative deadline: a cell whose simulation exceeds the
+//!   budget is cancelled with a structured timeout error and the run
+//!   exits nonzero. Cells that overrun the budget *outside* the simulator
 //!   (trace building, rendering) still complete, are marked
 //!   `watchdog_exceeded` in `BENCH_repro.json`, and also fail the run's
 //!   exit code. For `repro chaos` the value overrides the per-attempt
@@ -127,9 +130,13 @@
 //!   identity (phase nanoseconds telescope to the sampled span, within
 //!   a stated slop of the cell's wall time) is enforced on every cell.
 //! - `--flight FILE` — record a whole-run host flight recording: one
-//!   Chrome trace-event file covering every cell, trace build,
-//!   simulation, and persistent-store load/store across the
-//!   invocation, written to `FILE` after the run. Recording
+//!   Chrome trace-event file written to `FILE` after the run, with a
+//!   `cell` span per cell on the worker that ran it and, inside the
+//!   cells, one span per unit of real work in a category named after
+//!   the benchmark's layer: `workloads.build`, `sched.prepare`,
+//!   `sched.schedule`, `trace.pack`, `core.simulate`, `persist.key`,
+//!   `persist.load` and `persist.store`. Store hits record no span.
+//!   This is the only layer split of host time `repro` makes. Recording
 //!   off is one relaxed atomic load per site, and the recording never
 //!   alters results — `repro` output is byte-identical with the flag
 //!   on or off.
@@ -138,7 +145,7 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mcl_bench::explain::{self, Baseline};
 use mcl_bench::obs::{self, ObsSettings, ObsTarget};
@@ -400,7 +407,14 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     let check_level = check_level.map(|v| v.parse::<CheckLevel>()).transpose()?;
     let watchdog_seconds = watchdog
         .map(|v| match v.parse::<f64>() {
-            Ok(secs) if secs > 0.0 => Ok(secs),
+            // The deadline must be representable: no `inf`, no `1e300`.
+            Ok(secs)
+                if secs > 0.0
+                    && Duration::try_from_secs_f64(secs)
+                        .is_ok_and(|d| Instant::now().checked_add(d).is_some()) =>
+            {
+                Ok(secs)
+            }
             _ => Err(format!("invalid --watchdog value `{v}`")),
         })
         .transpose()?;
@@ -517,7 +531,10 @@ fn check_leftover_args(cmd: &str, args: &[String]) -> Result<u32, String> {
     if matches!(cmd, "pipeline" | "obs-validate") {
         return Ok(1);
     }
-    args.get(1).map_or(Ok(1), |v| v.parse().map_err(|_| format!("invalid divisor `{v}`")))
+    args.get(1).map_or(Ok(1), |v| match v.parse() {
+        Ok(0) | Err(_) => Err(format!("invalid divisor `{v}`")),
+        Ok(divisor) => Ok(divisor),
+    })
 }
 
 /// The benchmark `MCL_ONLY` names, if it is set.

@@ -2,9 +2,12 @@
 //!
 //! `--obs` traces the *simulated machine* one cell at a time; this
 //! module traces the *harness* across the whole invocation: when each
-//! cell ran on which `--jobs` worker, where trace builds and
-//! simulations happened, and every persistent-store load/store with
-//! its hit/miss outcome.
+//! cell ran on which `--jobs` worker and, inside it, each unit of real
+//! work in a category named after the benchmark's layer
+//! (`workloads.build`, `sched.prepare`, `sched.schedule`, `trace.pack`,
+//! `core.simulate`, `persist.key`, `persist.load`, `persist.store`),
+//! persistent-store loads named by their hit/miss outcome. It is the
+//! only place `repro` splits host time into layers.
 //! The recording exports as one Chrome trace-event file
 //! (`run.flight.json`, the same document shape as the `--obs`
 //! `.trace.json` exports — load it in `chrome://tracing` or Perfetto)
@@ -29,16 +32,15 @@ use crate::json::Json;
 use crate::obs;
 use crate::Error;
 
-/// One recorded event: a completed span (`dur_us > 0` or a zero-length
-/// `X`) or an instant marker.
+/// One completed span (a Chrome trace `X` event).
 #[derive(Debug, Clone)]
 struct Rec {
     name: String,
     cat: &'static str,
     /// Microseconds since the recorder's epoch (Chrome trace `ts`).
     ts_us: f64,
-    /// Span duration in microseconds; `None` renders an instant.
-    dur_us: Option<f64>,
+    /// Span duration in microseconds.
+    dur_us: f64,
     tid: u64,
 }
 
@@ -108,11 +110,11 @@ impl Drop for SpanGuard {
         let end = Instant::now();
         let ts_us = self.start.duration_since(rec.epoch).as_secs_f64() * 1e6;
         let dur_us = end.duration_since(self.start).as_secs_f64() * 1e6;
-        push(rec, Rec {
+        rec.recs.lock().unwrap().push(Rec {
             name: std::mem::take(&mut self.name),
             cat: self.cat,
             ts_us,
-            dur_us: Some(dur_us),
+            dur_us,
             tid: TID.with(|t| *t),
         });
     }
@@ -126,17 +128,6 @@ pub fn span(cat: &'static str, name: impl FnOnce() -> String) -> Option<SpanGuar
         return None;
     }
     Some(SpanGuard { name: name(), cat, start: Instant::now() })
-}
-
-/// Records an instant marker.
-pub fn instant(cat: &'static str, name: impl FnOnce() -> String) {
-    let Some(rec) = recorder() else { return };
-    let ts_us = rec.epoch.elapsed().as_secs_f64() * 1e6;
-    push(rec, Rec { name: name(), cat, ts_us, dur_us: None, tid: TID.with(|t| *t) });
-}
-
-fn push(rec: &Recorder, r: Rec) {
-    rec.recs.lock().unwrap().push(r);
 }
 
 /// Renders the recording as a Chrome trace document, or `None` when
@@ -153,18 +144,13 @@ pub fn export_json() -> Option<String> {
         .iter()
         .map(|r| {
             let mut obj = Json::object();
-            obj.field("name", r.name.as_str().into()).field("cat", r.cat.into());
-            match r.dur_us {
-                Some(dur) => {
-                    obj.field("ph", "X".into())
-                        .field("ts", r.ts_us.into())
-                        .field("dur", dur.into());
-                }
-                None => {
-                    obj.field("ph", "i".into()).field("ts", r.ts_us.into()).field("s", "t".into());
-                }
-            }
-            obj.field("pid", 1u64.into()).field("tid", r.tid.into());
+            obj.field("name", r.name.as_str().into())
+                .field("cat", r.cat.into())
+                .field("ph", "X".into())
+                .field("ts", r.ts_us.into())
+                .field("dur", r.dur_us.into())
+                .field("pid", 1u64.into())
+                .field("tid", r.tid.into());
             obj
         })
         .collect();
@@ -239,10 +225,10 @@ mod tests {
             let _span = span("test", || "flight-test-span".into());
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        instant("test", || "flight-test-instant".into());
+        drop(span("test", || "flight-test-second-span".into()));
         let json = export_json().expect("enabled recorder exports");
         assert!(json.contains("\"flight-test-span\""));
-        assert!(json.contains("\"flight-test-instant\""));
+        assert!(json.contains("\"flight-test-second-span\""));
         let doc = Json::parse(&json).expect("export parses");
         let events = doc.get("traceEvents").and_then(Json::as_array).expect("array");
         assert!(events.len() >= 2);

@@ -36,8 +36,8 @@
 //!   the live-cycle loop (`<bench>.hostprof.json` plus a ranked
 //!   ns-per-live-cycle report), with a sum-to-elapsed identity check.
 //! - [`flight`] — the `--flight FILE` whole-run host flight recorder:
-//!   one Chrome trace of cell scheduling and store and persist I/O
-//!   across the entire invocation.
+//!   one Chrome trace of cell scheduling and, inside each cell, of the
+//!   work done per benchmark layer, across the entire invocation.
 //!
 //! Everything here is a library so the `repro` binary and the criterion
 //! benches share one implementation.
@@ -68,7 +68,7 @@ pub mod table1;
 pub mod table2;
 
 pub use persist::{PersistCounters, PersistStore};
-pub use store::{SimProduct, TracePhases, TraceRequest, TraceStore};
+pub use store::{SimProduct, TraceRequest, TraceStore};
 pub use table2::{table2, table2_row, Table2Row};
 
 /// Harness errors.

@@ -118,7 +118,7 @@ pub(crate) fn companion<P: Probe>(
         Reference::Store(store, req, cost) => {
             product = store.sim(req, cfg)?;
             cost.charge_sim(&product);
-            (store.trace(req)?.0, &product.stats)
+            (store.trace(req)?, &product.stats)
         }
         Reference::Run(trace, stats) => (trace, stats),
     };

@@ -338,7 +338,10 @@ impl PersistStore {
     /// read — the tier is then off for this process.
     #[must_use]
     pub fn request_key(&self, request: &[u8]) -> Option<EntryKey> {
-        let fingerprint = (*self.fingerprint.get_or_init(exe_fingerprint))?;
+        let fingerprint = (*self.fingerprint.get_or_init(|| {
+            let _flight = crate::flight::span("persist.key", || "fingerprint".to_owned());
+            exe_fingerprint()
+        }))?;
         let mut hash = Fnv128::new();
         hash.absorb(REQUEST_TAG);
         hash.absorb(&STORE_FORMAT_VERSION.to_le_bytes());
@@ -378,7 +381,7 @@ impl PersistStore {
         // Disk I/O latency and the hit/miss outcome both land in the
         // flight recording; the span is renamed once the outcome is
         // known and records at drop.
-        let mut flight = crate::flight::span("persist", || "load miss".to_owned());
+        let mut flight = crate::flight::span("persist.load", || "load miss".to_owned());
         let result = self.read_entry(&self.entry_path(key), |bytes| decode_entry(bytes, key));
         count_load(result.is_some(), [&self.hits, &self.misses], &mut flight, "load hit");
         result
@@ -389,7 +392,7 @@ impl PersistStore {
     /// miss.
     #[must_use]
     pub fn load_request(&self, key: &EntryKey) -> Option<TraceDigest> {
-        let mut flight = crate::flight::span("persist", || "request miss".to_owned());
+        let mut flight = crate::flight::span("persist.load", || "request miss".to_owned());
         let result =
             self.read_entry(&self.request_path(key), |bytes| decode_request(bytes, key));
         let counters = [&self.request_hits, &self.request_misses];
@@ -426,7 +429,7 @@ impl PersistStore {
     /// Failures are swallowed — the store is a cache, and a full disk
     /// must not fail the simulation that just succeeded.
     pub fn store(&self, key: &EntryKey, stats: &SimStats, ff: &FastForward) {
-        let _flight = crate::flight::span("persist", || "store".to_owned());
+        let _flight = crate::flight::span("persist.store", || "store".to_owned());
         if self.write_entry(&self.entry_path(key), &encode_entry(key, stats, ff)) {
             self.stores.fetch_add(1, Ordering::Relaxed);
         }
@@ -435,7 +438,7 @@ impl PersistStore {
     /// Persists a request entry naming `digest` under `key`, like
     /// [`PersistStore::store`] (but not counted among its stores).
     pub fn store_request(&self, key: &EntryKey, digest: &TraceDigest) {
-        let _flight = crate::flight::span("persist", || "store request".to_owned());
+        let _flight = crate::flight::span("persist.store", || "store request".to_owned());
         self.write_entry(&self.request_path(key), &encode_request(key, digest));
     }
 
@@ -675,7 +678,7 @@ mod tests {
     fn fixture() -> (PackedTrace, SimStats, FastForward, String) {
         let store = crate::TraceStore::new();
         let req = crate::TraceRequest::new(Benchmark::Compress, 20, SchedulerKind::Local);
-        let (trace, _) = store.trace(&req).unwrap();
+        let trace = store.trace(&req).unwrap();
         let config = ProcessorConfig::dual_cluster_8way();
         let result = Processor::new(config.clone()).run_packed(&trace).unwrap();
         ((*trace).clone(), result.stats, result.ff, format!("{config:?}"))
@@ -802,7 +805,7 @@ mod tests {
         assert_ne!(EntryKey::of(&trace, &sim_key), EntryKey::of(&trace, &single));
         let store = crate::TraceStore::new();
         let other = crate::TraceRequest::new(Benchmark::Compress, 30, SchedulerKind::Local);
-        let (other_trace, _) = store.trace(&other).unwrap();
+        let other_trace = store.trace(&other).unwrap();
         assert_ne!(EntryKey::of(&trace, &sim_key), EntryKey::of(&other_trace, &sim_key));
     }
 

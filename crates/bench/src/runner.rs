@@ -8,9 +8,11 @@
 //! finished first. Rendering happens after collection, which is what
 //! makes `--jobs N` output byte-identical to a serial run.
 //!
-//! The pool also records per-cell wall time, simulated cycles, and the
-//! trace-build/simulate split reported by the cells (see [`CellCost`]);
-//! the driver writes them to `BENCH_repro.json` via [`report_json`].
+//! The pool also records per-cell wall time and the simulated cycles
+//! reported by the cells (see [`CellCost`]); the driver writes them to
+//! `BENCH_repro.json` via [`report_json`]. The wall clock is the only
+//! timer here: how a cell's time splits into layers is the business of
+//! the [`flight`](crate::flight) recorder, which spans each cell.
 //!
 //! Cells are fault-isolated: each runs under [`std::panic::catch_unwind`],
 //! so one panicking cell cannot take down its worker thread or the whole
@@ -30,13 +32,8 @@ use crate::json::Json;
 use crate::store::{SimProduct, StoreCounters};
 use crate::Error;
 
-/// What one cell spent: simulated cycles it accounted for, and its wall
-/// time split into trace building (scheduling + VM interpretation,
-/// including time spent waiting on or hitting the shared trace store)
-/// and cycle-level simulation. Trace building further splits into the
-/// host-side phase timers of [`crate::store::TracePhases`] — IL build,
-/// prepass, cluster scheduling — which are nonzero only for the cell
-/// whose store call actually built that stage.
+/// What one cell simulated, as work counters; host time is the
+/// runner's wall clock and the flight recorder's business.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CellCost {
     /// Cycles the cell actually simulated this run (0 for cells that
@@ -49,16 +46,6 @@ pub struct CellCost {
     pub cached_simulated_cycles: u64,
     /// Dead-cycle fast-forward counters of the cell's fresh runs.
     pub ff: FastForward,
-    /// Seconds spent obtaining traces (store hits cost ~0).
-    pub trace_build_seconds: f64,
-    /// Seconds spent in cycle-level simulation (store hits cost ~0).
-    pub simulate_seconds: f64,
-    /// Seconds spent building intermediate-language programs.
-    pub il_build_seconds: f64,
-    /// Seconds spent in the scheduler-independent prepass.
-    pub prepass_seconds: f64,
-    /// Seconds spent cluster-scheduling and packing traces.
-    pub schedule_seconds: f64,
 }
 
 impl CellCost {
@@ -69,21 +56,8 @@ impl CellCost {
         CellCost { simulated_cycles, ..CellCost::default() }
     }
 
-    /// Accumulates another cost into this one.
-    pub fn add(&mut self, other: &CellCost) {
-        self.simulated_cycles += other.simulated_cycles;
-        self.cached_simulated_cycles += other.cached_simulated_cycles;
-        self.ff.add(&other.ff);
-        self.trace_build_seconds += other.trace_build_seconds;
-        self.simulate_seconds += other.simulate_seconds;
-        self.il_build_seconds += other.il_build_seconds;
-        self.prepass_seconds += other.prepass_seconds;
-        self.schedule_seconds += other.schedule_seconds;
-    }
-
-    /// Accumulates one store-served simulation: its cycles (routed to
-    /// fresh or cached by whether the store actually simulated),
-    /// wall-time split, and phase breakdown.
+    /// Accumulates one store-served simulation: its cycles, routed to
+    /// fresh or cached by whether the store actually simulated.
     pub fn charge_sim(&mut self, product: &SimProduct) {
         if product.fresh {
             self.simulated_cycles += product.stats.cycles;
@@ -91,11 +65,6 @@ impl CellCost {
         } else {
             self.cached_simulated_cycles += product.stats.cycles;
         }
-        self.trace_build_seconds += product.trace_build_seconds;
-        self.simulate_seconds += product.simulate_seconds;
-        self.il_build_seconds += product.phases.il_seconds;
-        self.prepass_seconds += product.phases.prepass_seconds;
-        self.schedule_seconds += product.phases.schedule_seconds;
     }
 }
 
@@ -174,16 +143,6 @@ pub struct CellMetric {
     pub skipped_cycles: u64,
     /// Fast-forward jumps the cell's fresh runs took.
     pub ff_jumps: u64,
-    /// Seconds the cell spent obtaining traces.
-    pub trace_build_seconds: f64,
-    /// Seconds the cell spent in cycle-level simulation.
-    pub simulate_seconds: f64,
-    /// Seconds the cell spent building IL programs.
-    pub il_build_seconds: f64,
-    /// Seconds the cell spent in the scheduler-independent prepass.
-    pub prepass_seconds: f64,
-    /// Seconds the cell spent cluster-scheduling and packing traces.
-    pub schedule_seconds: f64,
 }
 
 impl CellMetric {
@@ -312,11 +271,6 @@ pub fn run_cells<R: Send>(
             cached_simulated_cycles: cost.cached_simulated_cycles,
             skipped_cycles: cost.ff.skipped_cycles,
             ff_jumps: cost.ff.jumps,
-            trace_build_seconds: cost.trace_build_seconds,
-            simulate_seconds: cost.simulate_seconds,
-            il_build_seconds: cost.il_build_seconds,
-            prepass_seconds: cost.prepass_seconds,
-            schedule_seconds: cost.schedule_seconds,
         });
     }
     Ok((payloads, metrics))
@@ -362,11 +316,6 @@ pub fn run_cells_isolated<R: Send>(
             cached_simulated_cycles: cost.cached_simulated_cycles,
             skipped_cycles: cost.ff.skipped_cycles,
             ff_jumps: cost.ff.jumps,
-            trace_build_seconds: cost.trace_build_seconds,
-            simulate_seconds: cost.simulate_seconds,
-            il_build_seconds: cost.il_build_seconds,
-            prepass_seconds: cost.prepass_seconds,
-            schedule_seconds: cost.schedule_seconds,
         });
     }
     (payloads, metrics)
@@ -422,8 +371,13 @@ pub fn run_cells_isolated<R: Send>(
 /// only way `repro` simulates. Version 13 added the persistent store's
 /// request tier to the `store` object: `disk_request_hits` /
 /// `disk_request_misses` (all 0 when no store is attached); a warm run
-/// whose requests all hit builds no trace (`trace_misses` 0).
-pub const REPORT_SCHEMA_VERSION: u64 = 13;
+/// whose requests all hit builds no trace (`trace_misses` 0). Version 14
+/// removed the host-side timer split — the top-level
+/// `total_trace_build_seconds` / `total_simulate_seconds` /
+/// `total_il_build_seconds` / `total_prepass_seconds` /
+/// `total_schedule_seconds` and the five matching per-cell fields; a
+/// `--flight` recording carries that split as layer spans.
+pub const REPORT_SCHEMA_VERSION: u64 = 14;
 
 /// Identity and options of one driver run, recorded at the top of the
 /// report.
@@ -469,11 +423,6 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
     let total_cached: u64 = metrics.iter().map(|m| m.cached_simulated_cycles).sum();
     let total_skipped: u64 = metrics.iter().map(|m| m.skipped_cycles).sum();
     let total_jumps: u64 = metrics.iter().map(|m| m.ff_jumps).sum();
-    let total_build: f64 = metrics.iter().map(|m| m.trace_build_seconds).sum();
-    let total_sim: f64 = metrics.iter().map(|m| m.simulate_seconds).sum();
-    let total_il: f64 = metrics.iter().map(|m| m.il_build_seconds).sum();
-    let total_prepass: f64 = metrics.iter().map(|m| m.prepass_seconds).sum();
-    let total_schedule: f64 = metrics.iter().map(|m| m.schedule_seconds).sum();
     // Throughput denominator: only cells that actually simulated.
     // Fully-cached and render-only cells spend wall time but produce no
     // fresh cycles; counting their wall would understate throughput.
@@ -574,11 +523,6 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
                 Json::Null
             },
         )
-        .field("total_trace_build_seconds", total_build.into())
-        .field("total_simulate_seconds", total_sim.into())
-        .field("total_il_build_seconds", total_il.into())
-        .field("total_prepass_seconds", total_prepass.into())
-        .field("total_schedule_seconds", total_schedule.into())
         .field("store", store_json)
         .field("obs", obs_json)
         .field("explain", explain_json)
@@ -604,12 +548,7 @@ pub fn report_json(info: &RunInfo, store: &StoreCounters, metrics: &[CellMetric]
                             .field(
                                 "simulated_cycles_per_second",
                                 m.cycles_per_second().map_or(Json::Null, Json::F64),
-                            )
-                            .field("trace_build_seconds", m.trace_build_seconds.into())
-                            .field("simulate_seconds", m.simulate_seconds.into())
-                            .field("il_build_seconds", m.il_build_seconds.into())
-                            .field("prepass_seconds", m.prepass_seconds.into())
-                            .field("schedule_seconds", m.schedule_seconds.into());
+                            );
                         cell
                     })
                     .collect(),
@@ -700,11 +639,6 @@ mod tests {
                 cached_simulated_cycles: 40,
                 skipped_cycles: 25,
                 ff_jumps: 5,
-                trace_build_seconds: 0.5,
-                simulate_seconds: 1.25,
-                il_build_seconds: 0.125,
-                prepass_seconds: 0.25,
-                schedule_seconds: 0.0625,
             },
             CellMetric {
                 id: "table2/broken".into(),
@@ -715,11 +649,6 @@ mod tests {
                 cached_simulated_cycles: 0,
                 skipped_cycles: 0,
                 ff_jumps: 0,
-                trace_build_seconds: 0.0,
-                simulate_seconds: 0.0,
-                il_build_seconds: 0.0,
-                prepass_seconds: 0.0,
-                schedule_seconds: 0.0,
             },
         ];
         let counters = StoreCounters {
@@ -753,7 +682,7 @@ mod tests {
             flight_path: None,
         };
         let json = report_json(&info, &counters, &metrics).render();
-        assert!(json.starts_with("{\"schema_version\":13,\"command\":\"table2\","));
+        assert!(json.starts_with("{\"schema_version\":14,\"command\":\"table2\","));
         assert!(json.contains("\"jobs\":8,\"keep_going\":true"));
         assert!(json.contains("\"watchdog_seconds\":0.200000"));
         assert!(json.contains("\"failed_cells\":1"));
@@ -771,14 +700,15 @@ mod tests {
         assert!(json.contains("\"simulated_cycles_per_second\":50.000000"));
         // The cell that simulated nothing reports null, not 0.
         assert!(json.contains("\"simulated_cycles_per_second\":null"));
-        // The schedule split closes both the aggregates and each cell.
-        assert!(json.contains("\"total_schedule_seconds\":0.062500,\"store\":"));
-        assert!(json.contains("\"schedule_seconds\":0.062500}"));
-        assert!(json.contains("\"total_trace_build_seconds\":0.500000"));
-        assert!(json.contains("\"total_simulate_seconds\":1.250000"));
-        assert!(json.contains("\"total_il_build_seconds\":0.125000"));
-        assert!(json.contains("\"total_prepass_seconds\":0.250000"));
-        assert!(json.contains("\"total_schedule_seconds\":0.062500"));
+        // The aggregates end at the throughput, each cell at its own.
+        assert!(json.contains("\"simulated_cycles_per_second\":50.000000,\"store\":"));
+        assert!(json.contains("\"simulated_cycles_per_second\":50.000000}"));
+        assert!(json.contains("\"simulated_cycles_per_second\":null}"));
+        // Schema 14 has no host timer split: the flight recorder has it.
+        for key in ["trace_build", "simulate", "il_build", "prepass", "schedule"] {
+            assert!(!json.contains(&format!("\"{key}_seconds\"")), "{key}_seconds");
+            assert!(!json.contains(&format!("\"total_{key}_seconds\"")), "total_{key}_seconds");
+        }
         assert!(json.contains(
             "\"store\":{\"trace_hits\":3,\"trace_misses\":1,\"sim_hits\":2,\"sim_misses\":4,\
              \"disk_hits\":5,\"disk_misses\":2,\"disk_stores\":2,\"disk_evictions\":1,\
@@ -797,9 +727,6 @@ mod tests {
             "{\"id\":\"table2/broken\",\"status\":\"panicked\",\"error\":\"boom\",\
              \"watchdog_exceeded\":true,"
         ));
-        assert!(json.contains("\"trace_build_seconds\":0.500000"));
-        assert!(json.contains("\"simulate_seconds\":1.250000,\"il_build_seconds\":0.125000,\
-                               \"prepass_seconds\":0.250000,\"schedule_seconds\":0.062500"));
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn packed_vs_fat(divisor: u32) -> Result<(String, CellCost), Error> {
     let bench = Benchmark::Compress;
     let store = TraceStore::new();
     let req = TraceRequest::new(bench, quick_scale(bench, divisor), SchedulerKind::Naive);
-    let (packed, trace_build_seconds) = store.trace(&req)?;
+    let packed = store.trace(&req)?;
     let cfg = ProcessorConfig::dual_cluster_8way();
     let from_packed = Processor::new(cfg.clone()).run_packed(&packed)?.stats;
     let fat = packed.to_ops();
@@ -81,11 +81,7 @@ pub fn packed_vs_fat(divisor: u32) -> Result<(String, CellCost), Error> {
             format!("packed {} cycles, fat {} cycles", from_packed.cycles, from_fat.cycles),
         ));
     }
-    let cost = CellCost {
-        simulated_cycles: from_packed.cycles + from_fat.cycles,
-        trace_build_seconds,
-        ..CellCost::default()
-    };
+    let cost = CellCost::cycles(from_packed.cycles + from_fat.cycles);
     Ok((format!("{} ops, {} cycles, stats identical", fat.len(), from_packed.cycles), cost))
 }
 
@@ -157,15 +153,7 @@ pub fn jobs_agree(divisor: u32) -> Result<(String, CellCost), Error> {
     if serial != parallel {
         return Err(mismatch("jobs-agree", format!("serial {serial:?} vs parallel {parallel:?}")));
     }
-    let mut cost = CellCost::default();
-    for m in &serial_metrics {
-        cost.simulated_cycles += m.simulated_cycles;
-        cost.trace_build_seconds += m.trace_build_seconds;
-        cost.simulate_seconds += m.simulate_seconds;
-        cost.il_build_seconds += m.il_build_seconds;
-        cost.prepass_seconds += m.prepass_seconds;
-        cost.schedule_seconds += m.schedule_seconds;
-    }
+    let cost = CellCost::cycles(serial_metrics.iter().map(|m| m.simulated_cycles).sum());
     Ok((format!("{} cells agree between --jobs 1 and --jobs 4", serial.len()), cost))
 }
 

@@ -1,8 +1,8 @@
 //! Command-line contract tests for the `repro` binary: malformed flags
 //! and arguments a command does not use must fail fast with a usage
 //! error before any simulation starts, and the `pipetrace` subcommand
-//! must produce exports that its own validator (`repro obs-validate`)
-//! accepts.
+//! and the `--flight` recording must produce exports that their own
+//! validator (`repro obs-validate`) accepts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -115,6 +115,27 @@ fn a_divisor_that_is_not_a_u32_is_rejected() {
     let dir = temp_dir("divisor");
     for bad in ["8x", "-1", "4294967296", "1.5"] {
         assert_rejected(&dir, &["table2", bad], bad);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Divisor 0 would run at full scale while the report said 0.
+#[test]
+fn a_zero_divisor_is_rejected() {
+    let dir = temp_dir("divisor-zero");
+    assert_rejected(&dir, &["table2", "0"], "0");
+    assert!(!dir.join("BENCH_repro.json").exists(), "rejected runs must not write a report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A budget whose deadline does not fit the clock is a usage error,
+/// not a panic.
+#[test]
+fn an_unrepresentable_watchdog_is_rejected() {
+    let dir = temp_dir("watchdog");
+    for bad in ["inf", "1e300"] {
+        let stderr = assert_rejected(&dir, &["table1", "--watchdog", bad], bad);
+        assert!(stderr.contains("invalid --watchdog value"), "{stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -246,5 +267,63 @@ fn large_ranged_pipetrace_round_trips_through_obs_validate() {
     let dir = temp_dir("pipetrace-large");
     let stdout = pipetrace_round_trip(&dir, &["8", "--range", "0..16384"]);
     assert!(stdout.contains("compress: 16384 op(s) traced"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every layer of a cold `--store` run shows up in its `--flight`
+/// recording, each simulation and trace pack inside the cell that did
+/// it, and the recording passes `obs-validate`.
+#[test]
+fn flight_records_every_layer_inside_its_cell() {
+    use mcl_bench::json::Json;
+
+    let dir = temp_dir("flight-layers");
+    std::fs::create_dir_all(dir.join("exports")).unwrap();
+    let args = ["table2", "8", "--flight", "exports/run.flight.json", "--store", "store"];
+    let out = repro_with_env(&dir, &args, &[("MCL_ONLY", "compress")]);
+    assert!(out.status.success(), "table2: {}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(dir.join("exports/run.flight.json")).unwrap();
+    let doc = Json::parse(&text).unwrap();
+    // (cat, tid, start, end) of every completed span.
+    let spans: Vec<(&str, u64, f64, f64)> = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|e| {
+            let ts = e.get("ts").and_then(Json::as_f64).unwrap();
+            let dur = e.get("dur").and_then(Json::as_f64).unwrap();
+            let cat = e.get("cat").and_then(Json::as_str).unwrap();
+            (cat, e.get("tid").and_then(Json::as_u64).unwrap(), ts, ts + dur)
+        })
+        .collect();
+    let layers = [
+        "workloads.build",
+        "sched.prepare",
+        "sched.schedule",
+        "trace.pack",
+        "core.simulate",
+        "persist.key",
+        "persist.load",
+        "persist.store",
+    ];
+    for layer in layers {
+        assert!(spans.iter().any(|s| s.0 == layer), "no {layer} span");
+    }
+    let cells: Vec<_> = spans.iter().filter(|s| s.0 == "cell").collect();
+    for &(cat, tid, start, end) in spans.iter().filter(|s| matches!(s.0, "core.simulate" | "trace.pack")) {
+        assert!(
+            cells.iter().any(|c| c.1 == tid && c.2 <= start && end <= c.3),
+            "{cat} span at {start} on tid {tid} lies outside every cell"
+        );
+    }
+
+    let validate = repro(&dir, &["obs-validate", "exports"]);
+    let stderr = String::from_utf8_lossy(&validate.stderr);
+    assert!(validate.status.success(), "obs-validate: {stderr}");
+    let stdout = String::from_utf8_lossy(&validate.stdout);
+    assert!(stdout.contains("1 flight recording(s)"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

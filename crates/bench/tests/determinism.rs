@@ -117,7 +117,7 @@ fn trace_builds_do_not_depend_on_process_state() {
         let store = TraceStore::new();
         requests
             .iter()
-            .map(|req| TraceDigest::of(&store.trace(req).expect("trace builds").0))
+            .map(|req| TraceDigest::of(&store.trace(req).expect("trace builds")))
             .collect()
     };
     let (a, b) = std::thread::scope(|scope| {

@@ -272,7 +272,7 @@ fn table2_workloads_agree_and_fast_forward() {
     for (bench, (name, pinned)) in Benchmark::ALL.into_iter().zip(TABLE2_DIV8) {
         assert_eq!(bench.name(), name);
         let request = TraceRequest::new(bench, bench.scaled(8), SchedulerKind::Local);
-        let (trace, _) = store.trace(&request).expect("trace builds");
+        let trace = store.trace(&request).expect("trace builds");
         let ticked = run(&cfg, true, &trace);
         let event = run(&cfg, false, &trace);
         assert_eq!(ticked.stats, event.stats, "{name}: engines diverged");

@@ -107,10 +107,11 @@ echo "== smoke: host flight recorder =="
 # The recorder must be a pure observer: rendered output byte-identical
 # with recording on, and the recording itself must pass obs-validate's
 # flight contract (completed spans, categorized events, finite
-# timestamps).
+# timestamps). The run fills a fresh result store, so every layer the
+# recorder names, persist ones included, must appear in it.
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 > all_serial_ref.txt)
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 2 \
-    --flight run.flight.json > all_flight.txt 2> flight.err)
+    --flight run.flight.json --store flight_store > all_flight.txt 2> flight.err)
 if ! diff -q "$smoke_dir/all_serial_ref.txt" "$smoke_dir/all_flight.txt"; then
     echo "FAIL: --flight changed repro all output" >&2
     exit 1
@@ -119,6 +120,13 @@ grep -q '"flight":{"file":"run.flight.json"}' "$smoke_dir/BENCH_repro.json" || {
     echo "FAIL: flight recording not recorded in BENCH_repro.json" >&2
     exit 1
 }
+for layer in workloads.build sched.prepare sched.schedule trace.pack core.simulate \
+        persist.key persist.load persist.store; do
+    grep -q "\"cat\":\"$layer\"" "$smoke_dir/run.flight.json" || {
+        echo "FAIL: flight recording has no $layer span" >&2
+        exit 1
+    }
+done
 mkdir "$smoke_dir/flight_dir"
 cp "$smoke_dir/run.flight.json" "$smoke_dir/flight_dir/"
 target/release/repro obs-validate "$smoke_dir/flight_dir"
@@ -232,18 +240,17 @@ grep -q ' 0 leaked into stats; 0 broken cells' "$smoke_dir/chaos.txt" || {
 echo "== smoke: persistent result store (cold vs warm) =="
 # A warm `--store` run must render byte-identical output while serving
 # every simulation from disk, and every trace request from the request
-# tier, so it builds no trace. The speedup guard compares the cells'
-# simulate time (the cached work); override with
-# MCL_STORE_GUARD_SPEEDUP.
+# tier, so it builds no trace. The speedup guard compares the runs'
+# total wall time; override with MCL_STORE_GUARD_SPEEDUP.
 store_speedup_floor="${MCL_STORE_GUARD_SPEEDUP:-5.0}"
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 1 --store result_store > all_cold.txt)
-cold_wall="$(grep -o '"total_simulate_seconds":[0-9.]*' "$smoke_dir/BENCH_repro.json" | head -1 | cut -d: -f2)"
+cold_wall="$(grep -o '"total_wall_seconds":[0-9.]*' "$smoke_dir/BENCH_repro.json" | head -1 | cut -d: -f2)"
 grep -q '"disk_stores":0' "$smoke_dir/BENCH_repro.json" && {
     echo "FAIL: cold --store run persisted nothing" >&2
     exit 1
 }
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 1 --store result_store > all_warm.txt)
-warm_wall="$(grep -o '"total_simulate_seconds":[0-9.]*' "$smoke_dir/BENCH_repro.json" | head -1 | cut -d: -f2)"
+warm_wall="$(grep -o '"total_wall_seconds":[0-9.]*' "$smoke_dir/BENCH_repro.json" | head -1 | cut -d: -f2)"
 if ! diff -q "$smoke_dir/all_cold.txt" "$smoke_dir/all_warm.txt"; then
     echo "FAIL: warm --store run changed repro all output" >&2
     exit 1
@@ -270,10 +277,10 @@ if grep -q '"disk_hits":0' "$smoke_dir/BENCH_repro.json"; then
 fi
 if ! awk -v c="$cold_wall" -v w="$warm_wall" -v f="$store_speedup_floor" \
         'BEGIN { exit !(w <= 0.000001 || c / w >= f) }'; then
-    echo "FAIL: warm --store simulate time (${warm_wall}s) not ${store_speedup_floor}x under cold (${cold_wall}s)" >&2
+    echo "FAIL: warm --store wall time (${warm_wall}s) not ${store_speedup_floor}x under cold (${cold_wall}s)" >&2
     exit 1
 fi
-echo "store guard OK: simulate ${cold_wall}s cold vs ${warm_wall}s warm (floor ${store_speedup_floor}x), output byte-identical"
+echo "store guard OK: wall ${cold_wall}s cold vs ${warm_wall}s warm (floor ${store_speedup_floor}x), output byte-identical"
 
 echo "== guard: disabled-probe overhead =="
 # Compare min-of-3 serial `repro all` wall time against the previous
