@@ -18,13 +18,16 @@
 //! single-stepping — so profiling can never perturb what it measures.
 //! Each report also carries the hard sum-to-elapsed identity
 //! ([`HostProfReport::check_identity`]), which `repro obs-validate`
-//! re-checks from the file.
+//! re-checks from the file, the deterministic work counts
+//! ([`WorkCounter`]) and the calibrated cost of one phase mark, so a
+//! reader can tell how much of each live cycle is the profiler's own
+//! clock reads.
 
 use std::path::Path;
 
 use mcl_core::obs::hostprof::HOSTPROF_SLOP_NS;
 use mcl_core::obs::NullProbe;
-use mcl_core::{HostPhase, HostProfReport, ProcessorConfig};
+use mcl_core::{HostPhase, HostProfReport, ProcessorConfig, WorkCounter};
 use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
@@ -34,8 +37,9 @@ use crate::runner::CellCost;
 use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
 
-/// Schema version of the `*.hostprof.json` exports.
-pub const HOSTPROF_SCHEMA_VERSION: u64 = 1;
+/// Schema version of the `*.hostprof.json` exports (2 added `marks`,
+/// `clock_ns` and the `work` counts).
+pub const HOSTPROF_SCHEMA_VERSION: u64 = 2;
 
 /// Runs one profiled companion and enforces the host-profile identity:
 /// phase nanoseconds sum to the sampled span, the profiler counted the
@@ -106,6 +110,10 @@ fn hostprof_json(bench: Benchmark, report: &HostProfReport) -> Json {
     for phase in HostPhase::ALL {
         phases.field(phase.name(), report.phase_ns[phase.index()].into());
     }
+    let mut work = Json::object();
+    for counter in WorkCounter::ALL {
+        work.field(counter.name(), report.work(counter).into());
+    }
     let mut obj = Json::object();
     obj.field("schema_version", HOSTPROF_SCHEMA_VERSION.into())
         .field("benchmark", bench.name().into())
@@ -116,7 +124,10 @@ fn hostprof_json(bench: Benchmark, report: &HostProfReport) -> Json {
         .field("elapsed_ns", report.elapsed_ns.into())
         .field("slop_ns", HOSTPROF_SLOP_NS.into())
         .field("ns_per_live_cycle", report.ns_per_live_cycle().into())
-        .field("phase_ns", phases);
+        .field("marks", report.marks.into())
+        .field("clock_ns", report.clock_ns.into())
+        .field("phase_ns", phases)
+        .field("work", work);
     obj
 }
 
@@ -141,6 +152,14 @@ fn render_cell(bench: Benchmark, report: &HostProfReport) -> String {
         report.cycles,
         skipped
     );
+    let _ = writeln!(
+        out,
+        "  profiler: {:.1} clock reads per live cycle at {:.1} ns each ({:.0} ns/live-cycle \
+         of the total is its own marks)",
+        report.marks_per_live_cycle(),
+        report.clock_ns,
+        report.clock_ns_per_live_cycle()
+    );
     let total = report.total_ns().max(1);
     for (phase, ns) in ranked(report) {
         if ns == 0 {
@@ -160,14 +179,20 @@ fn render_cell(bench: Benchmark, report: &HostProfReport) -> String {
             ns
         );
     }
+    let counts: Vec<String> = WorkCounter::ALL
+        .iter()
+        .map(|&c| format!("{} {}", c.name(), report.work(c)))
+        .collect();
+    let _ = writeln!(out, "  work: {}", counts.join(", "));
     out
 }
 
 /// Checks one parsed `*.hostprof.json` export (its schema version is
 /// checked by [`crate::obs::validate_dir`]): a complete per-phase
-/// breakdown and — re-checked from the file itself — the sum-to-elapsed
-/// identity (phase buckets sum to no more than `elapsed_ns` and trail it
-/// by at most the file's recorded `slop_ns`).
+/// breakdown, the mark count and clock cost, every work count, and —
+/// re-checked from the file itself — the sum-to-elapsed identity (phase
+/// buckets sum to no more than `elapsed_ns` and trail it by at most the
+/// file's recorded `slop_ns`).
 ///
 /// # Errors
 ///
@@ -196,6 +221,19 @@ pub(crate) fn validate_hostprof(doc: &Json) -> Result<usize, String> {
             "identity violated: {} ns unattributed (slop {slop} ns)",
             elapsed - sum
         ));
+    }
+    if field("marks")? < live {
+        return Err(format!("fewer marks than the {live} live cycles"));
+    }
+    match doc.get("clock_ns").and_then(Json::as_f64) {
+        Some(ns) if ns.is_finite() && ns >= 0.0 => {}
+        _ => return Err("clock_ns missing or not a duration".to_owned()),
+    }
+    let work = doc.get("work").ok_or("work object missing")?;
+    for counter in WorkCounter::ALL {
+        work.get(counter.name())
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("work.{} missing", counter.name()))?;
     }
     Ok(0)
 }
@@ -238,6 +276,18 @@ mod tests {
                 phase.name()
             );
         }
+        // So must every work count; a run that issued something counted
+        // what it dispatched, issued and examined.
+        let work = |c: WorkCounter| doc.get("work").unwrap().get(c.name()).and_then(Json::as_u64);
+        for counter in WorkCounter::ALL {
+            assert!(work(counter).is_some(), "work count {} exported", counter.name());
+        }
+        let issued = work(WorkCounter::CopiesIssued).unwrap();
+        assert!(issued > 0 && work(WorkCounter::OpsDispatched).unwrap() > 0);
+        assert!(work(WorkCounter::ReadyExamined).unwrap() >= issued);
+        assert!(doc.get("marks").and_then(Json::as_u64).unwrap() >= live);
+        assert!(rendered.contains("clock reads per live cycle"), "{rendered}");
+        assert!(rendered.contains("copies_issued"), "{rendered}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -254,7 +304,7 @@ mod tests {
         }
         // 8 phases × 1000 ns but the file claims 1 ns elapsed.
         let doc = format!(
-            "{{\"schema_version\":1,\"benchmark\":\"x\",\"config\":\"c\",\"scheduler\":\"s\",\
+            "{{\"schema_version\":2,\"benchmark\":\"x\",\"config\":\"c\",\"scheduler\":\"s\",\
              \"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":1,\"slop_ns\":0,\
              \"ns_per_live_cycle\":1.0,\"phase_ns\":{{{phases}}}}}"
         );
@@ -263,7 +313,7 @@ mod tests {
         assert!(err.contains("identity violated"), "{err}");
         // An unattributed gap past the recorded slop also fails.
         let doc = format!(
-            "{{\"schema_version\":1,\"benchmark\":\"x\",\"config\":\"c\",\"scheduler\":\"s\",\
+            "{{\"schema_version\":2,\"benchmark\":\"x\",\"config\":\"c\",\"scheduler\":\"s\",\
              \"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":99000,\"slop_ns\":10,\
              \"ns_per_live_cycle\":1.0,\"phase_ns\":{{{phases}}}}}"
         );
@@ -281,12 +331,20 @@ mod tests {
         assert!(validate_file(&path).is_err(), "wrong schema_version");
         std::fs::write(
             &path,
-            "{\"schema_version\":1,\"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":10,\
+            "{\"schema_version\":2,\"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":10,\
              \"slop_ns\":10,\"phase_ns\":{\"dispatch\":1}}",
         )
         .unwrap();
         let err = validate_file(&path).unwrap_err().to_string();
         assert!(err.contains("phase_ns.timeq missing"), "{err}");
+        // A complete breakdown without its work counts is rejected too.
+        let doc =
+            HostProfReport { live_cycles: 5, cycles: 10, marks: 40, ..HostProfReport::default() };
+        let text = hostprof_json(Benchmark::Compress, &doc).render();
+        let cut = text.find(",\"work\":").expect("work is exported last");
+        std::fs::write(&path, format!("{},\"work\":{{}}}}", &text[..cut])).unwrap();
+        let err = validate_file(&path).unwrap_err().to_string();
+        assert!(err.contains("work.ops_dispatched missing"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

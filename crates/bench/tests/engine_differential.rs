@@ -11,7 +11,10 @@
 //! cache misses, and back-edge branches for mispredictions, run on the
 //! single-cluster preset, the dual-cluster preset, and a tiny-buffer
 //! dual machine that forces replay exceptions. The six Table 2
-//! workloads are checked the same way, with their skip counts pinned.
+//! workloads are checked the same way, with their skip counts pinned,
+//! and every statistic of all 18 Table 2 cells is pinned by hash.
+
+use std::sync::OnceLock;
 
 use mcl_bench::{TraceRequest, TraceStore};
 use mcl_core::{CheckLevel, CritPathProbe, Processor, ProcessorConfig, SimStats};
@@ -249,6 +252,13 @@ fn critpath_attribution_is_engine_invariant() {
     }
 }
 
+/// One trace store for the Table 2 tests, so each divisor-8 trace is
+/// built once per test binary.
+fn table2_store() -> &'static TraceStore {
+    static STORE: OnceLock<TraceStore> = OnceLock::new();
+    STORE.get_or_init(TraceStore::new)
+}
+
 /// `[cycles, skipped_cycles]` of each Table 2 workload's dual-cluster,
 /// local-scheduler trace at divisor 8, fast-forwarded.
 const TABLE2_DIV8: [(&str, [u64; 2]); 6] = [
@@ -266,7 +276,7 @@ fn table2_workloads_agree_and_fast_forward() {
     // statistic, and it must keep covering a real share of the cycles —
     // a conservative-check regression that silently stops skipping
     // would otherwise only show up as lost speed.
-    let store = TraceStore::new();
+    let store = table2_store();
     let cfg = ProcessorConfig::dual_cluster_8way();
     let mut total = [0u64; 2];
     for (bench, (name, pinned)) in Benchmark::ALL.into_iter().zip(TABLE2_DIV8) {
@@ -284,4 +294,63 @@ fn table2_workloads_agree_and_fast_forward() {
     }
     let skipped_pct = 100.0 * total[1] as f64 / total[0] as f64;
     assert!(skipped_pct >= 25.0, "fast-forward skipped only {skipped_pct:.1}% of cycles");
+}
+
+/// FNV-1a 64 over a byte string.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every Table 2 cell at divisor 8, fast-forwarded, as `(benchmark,
+/// configuration, [FNV-64 of SimStats::to_wire_bytes(), skipped_cycles,
+/// jumps])`.
+const TABLE2_STATS_DIV8: [(&str, &str, [u64; 3]); 18] = [
+    ("compress", "single-native", [0x0f11_742f_f0bc_c8e4, 1_396, 185]),
+    ("compress", "dual-native", [0x0127_27aa_e6ba_6d1a, 1_218, 191]),
+    ("compress", "dual-local", [0x0d92_7d23_6622_f068, 1_178, 205]),
+    ("doduc", "single-native", [0x883e_0e3d_8f69_4a3d, 44, 14]),
+    ("doduc", "dual-native", [0xf0a0_637b_8cb3_5ffc, 37, 9]),
+    ("doduc", "dual-local", [0x2f44_23ed_9d76_c6cb, 39, 11]),
+    ("gcc1", "single-native", [0x6df5_7ec5_fccc_dc94, 10_139, 760]),
+    ("gcc1", "dual-native", [0x0852_98d9_cfb7_692b, 9_399, 760]),
+    ("gcc1", "dual-local", [0x7912_ba52_2250_edb1, 9_999, 760]),
+    ("ora", "single-native", [0x9b16_8145_3f83_4ebd, 19_588, 4_523]),
+    ("ora", "dual-native", [0xec34_105c_c05f_abea, 12_832, 3_771]),
+    ("ora", "dual-local", [0x72ec_3d6d_bdcc_5c33, 35_354, 7_501]),
+    ("su2cor", "single-native", [0x76ad_6abd_eb2f_d0d1, 59, 25]),
+    ("su2cor", "dual-native", [0x3fb6_85e0_4aa9_4767, 43, 11]),
+    ("su2cor", "dual-local", [0x47d0_d5fa_9886_e60c, 50, 18]),
+    ("tomcatv", "single-native", [0x2156_8d5c_afec_58d1, 100, 70]),
+    ("tomcatv", "dual-native", [0x3bbc_c01b_3ccb_45ce, 36, 8]),
+    ("tomcatv", "dual-local", [0xf62e_1237_8007_402e, 36, 8]),
+];
+
+#[test]
+fn table2_cells_pin_every_statistic() {
+    // `[cycles, skipped_cycles]` above would miss drift in any other
+    // counter (issue disorder, transfer-buffer stalls, icache repeat
+    // hits, ...): hash the whole wire encoding of every cell instead.
+    let store = table2_store();
+    let single = ProcessorConfig::single_cluster_8way();
+    let dual = ProcessorConfig::dual_cluster_8way();
+    let mut measured = Vec::new();
+    for bench in Benchmark::ALL {
+        let trace = |kind| {
+            let request = TraceRequest::new(bench, bench.scaled(8), kind);
+            store.trace(&request).expect("trace builds")
+        };
+        let (native, local) = (trace(SchedulerKind::Naive), trace(SchedulerKind::Local));
+        for (label, cfg, trace) in [
+            ("single-native", &single, &native),
+            ("dual-native", &dual, &native),
+            ("dual-local", &dual, &local),
+        ] {
+            let r = run(cfg, false, trace);
+            let pin = [fnv64(&r.stats.to_wire_bytes()), r.ff.skipped_cycles, r.ff.jumps];
+            measured.push((bench.name(), label, pin));
+        }
+    }
+    assert_eq!(measured.as_slice(), TABLE2_STATS_DIV8.as_slice());
 }

@@ -113,16 +113,39 @@ impl Distribution {
 /// distributed so far).
 #[must_use]
 pub fn distribute(op: &TraceOp, assign: &RegisterAssignment, balance: &[u64; 2]) -> Distribution {
+    decide(op, assign, Some(balance)).expect("a load balance settles every tie")
+}
+
+/// The distribution of `op` under `assign` when it does not depend on
+/// the dynamic load balance — that is, unless no local register
+/// constrains it, or a dual distribution's vote ties with no local
+/// destination to break it. A decision this returns is therefore the
+/// same for every dynamic instance of the instruction, until the
+/// register assignment changes.
+#[must_use]
+pub fn distribute_fixed(op: &TraceOp, assign: &RegisterAssignment) -> Option<Distribution> {
+    decide(op, assign, None)
+}
+
+/// [`distribute`], or `None` when the decision needs the load balance
+/// and none is given.
+fn decide(
+    op: &TraceOp,
+    assign: &RegisterAssignment,
+    balance: Option<&[u64; 2]>,
+) -> Option<Distribution> {
+    // The lighter-loaded cluster, when the balance is known.
+    let lighter = || balance.map(|b| if b[0] <= b[1] { ClusterId::C0 } else { ClusterId::C1 });
     let n = assign.clusters();
     if n <= 1 {
-        return Distribution {
+        return Some(Distribution {
             clusters: ClusterSet::only(ClusterId::C0),
             master: ClusterId::C0,
             slave: None,
             forwarded_src: [false, false],
             slave_receives: false,
             scenario: 1,
-        };
+        });
     }
     debug_assert_eq!(n, 2, "distribution implemented for two clusters");
 
@@ -149,22 +172,19 @@ pub fn distribute(op: &TraceOp, assign: &RegisterAssignment, balance: &[u64; 2])
 
     // Single distribution when one cluster (or none) suffices.
     if !dest_global && needed.len() <= 1 {
-        let master = needed.single().unwrap_or_else(|| {
-            // No register constraints at all: balance the load.
-            if balance[0] <= balance[1] {
-                ClusterId::C0
-            } else {
-                ClusterId::C1
-            }
-        });
-        return Distribution {
+        // No register constraints at all: balance the load.
+        let master = match needed.single() {
+            Some(c) => c,
+            None => lighter()?,
+        };
+        return Some(Distribution {
             clusters: ClusterSet::only(master),
             master,
             slave: None,
             forwarded_src: [false, false],
             slave_receives: false,
             scenario: 1,
-        };
+        });
     }
 
     // Dual distribution: pick the master.
@@ -174,10 +194,8 @@ pub fn distribute(op: &TraceOp, assign: &RegisterAssignment, balance: &[u64; 2])
         ClusterId::C1
     } else if let Some(c) = dest_cluster {
         c // prefer keeping the result local to the master
-    } else if balance[0] <= balance[1] {
-        ClusterId::C0
     } else {
-        ClusterId::C1
+        lighter()?
     };
     let slave = master.other();
 
@@ -205,14 +223,14 @@ pub fn distribute(op: &TraceOp, assign: &RegisterAssignment, balance: &[u64; 2])
         (false, false, _) => unreachable!("checked above"),
     };
 
-    Distribution {
+    Some(Distribution {
         clusters: ClusterSet::first_n(n),
         master,
         slave: Some(slave),
         forwarded_src,
         slave_receives,
         scenario,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -371,6 +389,36 @@ mod tests {
         };
         let d = distribute(&store, &a, &[0, 0]);
         assert!(d.phys_needed(&store, &a).is_empty());
+    }
+
+    #[test]
+    fn fixed_distributions_hold_under_every_balance() {
+        let assign = assign2();
+        let regs: Vec<Option<ArchReg>> = [None, Some(ArchReg::SP)]
+            .into_iter()
+            .chain((2..6).map(|i| Some(ArchReg::int(i))))
+            .chain([Some(ArchReg::fp(3))])
+            .collect();
+        let balances = [[0, 0], [0, 7], [7, 0]];
+        let mut fixed = 0;
+        for &dest in &regs {
+            for &a in &regs {
+                for &b in &regs {
+                    let sp = ArchReg::SP;
+                    let op = TraceOp { dest, srcs: [a, b], ..add(sp, sp, sp) };
+                    let each: Vec<Distribution> =
+                        balances.iter().map(|bal| distribute(&op, &assign, bal)).collect();
+                    match distribute_fixed(&op, &assign) {
+                        Some(d) => {
+                            fixed += 1;
+                            assert!(each.iter().all(|&e| e == d), "{op:?}");
+                        }
+                        None => assert!(each.iter().any(|&e| e != each[0]), "{op:?}"),
+                    }
+                }
+            }
+        }
+        assert!(fixed > 0);
     }
 
     #[test]

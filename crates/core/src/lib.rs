@@ -79,6 +79,7 @@ pub use obs::{
     CritAttribution, CritCause, CritPathProbe, CycleSnapshot, DataflowEdge, FlushedOp, Histogram,
     HostPhase, HostProf, HostProfReport, IntervalSampler, NullHostProf, ObsConfig, ObsProbe,
     OpLifecycle, PhaseProf, PipeTrace, PipeTraceProbe, Probe, StallCause, TransferKind,
+    WorkCounter,
 };
 pub use pipeview::{render as render_pipeline, PipeViewOptions};
 pub use sim::{Processor, SimError, SimResult};

@@ -21,6 +21,14 @@
 //! enforces: `sum(phase_ns) == total_ns`, with only the profiler's own
 //! entry/exit clock reads (bounded by [`HOSTPROF_SLOP_NS`]) between
 //! `total_ns` and the independently measured `elapsed_ns`.
+//!
+//! Wall clocks on a shared host are noisy, so the report also carries
+//! deterministic [`WorkCounter`] counts — ops dispatched, copies issued,
+//! ready entries examined, … — that repeat exactly run to run and show
+//! an algorithmic change as an exact delta next to the noisy one. And
+//! because every mark is itself a clock read, [`HostProf::begin`]
+//! calibrates the cost of one read, so the report can say how much of
+//! each live cycle is the profiler timing itself.
 
 use std::time::Instant;
 
@@ -43,8 +51,10 @@ pub enum HostPhase {
     Issue,
     /// Fetch, rename, and in-order distribution.
     Dispatch,
-    /// The architectural invariant checker. Not zero with `--check`
-    /// off: it still holds the per-cycle test of the check level.
+    /// The architectural invariant checker. With `--check` off the
+    /// phase is one enum compare, so what the bucket then shows is the
+    /// cost of its own closing mark: one clock read (see
+    /// [`HostProfReport::clock_ns`]).
     Checker,
     /// Dead-cycle fast-forward bookkeeping (jump-target computation and
     /// span charging; zero when single-stepped).
@@ -101,6 +111,66 @@ impl HostPhase {
     }
 }
 
+/// Deterministic work counts of a profiled run: how many times the
+/// engine did each unit of per-op work. They depend only on the trace
+/// and the configuration, never on the host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkCounter {
+    /// Ops dispatched into the window.
+    OpsDispatched,
+    /// Copies (masters and slaves) issued.
+    CopiesIssued,
+    /// Ready-set entries the issue passes evaluated against a budget.
+    ReadyExamined,
+    /// Ready copies parked on a busy divider or a full transfer buffer
+    /// (each then skips the walk until the resource frees).
+    CopiesParked,
+    /// Copies whose ready cycle became known and was scheduled on the
+    /// general time wheel.
+    ReadyWheel,
+    /// Copies due by the next cycle, which skip the wheel.
+    ReadyDirect,
+    /// Completion events (master done, slave register write) recorded
+    /// for the progress check.
+    CompletionEvents,
+}
+
+impl WorkCounter {
+    /// Number of counters (array dimension for the counts).
+    pub const COUNT: usize = 7;
+
+    /// Every counter, in [`WorkCounter::index`] order.
+    pub const ALL: [WorkCounter; WorkCounter::COUNT] = [
+        WorkCounter::OpsDispatched,
+        WorkCounter::CopiesIssued,
+        WorkCounter::ReadyExamined,
+        WorkCounter::CopiesParked,
+        WorkCounter::ReadyWheel,
+        WorkCounter::ReadyDirect,
+        WorkCounter::CompletionEvents,
+    ];
+
+    /// Dense index for per-counter arrays.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Stable machine-readable name (used as a JSON key).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            WorkCounter::OpsDispatched => "ops_dispatched",
+            WorkCounter::CopiesIssued => "copies_issued",
+            WorkCounter::ReadyExamined => "ready_examined",
+            WorkCounter::CopiesParked => "copies_parked",
+            WorkCounter::ReadyWheel => "ready_wheel",
+            WorkCounter::ReadyDirect => "ready_direct",
+            WorkCounter::CompletionEvents => "completion_events",
+        }
+    }
+}
+
 /// Host-phase profiling hook points. Every method has an empty default
 /// body; call sites are gated on [`HostProf::ENABLED`] so the default
 /// [`NullHostProf`] build carries no profiling code at all.
@@ -119,6 +189,9 @@ pub trait HostProf {
 
     /// One live (actually stepped) cycle finished.
     fn live_cycle(&mut self) {}
+
+    /// The engine did `n` more units of `counter`'s work.
+    fn count(&mut self, counter: WorkCounter, n: u64) {}
 
     /// The run loop exited; charges the tail to
     /// [`HostPhase::Loop`] and freezes the elapsed total.
@@ -150,6 +223,10 @@ impl<H: HostProf + ?Sized> HostProf for &mut H {
         (**self).live_cycle();
     }
 
+    fn count(&mut self, counter: WorkCounter, n: u64) {
+        (**self).count(counter, n);
+    }
+
     fn finish(&mut self) {
         (**self).finish();
     }
@@ -162,8 +239,12 @@ impl<H: HostProf + ?Sized> HostProf for &mut H {
 /// bound is generous: 5 ms.
 pub const HOSTPROF_SLOP_NS: u64 = 5_000_000;
 
+/// Clock reads timed back to back by [`HostProf::begin`] to calibrate
+/// the cost of one mark.
+const CALIBRATION_READS: u32 = 256;
+
 /// The batteries-included [`HostProf`]: telescoping per-phase
-/// nanosecond buckets plus a live-cycle counter.
+/// nanosecond buckets, a live-cycle counter and the work counts.
 #[derive(Debug, Clone)]
 pub struct PhaseProf {
     /// End of the previous phase (start of the current one).
@@ -172,6 +253,9 @@ pub struct PhaseProf {
     start: Instant,
     phase_ns: [u64; HostPhase::COUNT],
     live_cycles: u64,
+    marks: u64,
+    clock_ns: f64,
+    work: [u64; WorkCounter::COUNT],
     elapsed_ns: u64,
 }
 
@@ -191,6 +275,9 @@ impl PhaseProf {
             start: now,
             phase_ns: [0; HostPhase::COUNT],
             live_cycles: 0,
+            marks: 0,
+            clock_ns: 0.0,
+            work: [0; WorkCounter::COUNT],
             elapsed_ns: 0,
         }
     }
@@ -203,12 +290,24 @@ impl PhaseProf {
             live_cycles: self.live_cycles,
             cycles,
             elapsed_ns: self.elapsed_ns,
+            marks: self.marks,
+            clock_ns: self.clock_ns,
+            work: self.work,
         }
     }
 }
 
 impl HostProf for PhaseProf {
     fn begin(&mut self) {
+        // Every mark is one clock read; time a burst of them so the
+        // report can state what the marks themselves cost.
+        let first = Instant::now();
+        let mut last = first;
+        for _ in 0..CALIBRATION_READS {
+            last = std::hint::black_box(Instant::now());
+        }
+        self.clock_ns =
+            last.duration_since(first).as_nanos() as f64 / f64::from(CALIBRATION_READS);
         let now = Instant::now();
         self.start = now;
         self.last = now;
@@ -220,11 +319,17 @@ impl HostProf for PhaseProf {
         self.phase_ns[phase.index()] +=
             now.duration_since(self.last).as_nanos() as u64;
         self.last = now;
+        self.marks += 1;
     }
 
     #[inline]
     fn live_cycle(&mut self) {
         self.live_cycles += 1;
+    }
+
+    #[inline]
+    fn count(&mut self, counter: WorkCounter, n: u64) {
+        self.work[counter.index()] += n;
     }
 
     fn finish(&mut self) {
@@ -234,7 +339,7 @@ impl HostProf for PhaseProf {
 }
 
 /// Per-phase host-time breakdown of one profiled run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HostProfReport {
     /// Nanoseconds charged to each phase, indexed by
     /// [`HostPhase::index`].
@@ -247,6 +352,15 @@ pub struct HostProfReport {
     /// Independently measured wall time from [`HostProf::begin`] to
     /// [`HostProf::finish`] (one clock read past the last mark).
     pub elapsed_ns: u64,
+    /// Phase marks taken, the final one included: each is one clock
+    /// read inside the timed span.
+    pub marks: u64,
+    /// Host nanoseconds one clock read took, calibrated at
+    /// [`HostProf::begin`]. `marks * clock_ns` estimates how much of
+    /// the phase total is the profiler timing itself.
+    pub clock_ns: f64,
+    /// Deterministic work counts, indexed by [`WorkCounter::index`].
+    pub work: [u64; WorkCounter::COUNT],
 }
 
 impl HostProfReport {
@@ -266,6 +380,29 @@ impl HostProfReport {
         } else {
             self.total_ns() as f64 / self.live_cycles as f64
         }
+    }
+
+    /// Clock reads per live cycle.
+    #[must_use]
+    pub fn marks_per_live_cycle(&self) -> f64 {
+        if self.live_cycles == 0 {
+            0.0
+        } else {
+            self.marks as f64 / self.live_cycles as f64
+        }
+    }
+
+    /// The share of [`HostProfReport::ns_per_live_cycle`] that is the
+    /// profiler's own clock reads.
+    #[must_use]
+    pub fn clock_ns_per_live_cycle(&self) -> f64 {
+        self.marks_per_live_cycle() * self.clock_ns
+    }
+
+    /// The count of `counter`.
+    #[must_use]
+    pub fn work(&self, counter: WorkCounter) -> u64 {
+        self.work[counter.index()]
     }
 
     /// The sum-to-elapsed identity: the telescoped phase total can
@@ -332,10 +469,28 @@ mod tests {
         prof.finish();
         let report = prof.report(1000);
         assert_eq!(report.live_cycles, 1000);
+        assert_eq!(report.marks, 4001, "four marks a cycle plus the final one");
+        assert!(report.clock_ns > 0.0, "begin calibrated the clock");
         report.check_identity().expect("identity holds");
         assert!(report.total_ns() > 0, "marks charged time");
         assert!(report.total_ns() <= report.elapsed_ns);
         assert!(report.ns_per_live_cycle() > 0.0);
+    }
+
+    #[test]
+    fn work_counters_are_dense_named_and_summed() {
+        for (i, counter) in WorkCounter::ALL.iter().enumerate() {
+            assert_eq!(counter.index(), i);
+        }
+        let mut names: Vec<&str> = WorkCounter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), WorkCounter::COUNT, "names are unique");
+        let mut prof = PhaseProf::new();
+        prof.count(WorkCounter::CopiesIssued, 3);
+        prof.count(WorkCounter::CopiesIssued, 4);
+        assert_eq!(prof.report(0).work(WorkCounter::CopiesIssued), 7);
+        assert_eq!(prof.report(0).work(WorkCounter::ReadyExamined), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ mod sampler;
 
 pub use critpath::{CritAttribution, CritCause, CritPathProbe};
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
-pub use hostprof::{HostPhase, HostProf, HostProfReport, NullHostProf, PhaseProf};
+pub use hostprof::{HostPhase, HostProf, HostProfReport, NullHostProf, PhaseProf, WorkCounter};
 pub use pipetrace::{DataflowEdge, FlushedOp, OpLifecycle, PipeTrace, PipeTraceProbe};
 pub use probe::{ObsConfig, ObsProbe};
 pub use ring::EventRing;

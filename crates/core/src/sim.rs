@@ -9,26 +9,27 @@
 //! slave copies, and instruction-replay exceptions for transfer-buffer
 //! deadlock.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use mcl_bpred::BranchPredictor;
+use mcl_isa::issue::IssueBudget;
 use mcl_isa::{ArchReg, ClusterId, InstrClass, RegBank};
 use mcl_mem::{Access, Cache};
 use mcl_trace::{vm::trace_program, PackedTrace, Program, TraceOp, TraceSource, VmError};
 
 use crate::check::{self, CheckLevel, FaultInjection};
 use crate::config::ProcessorConfig;
-use crate::dist::{distribute, Distribution, PhysRegs};
+use crate::dist::{distribute, distribute_fixed, Distribution, PhysRegs};
 use crate::events::{EventKind, EventLog};
 use crate::obs::{
     CopyKind, CycleSnapshot, DeliverySource, HostPhase, HostProf, HostProfReport, IssueBlock,
     NullHostProf, NullProbe, PhaseProf, Probe, StallCause, TransferKind, TransferPhase,
+    WorkCounter,
 };
 use crate::pipeview::{render_window, WindowRow};
 use crate::stats::{FastForward, SimStats};
-use crate::timeq::{Entry, TimeQ};
+use crate::timeq::{CompletionQ, Entry, LaneQ, TimeQ};
 
 /// The outcome of a simulation run.
 #[derive(Debug, Clone)]
@@ -318,11 +319,10 @@ enum DeadCause {
 enum Avail {
     /// Readable from the given cycle.
     Known(u64),
-    /// Known when the producer at this window index completes.
-    WaitDone(usize),
-    /// Known when the producer at this window index writes its slave
-    /// register copy.
-    WaitWrite(usize),
+    /// Known when this producer completes.
+    WaitDone(u64),
+    /// Known when this producer writes its slave register copy.
+    WaitWrite(u64),
 }
 
 /// Issue-readiness bookkeeping for one copy (master or slave) of an
@@ -380,7 +380,9 @@ impl ReadyEntry {
     }
 
     /// Builds the cached view of (`d`, `act`); `slot_class` mirrors the
-    /// classification the issue pass used to derive in-line.
+    /// classification the issue pass used to derive in-line. Inlined so
+    /// the entry is assembled in registers, not read back from memory.
+    #[inline(always)]
     fn of(d: &DynInstr, act: u8) -> ReadyEntry {
         let slot_class = if act == ACT_MASTER {
             d.op.class()
@@ -405,6 +407,189 @@ impl ReadyEntry {
     }
 }
 
+/// Parked-copy groups per issuing cluster, one per resource that only a
+/// scheduled event can free: the cluster's dividers, then each
+/// cluster's result and operand transfer buffer.
+const PARK_GROUPS: usize = 5;
+const PARK_DIVIDER: usize = 0;
+/// `PARK_RTB + c`: waiting for cluster `c`'s result transfer buffer.
+const PARK_RTB: usize = 1;
+/// `PARK_OTB + c`: waiting for cluster `c`'s operand transfer buffer.
+const PARK_OTB: usize = 3;
+
+/// The issue-width class group of `class` (the budget's column).
+fn class_group(class: InstrClass) -> u8 {
+    match class {
+        InstrClass::IntMul | InstrClass::IntAlu => 0,
+        InstrClass::FpDiv | InstrClass::FpOther => 1,
+        InstrClass::Load | InstrClass::Store => 2,
+        InstrClass::ControlFlow => 3,
+    }
+}
+
+/// One class of each group, in [`class_group`] order.
+const GROUP_CLASS: [InstrClass; 4] =
+    [InstrClass::IntAlu, InstrClass::FpOther, InstrClass::Load, InstrClass::ControlFlow];
+
+/// Ready copies of one cluster that are parked off the issue walk.
+///
+/// A ready copy blocked on a busy divider or a full transfer buffer
+/// stays blocked until an event frees that resource: issue only ever
+/// takes resources, and only the cycle-start drains and a replay give
+/// them back. So instead of re-examining it every cycle, the issue
+/// pass parks it in its resource's group. Each pass merges the groups
+/// into its age-ordered walk ([`Sim::issue_cluster`]): a group whose
+/// resource is free is pulled back copy by copy, one whose resource is
+/// taken is passed over whole, and the per-cycle effects of the
+/// skipped examinations are charged in bulk ([`Sim::charge_parked`]).
+///
+/// Nothing is parked with a probe attached: a probe hears every block,
+/// per copy and in age order, which is the examination parking skips.
+///
+/// A divide that is also waiting for a result buffer is never parked
+/// on the buffer: a busy divider blocks it first, so its buffer stall
+/// depends on the divider, not on the buffer alone.
+#[derive(Debug, Default)]
+struct Parked {
+    /// Per group, sorted by [`ReadyEntry::key`].
+    groups: [Vec<ReadyEntry>; PARK_GROUPS],
+    /// Per group, bit [`class_group`] set for each class it holds.
+    classes: [u8; PARK_GROUPS],
+}
+
+impl Parked {
+    fn is_empty(&self) -> bool {
+        self.groups.iter().all(Vec::is_empty)
+    }
+
+    /// The oldest copy the walk has yet to reach, as `(seq, group)`:
+    /// copies before `pulled[g]` are behind it, and a group the walk
+    /// passed over is done.
+    fn next(
+        &self,
+        pulled: &[usize; PARK_GROUPS],
+        passed: &[bool; PARK_GROUPS],
+    ) -> Option<(u64, usize)> {
+        (0..PARK_GROUPS)
+            .filter(|&g| !passed[g])
+            .filter_map(|g| self.groups[g].get(pulled[g]).map(|e| (e.seq, g)))
+            .min()
+    }
+
+    /// Recomputes the class bits of group `g`.
+    fn reclass(&mut self, g: usize) {
+        self.classes[g] =
+            self.groups[g].iter().fold(0, |bits, e| bits | 1 << class_group(e.slot_class));
+    }
+
+    fn push(&mut self, group: usize, entry: ReadyEntry) {
+        let g = &mut self.groups[group];
+        let sorted = g.last().is_none_or(|last| last.key() < entry.key());
+        g.push(entry);
+        if !sorted {
+            g.sort_unstable_by_key(ReadyEntry::key);
+        }
+        self.classes[group] |= 1 << class_group(entry.slot_class);
+    }
+
+    /// Drops every copy from `from_seq` on (a replay squash).
+    fn truncate_from(&mut self, from_seq: u64) {
+        for g in 0..PARK_GROUPS {
+            let group = &mut self.groups[g];
+            group.truncate(group.partition_point(|e| e.seq < from_seq));
+            self.reclass(g);
+        }
+    }
+}
+
+/// What examining one ready copy decided.
+enum Verdict {
+    /// Blocked by the width rules (or a divide by its result buffer):
+    /// stays in the ready set.
+    Keep,
+    Issued,
+    /// Blocked by the resource of this parked group.
+    Park(usize),
+}
+
+/// The running state of one cluster's issue pass.
+struct IssuePass {
+    budget: IssueBudget,
+    issued: u32,
+    /// Ready copies blocked earlier in the pass, walked or parked:
+    /// any makes a later issue out of order.
+    blocked: u64,
+    examined: u64,
+    /// The oldest copy still waiting on operands, looked up at the
+    /// first issue: no copy goes ready during a pass, so it holds for
+    /// the whole pass.
+    oldest_waiting: Option<Option<u64>>,
+}
+
+/// Distribution decisions per static instruction.
+///
+/// An op's distribution, physical-register demand and resource needs
+/// depend only on its registers and the register assignment — except
+/// when the load balance breaks a tie ([`distribute_fixed`]) — so they
+/// are the same for every dynamic instance of a loop body. A small
+/// direct-mapped cache keyed by pc, with the registers as part of the
+/// tag, keeps them; a reassignment clears it.
+#[derive(Debug)]
+struct DistCache {
+    entries: Vec<DistEntry>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct DistEntry {
+    /// `u64::MAX` when empty.
+    pc: u64,
+    /// The dense indices of `dest`, `srcs[0]` and `srcs[1]` (`0xFF`
+    /// for none).
+    regs: [u8; 3],
+    dist: Distribution,
+    phys: PhysRegs,
+    needs: Needs,
+}
+
+impl DistCache {
+    /// Entries (a power of two): loop bodies are short.
+    const SIZE: usize = 512;
+
+    fn new() -> DistCache {
+        let empty = DistEntry {
+            pc: u64::MAX,
+            regs: [0xFF; 3],
+            dist: no_distribution(),
+            phys: PhysRegs::none(),
+            needs: Needs::default(),
+        };
+        DistCache { entries: vec![empty; DistCache::SIZE] }
+    }
+
+    fn tag(op: &TraceOp) -> (usize, [u8; 3]) {
+        let reg = |r: Option<ArchReg>| r.map_or(0xFF, |r| r.dense_index() as u8);
+        let slot = (op.pc >> 2) as usize & (DistCache::SIZE - 1);
+        (slot, [reg(op.dest), reg(op.srcs[0]), reg(op.srcs[1])])
+    }
+
+    fn get(&self, op: &TraceOp) -> Option<(Distribution, PhysRegs, Needs)> {
+        let (slot, regs) = DistCache::tag(op);
+        let e = &self.entries[slot];
+        (e.pc == op.pc && e.regs == regs).then_some((e.dist, e.phys, e.needs))
+    }
+
+    fn insert(&mut self, op: &TraceOp, dist: Distribution, phys: PhysRegs, needs: Needs) {
+        let (slot, regs) = DistCache::tag(op);
+        self.entries[slot] = DistEntry { pc: op.pc, regs, dist, phys, needs };
+    }
+
+    fn clear(&mut self) {
+        for e in &mut self.entries {
+            e.pc = u64::MAX;
+        }
+    }
+}
+
 /// Memoized front-end work for the op at a stalled dispatch cursor.
 ///
 /// When dispatch blocks on a structural resource (dispatch-queue slots
@@ -419,6 +604,9 @@ impl ReadyEntry {
 /// the majority of their cycles here (`stall_regs` in Table 2's `ora`
 /// row covers ~9 in 10 cycles), which makes this the single hottest
 /// path in the live-cycle loop.
+///
+/// Only a stall builds the memo: an op that dispatches on its first try
+/// never pays for one.
 #[derive(Debug, Clone, Copy)]
 struct DispatchMemo {
     /// Trace index the memo describes; a mismatch invalidates it.
@@ -426,9 +614,33 @@ struct DispatchMemo {
     op: TraceOp,
     dist: Distribution,
     phys: PhysRegs,
-    dq_needed: [u32; 2],
-    int_needed: [i64; 2],
-    fp_needed: [i64; 2],
+    needs: Needs,
+}
+
+/// The dispatch-queue entries and physical registers one op takes from
+/// each cluster.
+#[derive(Debug, Clone, Copy, Default)]
+struct Needs {
+    dq: [u8; 2],
+    int: [u8; 2],
+    fp: [u8; 2],
+}
+
+impl Needs {
+    fn of(dist: &Distribution, phys: &PhysRegs) -> Needs {
+        let mut needs = Needs::default();
+        needs.dq[dist.master.index()] += 1;
+        if let Some(s) = dist.slave {
+            needs.dq[s.index()] += 1;
+        }
+        for (c, bank) in phys.iter() {
+            match bank {
+                RegBank::Int => needs.int[c.index()] += 1,
+                RegBank::Fp => needs.fp[c.index()] += 1,
+            }
+        }
+        needs
+    }
 }
 
 /// One registration on a producer's wakeup list.
@@ -558,6 +770,166 @@ impl DynInstr {
         }
         true
     }
+
+    /// The contents of a window slot no instruction occupies.
+    fn vacant() -> DynInstr {
+        DynInstr {
+            op: TraceOp {
+                seq: 0,
+                pc: 0,
+                op: mcl_isa::Opcode::Addq,
+                dest: None,
+                srcs: [None, None],
+                mem_addr: None,
+                branch: None,
+                sched_inserted: false,
+            },
+            dist: no_distribution(),
+            phys: PhysRegs::none(),
+            m_wait: WaitState::default(),
+            s_wait: WaitState::default(),
+            w_done: NIL,
+            w_write: NIL,
+            master_issued: None,
+            master_done: None,
+            slave_issued: None,
+            slave_write: None,
+            woke: false,
+            mispredicted: false,
+            dq_master_freed: false,
+            dq_slave_freed: false,
+            otb_held: false,
+            rtb_held: false,
+        }
+    }
+}
+
+/// The distribution placeholder of an empty slot.
+fn no_distribution() -> Distribution {
+    Distribution {
+        clusters: mcl_isa::ClusterSet::only(ClusterId::C0),
+        master: ClusterId::C0,
+        slave: None,
+        forwarded_src: [false; 2],
+        slave_receives: false,
+        scenario: 1,
+    }
+}
+
+/// The in-flight instructions, oldest first: a power-of-two ring whose
+/// slot for sequence number `seq` is `seq & mask`, so finding an
+/// instruction by its sequence number is one mask — no offset from the
+/// head, no wrap test. Grows by doubling when full; vacant slots hold
+/// [`DynInstr::vacant`].
+#[derive(Debug)]
+struct Window {
+    slots: Vec<DynInstr>,
+    /// `slots.len() - 1`.
+    mask: u64,
+    /// Sequence number of the oldest in-flight instruction (the next
+    /// one to dispatch, when empty).
+    base: u64,
+    len: usize,
+}
+
+impl Window {
+    fn new() -> Window {
+        Window { slots: vec![DynInstr::vacant(); 64], mask: 63, base: 0, len: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// Whether `seq` is in flight.
+    fn contains(&self, seq: u64) -> bool {
+        seq.wrapping_sub(self.base) < self.len as u64
+    }
+
+    fn get(&self, seq: u64) -> Option<&DynInstr> {
+        self.contains(seq).then(|| &self.slots[self.slot(seq)])
+    }
+
+    fn front(&self) -> Option<&DynInstr> {
+        self.get(self.base)
+    }
+
+    /// Retires the oldest instruction, returning it; its slot stays
+    /// intact until a dispatch reuses it.
+    fn pop_front(&mut self) -> Option<&DynInstr> {
+        if self.len == 0 {
+            return None;
+        }
+        let slot = self.slot(self.base);
+        self.base += 1;
+        self.len -= 1;
+        Some(&self.slots[slot])
+    }
+
+    #[inline]
+    fn push_back(&mut self, d: DynInstr) {
+        debug_assert_eq!(d.op.seq, self.base + self.len as u64, "dispatch is in order");
+        if self.len == self.slots.len() {
+            self.grow();
+        }
+        let slot = self.slot(d.op.seq);
+        self.slots[slot] = d;
+        self.len += 1;
+    }
+
+    /// Doubles the ring, moving every instruction to its new slot.
+    #[cold]
+    fn grow(&mut self) {
+        let mut slots = vec![DynInstr::vacant(); 2 * self.slots.len()];
+        let mask = slots.len() as u64 - 1;
+        for seq in self.seqs() {
+            let from = self.slot(seq);
+            let d = std::mem::replace(&mut self.slots[from], DynInstr::vacant());
+            slots[(seq & mask) as usize] = d;
+        }
+        self.slots = slots;
+        self.mask = mask;
+    }
+
+    /// Squashes `from_seq` and everything younger.
+    fn truncate_from(&mut self, from_seq: u64) {
+        self.len = (from_seq - self.base) as usize;
+    }
+
+    /// The sequence numbers in flight, oldest first.
+    fn seqs(&self) -> std::ops::Range<u64> {
+        self.base..self.base + self.len as u64
+    }
+
+    /// The in-flight instructions, oldest first.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = &DynInstr> + '_ {
+        self.seqs().map(|seq| &self.slots[self.slot(seq)])
+    }
+}
+
+impl std::ops::Index<u64> for Window {
+    type Output = DynInstr;
+
+    fn index(&self, seq: u64) -> &DynInstr {
+        debug_assert!(self.contains(seq), "#{seq} is not in flight");
+        &self.slots[self.slot(seq)]
+    }
+}
+
+impl std::ops::IndexMut<u64> for Window {
+    fn index_mut(&mut self, seq: u64) -> &mut DynInstr {
+        debug_assert!(self.contains(seq), "#{seq} is not in flight");
+        let slot = self.slot(seq);
+        &mut self.slots[slot]
+    }
 }
 
 /// Why fetch is waiting for `fetch_resume_at`; each variant charges its
@@ -579,8 +951,7 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     cursor: usize,
     now: u64,
 
-    window: VecDeque<DynInstr>,
-    base: u64,
+    window: Window,
 
     dq_free: [u32; 2],
     int_free: [i64; 2],
@@ -597,11 +968,21 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     /// Wakeup-list node storage.
     waiters: WaiterArena,
     /// Per cluster: copies whose operands are all available, kept
-    /// sorted by age — the issue pass walks exactly these. A sorted
-    /// `Vec` beats a `BTreeSet` here: the set is small (a handful of
-    /// copies), is compacted in place by every issue pass, and
+    /// sorted by age — the issue pass walks these, merged with the
+    /// parked ones. A sorted `Vec` beats a `BTreeSet` here: the set is
+    /// small (a handful of copies), is rebuilt by every issue pass, and
     /// age-ordered iteration is the hot operation.
     ready: [Vec<ReadyEntry>; 2],
+    /// Per cluster: ready copies parked on a busy divider or a full
+    /// transfer buffer (see [`Parked`]); still ready, off the walk.
+    parked: [Parked; 2],
+    /// Reusable output buffer of the issue walk.
+    scratch_ready: Vec<ReadyEntry>,
+    /// Reusable per-pass list of the copies issued, for charging
+    /// parked copies exactly when the budget ran short.
+    scratch_issued: Vec<(u64, InstrClass)>,
+    /// Reusable per-pass list of the copies parked, as (group, entry).
+    scratch_parked: Vec<(usize, ReadyEntry)>,
     /// Per cluster: every dispatched copy as `(seq, action)`, in
     /// dispatch order, for issue-disorder accounting. Dispatch pushes
     /// each cluster's copies in strictly increasing seq (a master and
@@ -612,21 +993,18 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     waiting: [VecDeque<(u64, u8)>; 2],
     /// Copies whose last operand time became known, to enter the ready
     /// set at the scheduled cycle. Key `seq << 1 | action`, data the
-    /// cluster index.
-    future_ready: TimeQ,
+    /// cluster index. Copies due by the next cycle skip its wheel.
+    future_ready: LaneQ,
     /// Scheduled scenario-five wake checks, keyed by seq.
     wake_events: TimeQ,
-    /// Scheduled completions for the progress check, as `(cycle, seq,
-    /// DONE/WRITE)`. A plain min-heap rather than a [`TimeQ`]: the
-    /// progress check only ever asks for the earliest live entry, so
-    /// O(1) peek beats the wheel's bitmap walk, and tie order among
-    /// same-cycle events is unobservable. Fired events are popped at
-    /// the top of every cycle, so the heap holds only future events:
-    /// at most two per in-flight instruction, plus events of squashed
+    /// Scheduled completions for the progress check, keyed
+    /// `seq << 1 | DONE/WRITE`. Only actionless cycles ask for the
+    /// earliest live one, so recording is a bucket push and the
+    /// question walks the buckets. Fired events are trimmed at the top
+    /// of every cycle, so the queue holds only future events: at most
+    /// two per in-flight instruction, plus events of squashed
     /// incarnations, which are discarded lazily against the window.
-    completions: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    /// Reusable drain buffer for replay squashes.
-    scratch_squash: Vec<DynInstr>,
+    completions: CompletionQ,
     /// Reusable drain buffer for [`TimeQ::pop_due`] consumers.
     scratch_events: Vec<Entry>,
     /// Reusable per-window-slot tallies for the invariant checker
@@ -649,8 +1027,9 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     /// [`pack_branch`].
     pending_bpred: TimeQ,
     /// Scheduled transfer-buffer credit returns. Key
-    /// `cluster << 1 | OTB/RTB`.
-    buffer_frees: TimeQ,
+    /// `cluster << 1 | OTB/RTB`. All are due the next cycle, so they
+    /// take the lane.
+    buffer_frees: LaneQ,
 
     predictor: Box<dyn BranchPredictor + Send>,
     icache: Cache,
@@ -661,6 +1040,8 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     /// the next op to dispatch and no dispatch, replay, or
     /// reassignment has run since it was recorded.
     dispatch_memo: Option<DispatchMemo>,
+    /// See [`DistCache`].
+    dist_cache: DistCache,
     stats: SimStats,
     events: Option<EventLog>,
 
@@ -728,8 +1109,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             trace,
             cursor: 0,
             now: 0,
-            window: VecDeque::new(),
-            base: 0,
+            window: Window::new(),
             dq_free: [cfg.dq_entries; 2],
             int_free,
             fp_free,
@@ -740,11 +1120,14 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             producers: [[None; 64]; 2],
             waiters: WaiterArena::new(),
             ready: [Vec::new(), Vec::new()],
+            parked: [Parked::default(), Parked::default()],
+            scratch_ready: Vec::new(),
+            scratch_issued: Vec::new(),
+            scratch_parked: Vec::new(),
             waiting: [VecDeque::new(), VecDeque::new()],
-            future_ready: TimeQ::new(),
+            future_ready: LaneQ::new(),
             wake_events: TimeQ::new(),
-            completions: BinaryHeap::new(),
-            scratch_squash: Vec::new(),
+            completions: CompletionQ::new(),
             scratch_events: Vec::new(),
             scratch_regs: Vec::new(),
             scratch_sched: Vec::new(),
@@ -753,12 +1136,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             fetch_stall: FetchStall::Icache,
             fetch_blocked_by: None,
             pending_bpred: TimeQ::new(),
-            buffer_frees: TimeQ::new(),
+            buffer_frees: LaneQ::new(),
             predictor: cfg.predictor.build(),
             icache: Cache::new(cfg.icache),
             dcache: Cache::new(cfg.dcache),
             balance: [0; 2],
             dispatch_memo: None,
+            dist_cache: DistCache::new(),
             stats: SimStats::default(),
             events: cfg.record_events.then(EventLog::new),
             blocked_on_buffer: false,
@@ -773,6 +1157,15 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             ff: FastForward::default(),
             probe,
             hostprof,
+        }
+    }
+
+    /// Adds `n` to a host-profile work counter (compiled out unless a
+    /// profiler is attached).
+    #[inline]
+    fn count(&mut self, counter: WorkCounter, n: u64) {
+        if H::ENABLED {
+            self.hostprof.count(counter, n);
         }
     }
 
@@ -862,7 +1255,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         self.blocked_on_buffer = false;
         self.inject_faults();
 
-        self.pop_fired_completions();
+        self.completions.trim(self.now);
         self.process_buffer_frees();
         self.process_branch_resolutions();
         if H::ENABLED {
@@ -893,6 +1286,8 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         }
         if H::ENABLED {
             self.hostprof.mark(HostPhase::Dispatch);
+            self.hostprof.count(WorkCounter::OpsDispatched, u64::from(dispatched));
+            self.hostprof.count(WorkCounter::CopiesIssued, u64::from(issued));
         }
 
         let validate = match self.check {
@@ -1024,44 +1419,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         self.pending_bpred.iter().any(|e| e.key == seq).then_some(seq)
     }
 
-    /// Drops completion events at or before `now`. Exact: every reader
-    /// of the heap (the progress check, fast-forward, the drop fault,
-    /// the liveness checker) only looks at events strictly after `now`.
-    /// Without this the heap would be trimmed only on actionless
-    /// cycles, and grow with the length of a busy run.
-    fn pop_fired_completions(&mut self) {
-        let now = self.now;
-        while self.completions.peek().is_some_and(|&Reverse((cycle, _, _))| cycle <= now) {
-            self.completions.pop();
-        }
-    }
-
     /// Removes the earliest live completion event strictly after `now`
-    /// from the queue (the drop-completion fault). Stale and
-    /// already-fired entries discarded along the way would have been
-    /// discarded lazily anyway, so only the live event's loss is
-    /// observable.
+    /// from the queue (the drop-completion fault). Stale entries
+    /// discarded along the way would have been discarded lazily anyway,
+    /// so only the live event's loss is observable.
     fn drop_next_live_completion(&mut self, now: u64) {
-        while let Some(&Reverse((cycle, seq, evt))) = self.completions.peek() {
-            if cycle <= now {
-                self.completions.pop();
-                continue;
-            }
-            let live = match self.win_index(seq) {
-                None => false,
-                Some(wi) => {
-                    let d = &self.window[wi];
-                    if evt == u64::from(DONE_EVT) {
-                        d.master_done == Some(cycle)
-                    } else {
-                        d.slave_write == Some(cycle)
-                    }
-                }
-            };
-            self.completions.pop();
-            if live {
-                return;
-            }
+        if let Some((cycle, key)) = self.earliest_live_completion(now) {
+            self.completions.remove(cycle, key);
         }
     }
 
@@ -1121,7 +1485,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 continue;
             }
             for &e in &self.ready[ci] {
-                if self.win_index(e.seq).is_none() {
+                if !self.window.contains(e.seq) {
                     return;
                 }
                 if rules.class_limit(e.slot_class) == 0 {
@@ -1151,6 +1515,28 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                     continue;
                 }
                 return;
+            }
+            // Parked copies are blocked the same ways, a whole group
+            // at a time: each stays unissuable while its resource is
+            // taken, which every skipped cycle re-checks.
+            for (g, group) in self.parked[ci].groups.iter().enumerate() {
+                if group.is_empty() {
+                    continue;
+                }
+                let len = group.len() as u64;
+                match g {
+                    PARK_DIVIDER => {
+                        match self.div_busy_until[ci][..self.dividers].iter().copied().min() {
+                            Some(free) if free > now => {
+                                div_wake = Some(div_wake.map_or(free, |w: u64| w.min(free)));
+                            }
+                            _ => return,
+                        }
+                    }
+                    g if g < PARK_OTB && self.rtb_free[g - PARK_RTB] == 0 => rtb_stalls += len,
+                    g if g >= PARK_OTB && self.otb_free[g - PARK_OTB] == 0 => otb_stalls += len,
+                    _ => return,
+                }
             }
         }
         // Retire: the front might retire next cycle (retirement is
@@ -1269,64 +1655,75 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // stall at the cursor left a memo behind; reuse it instead of
         // re-deriving the distribution (the inputs match for the same
         // reason the dispatch retry may reuse it).
-        if let Some(m) = self.dispatch_memo.filter(|m| m.cursor == self.cursor) {
-            if self.reassign_draining
-                || self.pending_reassign.first().is_some_and(|r| r.trigger_pc == m.op.pc)
-            {
-                return (!self.window.is_empty()).then_some(DeadCause::ReassignDrain);
-            }
-            if !(0..2).all(|c| self.dq_free[c] >= m.dq_needed[c]) {
-                return Some(DeadCause::DispatchQueue(m.op.pc));
-            }
-            if !(0..2)
-                .all(|c| self.int_free[c] >= m.int_needed[c] && self.fp_free[c] >= m.fp_needed[c])
-            {
-                return Some(DeadCause::Registers(m.op.pc));
-            }
-            return None;
-        }
-        let op = self.trace.get(self.cursor);
+        let memo = self.dispatch_memo.as_ref().filter(|m| m.cursor == self.cursor);
+        let op = memo.map_or_else(|| self.trace.get(self.cursor), |m| m.op);
         if self.reassign_draining
             || self.pending_reassign.first().is_some_and(|r| r.trigger_pc == op.pc)
         {
             // With an empty window the switch itself would run: step it.
             return (!self.window.is_empty()).then_some(DeadCause::ReassignDrain);
         }
-        if !self.icache.probe(op.pc, self.now) {
-            return None;
-        }
-        let dist = distribute(&op, &self.assign, &self.balance);
-        let mut dq_needed = [0u32; 2];
-        dq_needed[dist.master.index()] += 1;
-        if let Some(s) = dist.slave {
-            dq_needed[s.index()] += 1;
-        }
-        if !(0..2).all(|c| self.dq_free[c] >= dq_needed[c]) {
+        let needs = match memo {
+            Some(m) => m.needs,
+            None => {
+                if !self.icache.probe(op.pc, self.now) {
+                    return None;
+                }
+                self.front_end(&op).2
+            }
+        };
+        if !self.dq_fits(&needs) {
             return Some(DeadCause::DispatchQueue(op.pc));
         }
-        let phys = dist.phys_needed(&op, &self.assign);
-        let mut int_needed = [0i64; 2];
-        let mut fp_needed = [0i64; 2];
-        for (c, bank) in phys.iter() {
-            match bank {
-                RegBank::Int => int_needed[c.index()] += 1,
-                RegBank::Fp => fp_needed[c.index()] += 1,
-            }
-        }
-        if !(0..2).all(|c| self.int_free[c] >= int_needed[c] && self.fp_free[c] >= fp_needed[c]) {
+        if !self.regs_fit(&needs) {
             return Some(DeadCause::Registers(op.pc));
         }
         None
     }
 
+    /// Whether every cluster has the dispatch-queue entries `needs` asks.
+    fn dq_fits(&self, needs: &Needs) -> bool {
+        (0..2).all(|c| self.dq_free[c] >= u32::from(needs.dq[c]))
+    }
+
+    /// Whether every cluster has the physical registers `needs` asks.
+    fn regs_fit(&self, needs: &Needs) -> bool {
+        (0..2).all(|c| {
+            self.int_free[c] >= i64::from(needs.int[c]) && self.fp_free[c] >= i64::from(needs.fp[c])
+        })
+    }
+
+    /// The distribution of `op`, its physical-register demand and its
+    /// resource needs: from the per-instruction cache when the decision
+    /// does not depend on the load balance (see [`DistCache`]).
+    fn front_end(&self, op: &TraceOp) -> (Distribution, PhysRegs, Needs) {
+        if let Some(hit) = self.dist_cache.get(op) {
+            return hit;
+        }
+        let dist = distribute(op, &self.assign, &self.balance);
+        let phys = dist.phys_needed(op, &self.assign);
+        (dist, phys, Needs::of(&dist, &phys))
+    }
+
+    /// [`Sim::front_end`], filling the cache on a miss.
+    fn front_end_cached(&mut self, op: &TraceOp) -> (Distribution, PhysRegs, Needs) {
+        if let Some(hit) = self.dist_cache.get(op) {
+            return hit;
+        }
+        let Some(dist) = distribute_fixed(op, &self.assign) else {
+            return self.front_end(op);
+        };
+        let phys = dist.phys_needed(op, &self.assign);
+        let needs = Needs::of(&dist, &phys);
+        self.dist_cache.insert(op, dist, phys, needs);
+        (dist, phys, needs)
+    }
+
     // -- cycle-start event processing --------------------------------------
 
     fn process_buffer_frees(&mut self) {
-        if self.buffer_frees.is_empty() {
-            return;
-        }
         let mut due = std::mem::take(&mut self.scratch_events);
-        self.buffer_frees.pop_due(self.now, &mut due);
+        self.buffer_frees.drain(self.now, &mut due);
         for e in &due {
             let cluster = (e.key >> 1) as usize;
             if e.key & 1 == u64::from(OTB) {
@@ -1391,7 +1788,6 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             if P::ENABLED {
                 self.probe.retired(self.now, seq);
             }
-            self.base = seq + 1;
             self.last_replay_base = None; // retirement = forward progress
             self.replays_since_retire = 0;
             self.stats.retired += 1;
@@ -1415,9 +1811,8 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         self.wake_events.pop_due(now, &mut due);
         for e in &due {
             let seq = e.key;
-            let Some(wi) = self.win_index(seq) else { continue };
+            let Some(d) = self.window.get(seq) else { continue };
             let eligible = {
-                let d = &self.window[wi];
                 d.dist.slave_receives
                     && d.forwards()
                     && !d.woke
@@ -1428,7 +1823,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 continue; // stale event from a squashed incarnation
             }
             let slave = {
-                let d = &mut self.window[wi];
+                let d = &mut self.window[seq];
                 let slave = d.dist.slave.expect("scenario five has a slave");
                 d.woke = true;
                 d.slave_write = Some(now + 1);
@@ -1443,9 +1838,9 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 }
                 slave
             };
-            let head = std::mem::replace(&mut self.window[wi].w_write, NIL);
+            let head = std::mem::replace(&mut self.window[seq].w_write, NIL);
             self.notify_waiters(head, now + 1, DeliverySource::SlaveWrite, seq);
-            self.completions.push(Reverse((now + 1, seq, u64::from(WRITE_EVT))));
+            self.record_completion(now + 1, seq, WRITE_EVT);
             self.buffer_frees.schedule(now + 1, (slave.index() as u64) << 1 | u64::from(RTB), 0);
             if P::ENABLED {
                 self.probe.forwarded(now + 1, seq, TransferKind::Result, TransferPhase::Release, slave);
@@ -1461,33 +1856,23 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
 
     // -- issue ----------------------------------------------------------------
 
-    /// Window index of a live instruction, if `seq` is still in flight.
-    fn win_index(&self, seq: u64) -> Option<usize> {
-        if seq < self.base {
-            return None;
-        }
-        let wi = (seq - self.base) as usize;
-        (wi < self.window.len()).then_some(wi)
-    }
-
     /// Operand availability as seen from `cluster` at dispatch time:
     /// the cycle is either already known, or becomes known when the
     /// producer's completion (`master_done`) or slave register write
-    /// (`slave_write`) is scheduled — the returned window index says
-    /// which wakeup list to register on.
+    /// (`slave_write`) is scheduled — the returned producer says which
+    /// wakeup list to register on.
     fn avail_for(&self, dep: Option<u64>, cluster: ClusterId) -> Avail {
         let Some(p) = dep else { return Avail::Known(0) };
-        let Some(wi) = self.win_index(p) else { return Avail::Known(0) };
-        let d = &self.window[wi];
+        let Some(d) = self.window.get(p) else { return Avail::Known(0) };
         if Some(cluster) == d.dist.slave && d.dist.slave_receives {
             match d.slave_write {
                 Some(t) => Avail::Known(t),
-                None => Avail::WaitWrite(wi),
+                None => Avail::WaitWrite(p),
             }
         } else {
             match d.master_done {
                 Some(t) => Avail::Known(t),
-                None => Avail::WaitDone(wi),
+                None => Avail::WaitDone(p),
             }
         }
     }
@@ -1504,8 +1889,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         source: DeliverySource,
         producer: Option<u64>,
     ) {
-        let Some(wi) = self.win_index(consumer) else { return };
-        let d = &mut self.window[wi];
+        if !self.window.contains(consumer) {
+            return;
+        }
+        let d = &mut self.window[consumer];
         let st = if action == ACT_MASTER { &mut d.m_wait } else { &mut d.s_wait };
         debug_assert!(st.unknown > 0, "delivery without a registration");
         if st.unknown == 0 {
@@ -1531,12 +1918,23 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             self.probe.operand_delivered(consumer, avail, source, producer);
         }
         if all_known {
-            self.future_ready.schedule(
-                ready_at,
-                consumer << 1 | u64::from(action),
-                u64::from(cluster_byte),
-            );
+            self.schedule_ready(ready_at, consumer, action, cluster_byte);
         }
+    }
+
+    /// Schedules copy (`seq`, `action`) of `cluster` to enter its ready
+    /// set at `cycle`.
+    fn schedule_ready(&mut self, cycle: u64, seq: u64, action: u8, cluster: u8) {
+        let direct =
+            self.future_ready.schedule(cycle, seq << 1 | u64::from(action), u64::from(cluster));
+        self.count(if direct { WorkCounter::ReadyDirect } else { WorkCounter::ReadyWheel }, 1);
+    }
+
+    /// Records that (`seq`, `kind`) completes at `cycle`, for the
+    /// progress check.
+    fn record_completion(&mut self, cycle: u64, seq: u64, kind: u8) {
+        self.count(WorkCounter::CompletionEvents, 1);
+        self.completions.push(cycle, seq << 1 | u64::from(kind));
     }
 
     /// Delivers `avail` to every waiter on a wakeup list. `source` and
@@ -1556,17 +1954,16 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     /// ready sets. Runs once per cycle, before the issue passes.
     fn drain_future_ready(&mut self) {
         let now = self.now;
-        if self.future_ready.is_empty() {
-            return;
-        }
         let mut due = std::mem::take(&mut self.scratch_events);
-        self.future_ready.pop_due(now, &mut due);
+        self.future_ready.drain(now, &mut due);
         for e in &due {
             let seq = e.key >> 1;
             let action = (e.key & 1) as u8;
             let cl = e.data as usize;
-            let Some(wi) = self.win_index(seq) else { continue };
-            let d = &mut self.window[wi];
+            if !self.window.contains(seq) {
+                continue;
+            }
+            let d = &mut self.window[seq];
             // Validate against the *current* incarnation: a squash and
             // re-dispatch may have left a stale event behind.
             let (cluster_ok, issued, st) = if action == ACT_MASTER {
@@ -1582,10 +1979,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 continue;
             }
             st.in_ready = true;
-            let entry = ReadyEntry::of(&self.window[wi], action);
-            if let Err(pos) = self.ready[cl].binary_search_by_key(&(seq, action), ReadyEntry::key)
-            {
-                self.ready[cl].insert(pos, entry);
+            let entry = ReadyEntry::of(&self.window[seq], action);
+            let ready = &mut self.ready[cl];
+            // Copies mostly go ready in age order: append when youngest.
+            if ready.last().is_none_or(|last| last.key() < entry.key()) {
+                ready.push(entry);
+            } else if let Err(pos) = ready.binary_search_by_key(&entry.key(), ReadyEntry::key) {
+                ready.insert(pos, entry);
             }
         }
         due.clear();
@@ -1596,10 +1996,9 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     /// (lazily discarding entries that issued or went ready).
     fn min_waiting(&mut self, cluster: usize) -> Option<u64> {
         while let Some(&(seq, action)) = self.waiting[cluster].front() {
-            let live = match self.win_index(seq) {
+            let live = match self.window.get(seq) {
                 None => false,
-                Some(wi) => {
-                    let d = &self.window[wi];
+                Some(d) => {
                     if action == ACT_MASTER {
                         d.dist.master.index() == cluster
                             && d.master_issued.is_none()
@@ -1619,127 +2018,305 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         None
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn issue_cluster(&mut self, cluster: ClusterId) -> u32 {
-        let ci = cluster.index();
-        if self.ready[ci].is_empty() {
-            return 0;
+    /// Whether the resource parked group `group` of cluster `ci` waits
+    /// for is free now.
+    fn park_resource_free(&self, ci: usize, group: usize) -> bool {
+        match group {
+            PARK_DIVIDER => self.div_busy_until[ci][..self.dividers].iter().any(|&b| b <= self.now),
+            g if g < PARK_OTB => self.rtb_free[g - PARK_RTB] > 0,
+            g => self.otb_free[g - PARK_OTB] > 0,
         }
-        let mut budget = self.cfg.issue_rules.budget();
-        let mut issued = 0;
-        // Ready-but-blocked copies iterated earlier in this pass: they
-        // count toward issue disorder exactly as skipped window slots
-        // did in the full-scan formulation.
-        let mut blocked_in_pass = 0u64;
-        let now = self.now;
-
-        // Walk the ready set in age order, compacting it in place:
-        // blocked copies stay, issued ones drop out. Deliveries during
-        // the pass only schedule *future* cycles, so nothing else
-        // touches the set while it is taken out of `self`.
-        let mut ready = std::mem::take(&mut self.ready[ci]);
-        ready.retain(|&e| {
-            if budget.is_exhausted() {
-                return true;
-            }
-            enum Action {
-                Master,
-                SlaveForward,
-                SlaveReceive,
-            }
-            let (seq, act) = (e.seq, e.act);
-            // Classification runs entirely off the cached entry — the
-            // window is only dereferenced when the copy issues.
-            let action = if act == ACT_MASTER {
-                Action::Master
-            } else if e.forwards {
-                Action::SlaveForward
-            } else {
-                Action::SlaveReceive
-            };
-
-            // ---- structural resources ----
-            let slot_class = e.slot_class;
-            if !budget.can_take(slot_class) {
-                if P::ENABLED && act == ACT_MASTER {
-                    self.probe.issue_blocked(now, seq, IssueBlock::Width);
-                }
-                blocked_in_pass += 1;
-                return true;
-            }
-            match action {
-                Action::Master => {
-                    if slot_class == InstrClass::FpDiv
-                        && !self.div_busy_until[ci][..self.dividers].iter().any(|&b| b <= now)
-                    {
-                        if P::ENABLED {
-                            self.probe.issue_blocked(now, seq, IssueBlock::Width);
-                        }
-                        blocked_in_pass += 1;
-                        return true;
-                    }
-                    if e.slave_receives && self.rtb_free[usize::from(e.slave)] == 0 {
-                        self.stats.rtb_full_stalls += 1;
-                        self.blocked_on_buffer = true;
-                        if P::ENABLED {
-                            self.probe.issue_blocked(now, seq, IssueBlock::RtbFull);
-                        }
-                        blocked_in_pass += 1;
-                        return true;
-                    }
-                }
-                Action::SlaveForward => {
-                    if self.otb_free[usize::from(e.master)] == 0 {
-                        self.stats.otb_full_stalls += 1;
-                        self.blocked_on_buffer = true;
-                        if P::ENABLED {
-                            self.probe.issue_blocked(now, seq, IssueBlock::OtbFull);
-                        }
-                        blocked_in_pass += 1;
-                        return true;
-                    }
-                }
-                Action::SlaveReceive => {}
-            }
-
-            // ---- issue ----
-            let wi = self.win_index(seq).expect("ready copies are in flight");
-            debug_assert!(
-                act != ACT_MASTER
-                    || (self.window[wi].dist.master == cluster
-                        && self.window[wi].master_issued.is_none())
-            );
-            assert!(budget.try_take(slot_class));
-            // Out-of-order issue: an older copy for this cluster was
-            // passed over, either blocked earlier in this pass or still
-            // waiting on operands.
-            if blocked_in_pass > 0 || self.min_waiting(ci).is_some_and(|w| w < seq) {
-                self.stats.issue_disorder += 1;
-            }
-            issued += 1;
-            self.stats.per_cluster_issued[ci] += 1;
-            {
-                let d = &mut self.window[wi];
-                let st = if act == ACT_MASTER { &mut d.m_wait } else { &mut d.s_wait };
-                st.in_ready = false;
-            }
-
-            match action {
-                Action::Master => self.issue_master(wi, cluster),
-                Action::SlaveForward => self.issue_slave_forward(wi, cluster),
-                Action::SlaveReceive => self.issue_slave_receive(wi, cluster),
-            }
-            false
-        });
-        self.ready[ci] = ready;
-        issued
     }
 
-    fn issue_master(&mut self, wi: usize, cluster: ClusterId) {
+    /// One cluster's issue pass: walks the ready copies in age order
+    /// against a fresh budget, merging in the parked ones if there are
+    /// any ([`Sim::walk_with_parked`]).
+    ///
+    /// A parked group whose resource is free when the walk reaches its
+    /// oldest copy is pulled back copy by copy and examined like any
+    /// ready copy. One whose resource is taken blocks that copy and —
+    /// resources only run out during a pass — every younger copy in the
+    /// group, so the walk passes the rest of the group over without
+    /// looking at it and [`Sim::charge_parked`] charges what examining
+    /// them would have.
+    fn issue_cluster(&mut self, cluster: ClusterId) -> u32 {
+        let ci = cluster.index();
+        if self.ready[ci].is_empty() && self.parked[ci].is_empty() {
+            return 0;
+        }
+        let mut pass = IssuePass {
+            budget: self.cfg.issue_rules.budget(),
+            issued: 0,
+            blocked: 0,
+            examined: 0,
+            oldest_waiting: None,
+        };
+        let mut newly_parked = std::mem::take(&mut self.scratch_parked);
+        if self.parked[ci].is_empty() {
+            // Nothing parked: compact the ready set in place.
+            let mut ready = std::mem::take(&mut self.ready[ci]);
+            ready.retain(|&e| {
+                if pass.budget.is_exhausted() {
+                    return true;
+                }
+                match self.examine(&mut pass, e, cluster) {
+                    Verdict::Keep => true,
+                    Verdict::Issued => false,
+                    Verdict::Park(_) if P::ENABLED => true,
+                    Verdict::Park(g) => {
+                        newly_parked.push((g, e));
+                        false
+                    }
+                }
+            });
+            self.ready[ci] = ready;
+        } else {
+            self.walk_with_parked(ci, &mut pass, &mut newly_parked, cluster);
+        }
+        self.count(WorkCounter::ReadyExamined, pass.examined);
+        self.count(WorkCounter::CopiesParked, newly_parked.len() as u64);
+        for &(g, e) in &newly_parked {
+            self.parked[ci].push(g, e);
+        }
+        newly_parked.clear();
+        self.scratch_parked = newly_parked;
+        pass.issued
+    }
+
+    /// The walk of [`Sim::issue_cluster`] when copies are parked: the
+    /// ready set merged with the parked groups in age order, into a
+    /// fresh ready set, then the bulk charge for the copies passed over.
+    fn walk_with_parked(
+        &mut self,
+        ci: usize,
+        pass: &mut IssuePass,
+        newly_parked: &mut Vec<(usize, ReadyEntry)>,
+        cluster: ClusterId,
+    ) {
+        let active = std::mem::take(&mut self.ready[ci]);
+        let mut kept = std::mem::take(&mut self.scratch_ready);
+        let mut issued_log = std::mem::take(&mut self.scratch_issued);
+        // Per group: copies before `pulled` were pulled into the walk;
+        // if `passed`, the walk found the resource taken at `pulled`.
+        let mut pulled = [0usize; PARK_GROUPS];
+        let mut passed = [false; PARK_GROUPS];
+        let mut next_parked = self.parked[ci].next(&pulled, &passed);
+        let mut i = 0;
+        loop {
+            let e = match next_parked {
+                Some((seq, g)) if active.get(i).is_none_or(|a| seq < a.seq) => {
+                    if pass.budget.is_exhausted() {
+                        break;
+                    }
+                    let free = self.park_resource_free(ci, g);
+                    if free {
+                        pulled[g] += 1;
+                    } else {
+                        pass.blocked += 1;
+                        passed[g] = true;
+                    }
+                    next_parked = self.parked[ci].next(&pulled, &passed);
+                    if !free {
+                        continue;
+                    }
+                    self.parked[ci].groups[g][pulled[g] - 1]
+                }
+                _ => {
+                    let Some(&e) = active.get(i) else { break };
+                    if pass.budget.is_exhausted() {
+                        break;
+                    }
+                    i += 1;
+                    e
+                }
+            };
+            match self.examine(pass, e, cluster) {
+                Verdict::Keep => kept.push(e),
+                Verdict::Issued => issued_log.push((e.seq, e.slot_class)),
+                Verdict::Park(g) => newly_parked.push((g, e)),
+            }
+        }
+        // Copies the budget never reached stay ready, untouched.
+        kept.extend_from_slice(&active[i..]);
+        self.ready[ci] = kept;
+        self.scratch_ready = active;
+        self.scratch_ready.clear();
+        let parked = &mut self.parked[ci];
+        for (g, &n) in pulled.iter().enumerate() {
+            if n > 0 {
+                parked.groups[g].drain(..n);
+                parked.reclass(g);
+            }
+        }
+        self.charge_parked(ci, &pass.budget, &issued_log);
+        issued_log.clear();
+        self.scratch_issued = issued_log;
+    }
+
+    /// Examines ready copy `e` of `cluster` against the pass's budget
+    /// and resources, issuing it if it can.
+    fn examine(&mut self, pass: &mut IssuePass, e: ReadyEntry, cluster: ClusterId) -> Verdict {
+        enum Action {
+            Master,
+            SlaveForward,
+            SlaveReceive,
+        }
+        let ci = cluster.index();
+        let now = self.now;
+        if H::ENABLED {
+            pass.examined += 1;
+        }
+        let (seq, act) = (e.seq, e.act);
+        // Classification runs entirely off the cached entry — the
+        // window is only dereferenced when the copy issues.
+        let action = if act == ACT_MASTER {
+            Action::Master
+        } else if e.forwards {
+            Action::SlaveForward
+        } else {
+            Action::SlaveReceive
+        };
+
+        // ---- structural resources ----
+        let slot_class = e.slot_class;
+        if !pass.budget.can_take(slot_class) {
+            if P::ENABLED && act == ACT_MASTER {
+                self.probe.issue_blocked(now, seq, IssueBlock::Width);
+            }
+            pass.blocked += 1;
+            return Verdict::Keep;
+        }
+        match action {
+            Action::Master => {
+                if slot_class == InstrClass::FpDiv
+                    && !self.div_busy_until[ci][..self.dividers].iter().any(|&b| b <= now)
+                {
+                    if P::ENABLED {
+                        self.probe.issue_blocked(now, seq, IssueBlock::Width);
+                    }
+                    pass.blocked += 1;
+                    return Verdict::Park(PARK_DIVIDER);
+                }
+                if e.slave_receives && self.rtb_free[usize::from(e.slave)] == 0 {
+                    self.stats.rtb_full_stalls += 1;
+                    self.blocked_on_buffer = true;
+                    if P::ENABLED {
+                        self.probe.issue_blocked(now, seq, IssueBlock::RtbFull);
+                    }
+                    pass.blocked += 1;
+                    // A divide's buffer stall depends on its divider
+                    // too, so only the divider parks it (see `Parked`).
+                    return if slot_class == InstrClass::FpDiv {
+                        Verdict::Keep
+                    } else {
+                        Verdict::Park(PARK_RTB + usize::from(e.slave))
+                    };
+                }
+            }
+            Action::SlaveForward => {
+                if self.otb_free[usize::from(e.master)] == 0 {
+                    self.stats.otb_full_stalls += 1;
+                    self.blocked_on_buffer = true;
+                    if P::ENABLED {
+                        self.probe.issue_blocked(now, seq, IssueBlock::OtbFull);
+                    }
+                    pass.blocked += 1;
+                    return Verdict::Park(PARK_OTB + usize::from(e.master));
+                }
+            }
+            Action::SlaveReceive => {}
+        }
+
+        // ---- issue ----
+        debug_assert!(self.window.contains(seq), "ready copies are in flight");
+        debug_assert!(
+            act != ACT_MASTER
+                || (self.window[seq].dist.master == cluster
+                    && self.window[seq].master_issued.is_none())
+        );
+        assert!(pass.budget.try_take(slot_class));
+        // Out-of-order issue: an older copy for this cluster was
+        // passed over, either blocked earlier in this pass (walked or
+        // parked) or still waiting on operands.
+        if pass.blocked > 0
+            || pass
+                .oldest_waiting
+                .get_or_insert_with(|| self.min_waiting(ci))
+                .is_some_and(|w| w < seq)
+        {
+            self.stats.issue_disorder += 1;
+        }
+        pass.issued += 1;
+        self.stats.per_cluster_issued[ci] += 1;
+        {
+            let d = &mut self.window[seq];
+            let st = if act == ACT_MASTER { &mut d.m_wait } else { &mut d.s_wait };
+            st.in_ready = false;
+        }
+        match action {
+            Action::Master => self.issue_master(seq, cluster),
+            Action::SlaveForward => self.issue_slave_forward(seq, cluster),
+            Action::SlaveReceive => self.issue_slave_receive(seq, cluster),
+        }
+        Verdict::Issued
+    }
+
+    /// Charges the parked copies a pass of cluster `ci` passed over
+    /// (those still parked) exactly
+    /// as examining each of them in age order would have: each one the
+    /// walk reached (budget not exhausted) that fits the width rules is
+    /// a transfer-buffer stall if it waits for a buffer. `budget` is the
+    /// pass's final budget and `issued` the copies it issued, in age
+    /// order. When the final budget still fits every parked class,
+    /// every parked copy fitted at its own, earlier and roomier, point
+    /// of the walk, so the charge is a count; otherwise the budget is
+    /// replayed up to each copy.
+    fn charge_parked(&mut self, ci: usize, budget: &IssueBudget, issued: &[(u64, InstrClass)]) {
+        let parked = &self.parked[ci];
+        let (mut rtb, mut otb) = (0, 0);
+        for g in PARK_RTB..PARK_GROUPS {
+            let group = &parked.groups[g];
+            if group.is_empty() {
+                continue;
+            }
+            let classes = parked.classes[g];
+            let fits = (0..4)
+                .filter(|&b| classes & (1 << b) != 0)
+                .all(|b| budget.can_take(GROUP_CLASS[b]));
+            let charged = if fits {
+                group.len() as u64
+            } else {
+                let (mut replay, mut k, mut n) = (self.cfg.issue_rules.budget(), 0, 0);
+                for e in group {
+                    while k < issued.len() && issued[k].0 < e.seq {
+                        replay.try_take(issued[k].1);
+                        k += 1;
+                    }
+                    if replay.is_exhausted() {
+                        break;
+                    }
+                    n += u64::from(replay.can_take(e.slot_class));
+                }
+                n
+            };
+            if g < PARK_OTB {
+                rtb += charged;
+            } else {
+                otb += charged;
+            }
+        }
+        self.stats.rtb_full_stalls += rtb;
+        self.stats.otb_full_stalls += otb;
+        if rtb + otb > 0 {
+            self.blocked_on_buffer = true;
+        }
+    }
+
+    fn issue_master(&mut self, seq: u64, cluster: ClusterId) {
         let now = self.now;
         // Memory access timing (outside the window borrow).
         let (op, class, mem_addr) = {
-            let d = &self.window[wi];
+            let d = &self.window[seq];
             (d.op.op, d.op.class(), d.op.mem_addr)
         };
         let latency = self.cfg.latencies.of(op);
@@ -1771,12 +2348,11 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             _ => now + u64::from(latency),
         };
 
-        let (seq, slave_info, fwd, is_cond, pc, taken, mispredicted) = {
-            let d = &mut self.window[wi];
+        let (slave_info, fwd, is_cond, pc, taken, mispredicted) = {
+            let d = &mut self.window[seq];
             d.master_issued = Some(now);
             d.master_done = Some(done);
             (
-                d.op.seq,
                 d.dist.slave_receives.then(|| d.dist.slave.expect("slave")),
                 d.forwards(),
                 d.op.is_conditional_branch(),
@@ -1790,7 +2366,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // cluster, schedule the slave copy (receive-only slaves may
         // issue from (issue+1).max(done-1); scenario-five slaves are
         // woken at completion), and record the completion event.
-        let head = std::mem::replace(&mut self.window[wi].w_done, NIL);
+        let head = std::mem::replace(&mut self.window[seq].w_done, NIL);
         self.notify_waiters(head, done, DeliverySource::Completion, seq);
         if slave_info.is_some() {
             if fwd {
@@ -1805,11 +2381,11 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 );
             }
         }
-        self.completions.push(Reverse((done, seq, u64::from(DONE_EVT))));
+        self.record_completion(done, seq, DONE_EVT);
 
         // Free the master's dispatch-queue entry.
         {
-            let d = &mut self.window[wi];
+            let d = &mut self.window[seq];
             if !d.dq_master_freed {
                 d.dq_master_freed = true;
                 self.dq_free[cluster.index()] += 1;
@@ -1819,7 +2395,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // The master obtains forwarded operands at operand read; the
         // operand-buffer entry frees for use the next cycle.
         if fwd {
-            let d = &mut self.window[wi];
+            let d = &mut self.window[seq];
             if d.otb_held {
                 d.otb_held = false;
                 self.buffer_frees.schedule(now + 1, (cluster.index() as u64) << 1 | u64::from(OTB), 0);
@@ -1839,7 +2415,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // cluster for forwarded results.
         if let Some(slave) = slave_info {
             self.rtb_free[slave.index()] -= 1;
-            self.window[wi].rtb_held = true;
+            self.window[seq].rtb_held = true;
             self.stats.results_forwarded += 1;
             self.log_at(done, seq, Some(slave), EventKind::ResultWritten);
             if P::ENABLED {
@@ -1866,22 +2442,20 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         }
         // The master writes a register copy only when its own cluster
         // holds the destination (always, except scenario three).
-        let master_writes = {
-            let d = &self.window[wi];
-            d.op.dest.is_some_and(|dest| self.assign.clusters_of(dest).contains(cluster))
-        };
-        if master_writes {
-            self.log_at(done, seq, Some(cluster), EventKind::RegWritten);
+        if self.events.is_some() {
+            let d = &self.window[seq];
+            if d.op.dest.is_some_and(|dest| self.assign.clusters_of(dest).contains(cluster)) {
+                self.log_at(done, seq, Some(cluster), EventKind::RegWritten);
+            }
         }
     }
 
-    fn issue_slave_forward(&mut self, wi: usize, cluster: ClusterId) {
+    fn issue_slave_forward(&mut self, seq: u64, cluster: ClusterId) {
         let now = self.now;
-        let (seq, master, receives, n_forwarded) = {
-            let d = &mut self.window[wi];
+        let (master, receives, n_forwarded) = {
+            let d = &mut self.window[seq];
             d.slave_issued = Some(now);
             (
-                d.op.seq,
                 d.dist.master,
                 d.dist.slave_receives,
                 d.dist.forwarded_src.iter().filter(|&&f| f).count(),
@@ -1889,7 +2463,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         };
         // Allocate the operand-buffer entry in the master's cluster.
         self.otb_free[master.index()] -= 1;
-        self.window[wi].otb_held = true;
+        self.window[seq].otb_held = true;
         self.stats.operands_forwarded += 1;
         if P::ENABLED {
             // The forwarded operand is readable from `now + 1`.
@@ -1906,7 +2480,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // Non-receiving slaves are finished once the operand is written;
         // scenario-five slaves stay suspended in the queue.
         if !receives {
-            let d = &mut self.window[wi];
+            let d = &mut self.window[seq];
             if !d.dq_slave_freed {
                 d.dq_slave_freed = true;
                 self.dq_free[cluster.index()] += 1;
@@ -1918,22 +2492,21 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         self.log_at(now + 1, seq, Some(master), EventKind::OperandWritten);
     }
 
-    fn issue_slave_receive(&mut self, wi: usize, cluster: ClusterId) {
+    fn issue_slave_receive(&mut self, seq: u64, cluster: ClusterId) {
         let now = self.now;
-        let seq = {
-            let d = &mut self.window[wi];
+        {
+            let d = &mut self.window[seq];
             d.slave_issued = Some(now);
             d.slave_write = Some(now + 1);
             if d.rtb_held {
                 d.rtb_held = false;
             }
-            d.op.seq
-        };
+        }
         // The write time is now known: wake consumers in this cluster
         // and record the completion event.
-        let head = std::mem::replace(&mut self.window[wi].w_write, NIL);
+        let head = std::mem::replace(&mut self.window[seq].w_write, NIL);
         self.notify_waiters(head, now + 1, DeliverySource::SlaveWrite, seq);
-        self.completions.push(Reverse((now + 1, seq, u64::from(WRITE_EVT))));
+        self.record_completion(now + 1, seq, WRITE_EVT);
         // The slave reads the entry, then writes its register.
         self.buffer_frees.schedule(now + 1, (cluster.index() as u64) << 1 | u64::from(RTB), 0);
         if P::ENABLED {
@@ -1941,7 +2514,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             self.probe.forwarded(now + 1, seq, TransferKind::Result, TransferPhase::Release, cluster);
         }
         {
-            let d = &mut self.window[wi];
+            let d = &mut self.window[seq];
             if !d.dq_slave_freed {
                 d.dq_slave_freed = true;
                 self.dq_free[cluster.index()] += 1;
@@ -1994,15 +2567,15 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
 
         let mut dispatched = 0;
         let mut last_line: Option<u64> = None;
-        let line_bytes = self.cfg.icache.line_bytes as u64;
+        // Line sizes are powers of two (`CacheConfig::sets` checks).
+        let line_shift = self.cfg.icache.line_bytes.trailing_zeros();
 
         while dispatched < self.cfg.fetch_width && self.cursor < self.trace.len() {
             // A valid memo replays the front-end work recorded the
             // cycle this cursor first stalled; see [`DispatchMemo`].
-            let memo = self.dispatch_memo.filter(|m| m.cursor == self.cursor);
-            let op = match memo {
-                Some(m) => m.op,
-                None => self.trace.get(self.cursor),
+            let (op, memo) = match &self.dispatch_memo {
+                Some(m) if m.cursor == self.cursor => (m.op, Some((m.dist, m.phys, m.needs))),
+                _ => (self.trace.get(self.cursor), None),
             };
 
             // Dynamic register reassignment (Section 6): the first
@@ -2025,6 +2598,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 self.assign = point.assignment;
                 // Distribution votes depend on the assignment.
                 self.dispatch_memo = None;
+                self.dist_cache.clear();
                 let (int_free, fp_free) = free_lists_for(self.cfg, &self.assign);
                 self.int_free = int_free;
                 self.fp_free = fp_free;
@@ -2054,7 +2628,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             // nothing has touched the instruction cache since (fetch
             // is its only client and the cursor has not moved), so a
             // memoized retry records the repeat hit without the lookup.
-            let line = op.pc / line_bytes;
+            let line = op.pc >> line_shift;
             if last_line != Some(line) {
                 if memo.is_some() {
                     self.icache.record_repeat_hits(op.pc, 1);
@@ -2081,36 +2655,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             }
 
             // Distribution and resource checks.
-            let m = memo.unwrap_or_else(|| {
-                let dist = distribute(&op, &self.assign, &self.balance);
-                let phys = dist.phys_needed(&op, &self.assign);
-                let mut dq_needed = [0u32; 2];
-                dq_needed[dist.master.index()] += 1;
-                if let Some(s) = dist.slave {
-                    dq_needed[s.index()] += 1;
-                }
-                let mut int_needed = [0i64; 2];
-                let mut fp_needed = [0i64; 2];
-                for (c, bank) in phys.iter() {
-                    match bank {
-                        RegBank::Int => int_needed[c.index()] += 1,
-                        RegBank::Fp => fp_needed[c.index()] += 1,
-                    }
-                }
-                DispatchMemo {
-                    cursor: self.cursor,
-                    op,
-                    dist,
-                    phys,
-                    dq_needed,
-                    int_needed,
-                    fp_needed,
-                }
-            });
-            let (dist, phys) = (m.dist, m.phys);
-            let dq_ok = (0..2).all(|c| self.dq_free[c] >= m.dq_needed[c]);
-            if !dq_ok {
-                self.dispatch_memo = Some(m);
+            let (dist, phys, needs) = match memo {
+                Some(front) => front,
+                None => self.front_end_cached(&op),
+            };
+            if !self.dq_fits(&needs) {
+                self.dispatch_memo =
+                    Some(DispatchMemo { cursor: self.cursor, op, dist, phys, needs });
                 if dispatched == 0 {
                     self.stats.stall_dq += 1;
                     if P::ENABLED {
@@ -2119,10 +2670,9 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 }
                 return dispatched;
             }
-            let regs_ok = (0..2)
-                .all(|c| self.int_free[c] >= m.int_needed[c] && self.fp_free[c] >= m.fp_needed[c]);
-            if !regs_ok {
-                self.dispatch_memo = Some(m);
+            if !self.regs_fit(&needs) {
+                self.dispatch_memo =
+                    Some(DispatchMemo { cursor: self.cursor, op, dist, phys, needs });
                 if dispatched == 0 {
                     self.stats.stall_regs += 1;
                     if P::ENABLED {
@@ -2131,14 +2681,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 }
                 return dispatched;
             }
-            let (dq_needed, int_needed, fp_needed) = (m.dq_needed, m.int_needed, m.fp_needed);
             self.dispatch_memo = None;
 
             // Commit the dispatch.
             for c in 0..2 {
-                self.dq_free[c] -= dq_needed[c];
-                self.int_free[c] -= int_needed[c];
-                self.fp_free[c] -= fp_needed[c];
+                self.dq_free[c] -= u32::from(needs.dq[c]);
+                self.int_free[c] -= i64::from(needs.int[c]);
+                self.fp_free[c] -= i64::from(needs.fp[c]);
             }
             self.balance[dist.master.index()] += 1;
             self.stats.per_cluster_dispatched[dist.master.index()] += 1;
@@ -2235,20 +2784,12 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                     s_wait.unknown = 1;
                 }
                 if s_wait.unknown == 0 {
-                    self.future_ready.schedule(
-                        s_wait.ready_at,
-                        seq << 1 | u64::from(ACT_SLAVE),
-                        s.index() as u64,
-                    );
+                    self.schedule_ready(s_wait.ready_at, seq, ACT_SLAVE, s.index() as u8);
                 }
                 self.waiting[s.index()].push_back((seq, ACT_SLAVE));
             }
             if m_wait.unknown == 0 {
-                self.future_ready.schedule(
-                    m_wait.ready_at,
-                    seq << 1 | u64::from(ACT_MASTER),
-                    dist.master.index() as u64,
-                );
+                self.schedule_ready(m_wait.ready_at, seq, ACT_MASTER, dist.master.index() as u8);
             }
             self.waiting[dist.master.index()].push_back((seq, ACT_MASTER));
 
@@ -2353,9 +2894,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             // full squash (everything but the oldest instruction), which
             // guarantees progress: the oldest instruction's dependences
             // are all retired and every buffer entry is freed.
-            let escalate = self.last_replay_base == Some(self.base) && self.window.len() > 1;
+            let base = self.window.base;
+            let escalate = self.last_replay_base == Some(base) && self.window.len() > 1;
             let victim = if escalate {
-                Some(self.base + 1)
+                Some(base + 1)
             } else {
                 self.window.iter().rev().find(|d| d.otb_held || d.rtb_held).map(|d| d.op.seq)
             };
@@ -2363,7 +2905,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 if escalate {
                     self.stats.replay_escalations += 1;
                 }
-                self.last_replay_base = Some(self.base);
+                self.last_replay_base = Some(base);
                 self.replay_from(seq);
                 self.no_progress_cycles = 0;
                 self.replays_since_retire += 1;
@@ -2377,7 +2919,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                         detail: format!(
                             "{} replay exceptions without an intervening retirement \
                              (window base #{})",
-                            self.replays_since_retire, self.base
+                            self.replays_since_retire, self.window.base
                         ),
                         snapshot: self.window_snapshot(),
                     });
@@ -2386,7 +2928,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             }
         }
         if self.no_progress_cycles > self.cfg.wedge_threshold {
-            return Err(SimError::Wedged { cycle: now, oldest_seq: self.base });
+            return Err(SimError::Wedged { cycle: now, oldest_seq: self.window.base });
         }
         Ok(())
     }
@@ -2403,30 +2945,22 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     /// in-flight instruction completes, discarding already-fired and
     /// stale (squashed-incarnation) events along the way.
     fn next_live_completion(&mut self, now: u64) -> Option<u64> {
-        // Walk events in firing order, dropping ones at or before `now`
-        // (they fired, or never will) and stale ones, until one is live.
-        loop {
-            let &Reverse((cycle, seq, evt)) = self.completions.peek()?;
-            if cycle <= now {
-                self.completions.pop();
-                continue;
-            }
-            let live = match self.win_index(seq) {
-                None => false,
-                Some(wi) => {
-                    let d = &self.window[wi];
-                    if evt == u64::from(DONE_EVT) {
-                        d.master_done == Some(cycle)
-                    } else {
-                        d.slave_write == Some(cycle)
-                    }
+        self.earliest_live_completion(now).map(|(cycle, _)| cycle)
+    }
+
+    /// The earliest live completion event strictly after `now`, as
+    /// `(cycle, key)`, dropping stale events along the way.
+    fn earliest_live_completion(&mut self, now: u64) -> Option<(u64, u64)> {
+        let window = &self.window;
+        self.completions.earliest_live(now, |cycle, key| {
+            window.get(key >> 1).is_some_and(|d| {
+                if key & 1 == u64::from(DONE_EVT) {
+                    d.master_done == Some(cycle)
+                } else {
+                    d.slave_write == Some(cycle)
                 }
-            };
-            if live {
-                return Some(cycle);
-            }
-            self.completions.pop();
-        }
+            })
+        })
     }
 
     // -- invariant checking --------------------------------------------------
@@ -2453,7 +2987,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 rtb_held: d.rtb_held,
             })
             .collect();
-        let mut snapshot = render_window(self.now, self.base, &rows);
+        let mut snapshot = render_window(self.now, self.window.base, &rows);
         if self.window.len() > MAX_ROWS {
             let _ = writeln!(snapshot, "  ... {} more", self.window.len() - MAX_ROWS);
         }
@@ -2486,7 +3020,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     /// numbers starting at the retirement base.
     fn check_window_order(&self) -> Result<(), check::Violation> {
         for (i, d) in self.window.iter().enumerate() {
-            let expect = self.base + i as u64;
+            let expect = self.window.base + i as u64;
             if d.op.seq != expect {
                 return Err(check::Violation::new(
                     "window-order",
@@ -2519,7 +3053,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             t[c].issued = issued_per[c];
             t[c].issue_limit = self.cfg.issue_rules.total;
         }
-        for d in &self.window {
+        for d in self.window.iter() {
             let m = d.dist.master.index();
             if !d.dq_master_freed {
                 t[m].dq_held += 1;
@@ -2590,7 +3124,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     ) -> Result<usize, check::Violation> {
         let nodes = self.waiters.nodes.len();
         let mut reachable = 0usize;
-        for d in &self.window {
+        for d in self.window.iter() {
             for (head, list) in [(d.w_done, "done"), (d.w_write, "write")] {
                 let mut idx = head;
                 while idx != NIL {
@@ -2602,7 +3136,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                         ));
                     }
                     let node = self.waiters.nodes[idx as usize];
-                    let Some(ci) = self.win_index(node.consumer) else {
+                    if !self.window.contains(node.consumer) {
                         return Err(check::Violation::new(
                             "waiter-liveness",
                             format!(
@@ -2611,7 +3145,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                                 d.op.seq, node.consumer
                             ),
                         ));
-                    };
+                    }
                     if node.consumer <= d.op.seq {
                         return Err(check::Violation::new(
                             "waiter-liveness",
@@ -2621,13 +3155,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                             ),
                         ));
                     }
+                    let ci = (node.consumer - self.window.base) as usize;
                     registrations[ci][usize::from(node.action)] += 1;
                     idx = node.next;
                 }
             }
         }
-        for (ci, regs) in registrations.iter().enumerate() {
-            let d = &self.window[ci];
+        for (d, regs) in self.window.iter().zip(registrations.iter()) {
             for (action, &count) in regs.iter().enumerate() {
                 let st = if action == usize::from(ACT_MASTER) { &d.m_wait } else { &d.s_wait };
                 if count > u32::from(st.unknown) {
@@ -2646,7 +3180,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     }
 
     /// Every future completion time recorded in the window has a
-    /// matching event in the completions heap — otherwise the progress
+    /// matching event in the completions queue — otherwise the progress
     /// check could miss pending work and misdiagnose a deadlock.
     fn check_completion_liveness(&mut self) -> Result<(), check::Violation> {
         let mut scheduled = std::mem::take(&mut self.scratch_sched);
@@ -2667,10 +3201,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // One pass over the queue marks which window entries have a
         // matching event; stale events for squashed or retired
         // instructions (lazy deletion) simply mark nothing.
-        for &Reverse((cycle, seq, evt)) in self.completions.iter() {
-            let Some(wi) = self.win_index(seq) else { continue };
-            let d = &self.window[wi];
-            let (expect, slot) = if evt == u64::from(DONE_EVT) {
+        for (cycle, key) in self.completions.iter() {
+            let Some(d) = self.window.get(key >> 1) else { continue };
+            let wi = (d.op.seq - self.window.base) as usize;
+            let (expect, slot) = if key & 1 == u64::from(DONE_EVT) {
                 (d.master_done, 0)
             } else {
                 (d.slave_write, 1)
@@ -2714,11 +3248,9 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     fn replay_from(&mut self, from_seq: u64) {
         let now = self.now;
         self.stats.replays += 1;
-        let keep = (from_seq - self.base) as usize;
-        let mut squashed = std::mem::take(&mut self.scratch_squash);
-        squashed.clear();
-        squashed.extend(self.window.drain(keep..));
-        for d in &squashed {
+        let end = self.window.base + self.window.len() as u64;
+        for seq in from_seq..end {
+            let d = &self.window[seq];
             self.stats.replay_squashed += 1;
             for (c, bank) in d.phys.iter() {
                 match bank {
@@ -2740,13 +3272,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             if d.otb_held {
                 self.otb_free[d.dist.master.index()] += 1;
             }
-            self.waiters.release_list(d.w_done);
-            self.waiters.release_list(d.w_write);
-            self.log(d.op.seq, None, EventKind::ReplaySquashed);
+            let (w_done, w_write) = (d.w_done, d.w_write);
+            self.waiters.release_list(w_done);
+            self.waiters.release_list(w_write);
+            self.log(seq, None, EventKind::ReplaySquashed);
         }
-        let squash_count = squashed.len() as u64;
-        squashed.clear();
-        self.scratch_squash = squashed;
+        self.window.truncate_from(from_seq);
+        let squash_count = end - from_seq;
         if P::ENABLED {
             self.probe.replayed(now, from_seq, squash_count);
         }
@@ -2755,20 +3287,21 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // not behind stale younger entries. Registrations *by* squashed
         // consumers on surviving producers are dropped so a
         // re-dispatched incarnation cannot see a double delivery. The
-        // future-ready/wake queues and the completions heap validate
+        // future-ready/wake queues and the completions queue validate
         // lazily against the live window instead.
         for c in 0..2 {
             let keep = self.ready[c].partition_point(|e| e.seq < from_seq);
             self.ready[c].truncate(keep);
+            self.parked[c].truncate_from(from_seq);
             while self.waiting[c].back().is_some_and(|&(seq, _)| seq >= from_seq) {
                 self.waiting[c].pop_back();
             }
         }
-        for wi in 0..self.window.len() {
-            let head = self.window[wi].w_done;
-            self.window[wi].w_done = self.waiters.purge_squashed(head, from_seq);
-            let head = self.window[wi].w_write;
-            self.window[wi].w_write = self.waiters.purge_squashed(head, from_seq);
+        for seq in self.window.seqs() {
+            let head = self.window[seq].w_done;
+            self.window[seq].w_done = self.waiters.purge_squashed(head, from_seq);
+            let head = self.window[seq].w_write;
+            self.window[seq].w_write = self.waiters.purge_squashed(head, from_seq);
         }
         // Drop pending predictor updates for squashed branches.
         self.pending_bpred.retain(|e| e.key < from_seq);
@@ -2777,12 +3310,8 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             table.iter_mut().for_each(|e| *e = None);
         }
         let n = usize::from(self.cfg.clusters);
-        for wi in 0..self.window.len() {
-            let (seq, dest) = {
-                let d = &self.window[wi];
-                (d.op.seq, d.op.dest)
-            };
-            if let Some(dest) = dest {
+        for seq in self.window.seqs() {
+            if let Some(dest) = self.window[seq].op.dest {
                 for c in self.assign.clusters_of(dest).iter() {
                     if c.index() < n {
                         self.producers[c.index()][dest.dense_index()] = Some(seq);
@@ -3364,8 +3893,9 @@ mod tests {
         // replay happened at this very base: the non-escalated victim
         // choice (youngest holder) would deadlock again.
         sim.otb_free[0] -= 1;
-        sim.window[2].otb_held = true;
-        sim.last_replay_base = Some(sim.base);
+        let third = sim.window.base + 2;
+        sim.window[third].otb_held = true;
+        sim.last_replay_base = Some(sim.window.base);
         sim.blocked_on_buffer = true;
         sim.no_progress_cycles = 1;
         sim.check_progress(0).unwrap();
@@ -3457,10 +3987,11 @@ mod tests {
     fn completions_heap_stays_bounded_by_in_flight_work() {
         // A warm loop whose 16-deep dependent chain issues, completes
         // and retires on every cycle, and never replays: no events of
-        // squashed incarnations linger, so after every cycle the heap
-        // holds at most two events per in-flight instruction plus those
-        // due on the coming cycle. A heap trimmed only on actionless
-        // cycles grows with the length of the run instead.
+        // squashed incarnations linger, so after every cycle the
+        // completions queue holds at most two events per in-flight
+        // instruction plus those due on the coming cycle. A queue
+        // trimmed only on actionless cycles grows with the length of
+        // the run instead.
         let mut b = ProgramBuilder::<ArchReg>::new("chain-loop");
         let r = ArchReg::int(2);
         let i = ArchReg::int(4);
@@ -3480,8 +4011,7 @@ mod tests {
         while sim.cursor < trace.len() || !sim.window.is_empty() {
             sim.step().unwrap();
             let now = sim.now;
-            let due =
-                sim.completions.iter().filter(|&&Reverse((cycle, _, _))| cycle == now).count();
+            let due = sim.completions.iter().filter(|&(cycle, _)| cycle == now).count();
             assert!(
                 sim.completions.len() <= 2 * sim.window.len() + due,
                 "cycle {now}: {} completion events for {} in-flight instructions",
@@ -3567,7 +4097,7 @@ mod tests {
         let cfg = ProcessorConfig::dual_cluster_8way();
         let mut sim = Sim::new(&cfg, trace.as_slice());
         let mul_issued = |sim: &Sim<'_, [TraceOp]>| {
-            sim.win_index(2).is_some_and(|wi| sim.window[wi].master_issued.is_some())
+            sim.window.get(2).is_some_and(|d| d.master_issued.is_some())
         };
         while !mul_issued(&sim) {
             assert!(sim.now < 100, "the multiply issues");

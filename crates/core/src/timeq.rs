@@ -1,9 +1,19 @@
-//! A hierarchical time-wheel event queue for the simulation engine.
+//! The simulation engine's event queues.
 //!
 //! The simulator schedules everything it knows about the future —
 //! completion events, transfer-buffer credit returns, branch
 //! resolutions, wake checks, ready-queue entries — at absolute cycles.
-//! [`TimeQ`] stores those events in a 1024-slot time wheel indexed by
+//! Three queues hold them:
+//!
+//! - [`TimeQ`], the general ordered queue (branch resolutions, wake
+//!   checks);
+//! - [`LaneQ`], a [`TimeQ`] whose entries due by the next drain skip
+//!   the wheel, for consumers indifferent to drain order (ready-queue
+//!   entries, transfer-buffer credits);
+//! - [`CompletionQ`], completion events bucketed by cycle, read only
+//!   for the earliest live one.
+//!
+//! [`TimeQ`] stores its events in a 1024-slot time wheel indexed by
 //! `cycle % 1024`, with a two-level occupancy bitmap (16 slot words
 //! under one summary word) so the earliest occupied slot is found with
 //! a handful of `trailing_zeros` instructions, in O(1). Events beyond
@@ -376,16 +386,307 @@ impl TimeQ {
             while bits != 0 {
                 let slot = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let mut v = std::mem::take(&mut self.slots[slot]);
-                if v.len() > 1 {
+                let v = &mut self.slots[slot];
+                if let [e] = v[..] {
+                    out.push(e);
+                } else {
                     v.sort_unstable();
+                    out.extend_from_slice(v);
                 }
                 self.len -= v.len();
-                out.append(&mut v);
-                self.slots[slot] = v;
+                v.clear();
                 self.clear_bit(slot);
             }
         }
+    }
+}
+
+/// An event queue for consumers that do not care in which order one
+/// drain hands out its entries: a [`TimeQ`] with a direct lane for
+/// entries due by the next drain.
+///
+/// The engine's future-ready copies and transfer-buffer credit returns
+/// are such consumers (a ready-set insert is sorted, a credit is an
+/// increment), and most of their entries are due within a cycle: a
+/// copy whose last operand comes from a one-cycle producer, a forward,
+/// a slave register write or is known at dispatch; every credit. On a
+/// plain wheel those land in the base slot or the one after it, only
+/// to be drained on the very next call. Here they skip the wheel: an
+/// entry scheduled for a cycle at or before `lane_until` — the cycle
+/// after the last drain, so never later than the next one — is pushed
+/// on a plain vector and handed out by the next [`LaneQ::drain`],
+/// exactly the call in which the wheel would have delivered it. Later
+/// entries take the wheel as before.
+///
+/// Lane entries draw their insertion ticks from the wheel's counter,
+/// so [`LaneQ::pop_earliest`] still picks the `(cycle, key, tick)`
+/// minimum over both.
+#[derive(Debug, Clone, Default)]
+pub struct LaneQ {
+    wheel: TimeQ,
+    lane: Vec<Entry>,
+    /// Entries at or before this cycle go on the lane.
+    lane_until: u64,
+}
+
+impl LaneQ {
+    /// Creates an empty queue anchored at cycle 0.
+    #[must_use]
+    pub fn new() -> LaneQ {
+        LaneQ::default()
+    }
+
+    /// Whether nothing is scheduled.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.lane.is_empty() && self.wheel.is_empty()
+    }
+
+    /// Schedules an event, returning whether it took the direct lane.
+    pub fn schedule(&mut self, cycle: u64, key: u64, data: u64) -> bool {
+        if cycle > self.lane_until {
+            self.wheel.schedule(cycle, key, data);
+            return false;
+        }
+        self.wheel.tick += 1;
+        self.lane.push(Entry { cycle, key, tick: self.wheel.tick, data });
+        true
+    }
+
+    /// Appends every entry due at or before `now` to `out`, in no
+    /// particular order. Drains must come at increasing cycles, and the
+    /// lane only works for a consumer that drains every cycle it steps.
+    pub fn drain(&mut self, now: u64, out: &mut Vec<Entry>) {
+        debug_assert!(now >= self.lane_until, "drains move forward");
+        if out.is_empty() {
+            // Hand the lane over whole and keep the caller's buffer.
+            std::mem::swap(out, &mut self.lane);
+        } else {
+            out.append(&mut self.lane);
+        }
+        self.wheel.pop_due(now, out);
+        self.lane_until = now + 1;
+    }
+
+    /// Visits every scheduled entry in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = &Entry> {
+        self.lane.iter().chain(self.wheel.iter())
+    }
+
+    /// The earliest cycle an entry is scheduled for, if any: a lane
+    /// entry reports its own cycle, never later than the next drain.
+    #[must_use]
+    pub fn next_cycle(&self) -> Option<u64> {
+        let lane = self.lane.iter().map(|e| e.cycle).min();
+        match (lane, self.wheel.next_cycle()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Removes and returns the earliest entry by `(cycle, key, tick)`.
+    pub fn pop_earliest(&mut self) -> Option<Entry> {
+        let lane = (0..self.lane.len()).min_by_key(|&i| self.lane[i]);
+        match (lane, self.wheel.peek_earliest()) {
+            (Some(i), Some(w)) if w < self.lane[i] => self.wheel.pop_earliest(),
+            (Some(i), _) => Some(self.lane.swap_remove(i)),
+            (None, _) => self.wheel.pop_earliest(),
+        }
+    }
+}
+
+/// Ring size of [`CompletionQ`] in cycles: one occupancy word.
+const RING: u64 = 64;
+
+/// Scheduled completion events (a master's result, a slave's register
+/// write), bucketed by cycle, for the engine's progress check.
+///
+/// The engine records an event for every completion it schedules, but
+/// only reads them on actionless cycles — to ask for the earliest live
+/// one — and the invariant checker audits them. So recording must be
+/// cheap and answering may walk: an event is one `u64` key pushed on
+/// the bucket of its cycle in a [`RING`]-cycle ring with an occupancy
+/// word, fired buckets are cleared as the clock passes them, and the
+/// earliest-event question walks the occupied buckets in cycle order.
+/// The rare event past the ring's horizon waits in a side list.
+#[derive(Debug, Clone)]
+pub struct CompletionQ {
+    /// Bucket `c % RING` holds the keys of events at cycle `c`, for `c`
+    /// in `(trimmed, trimmed + RING]`.
+    buckets: Vec<Vec<u64>>,
+    /// Bit `b` set iff `buckets[b]` is non-empty.
+    occupied: u64,
+    /// Events beyond the ring's horizon, as `(cycle, key)`.
+    far: Vec<(u64, u64)>,
+    /// Every event at or before this cycle has been dropped.
+    trimmed: u64,
+    len: usize,
+}
+
+impl Default for CompletionQ {
+    fn default() -> CompletionQ {
+        CompletionQ::new()
+    }
+}
+
+impl CompletionQ {
+    /// Creates an empty queue at cycle 0.
+    #[must_use]
+    pub fn new() -> CompletionQ {
+        CompletionQ {
+            buckets: vec![Vec::new(); RING as usize],
+            occupied: 0,
+            far: Vec::new(),
+            trimmed: 0,
+            len: 0,
+        }
+    }
+
+    /// Number of recorded events not yet trimmed.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no event is recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Records an event at `cycle`, which must lie after the last trim.
+    pub fn push(&mut self, cycle: u64, key: u64) {
+        debug_assert!(cycle > self.trimmed, "an event in the trimmed past");
+        self.len += 1;
+        if cycle - self.trimmed > RING {
+            self.far.push((cycle, key));
+            return;
+        }
+        let b = (cycle % RING) as usize;
+        self.buckets[b].push(key);
+        self.occupied |= 1 << b;
+    }
+
+    /// Drops every event at or before `now`.
+    pub fn trim(&mut self, now: u64) {
+        if now <= self.trimmed {
+            return;
+        }
+        if self.occupied != 0 {
+            if now - self.trimmed >= RING {
+                for b in 0..RING as usize {
+                    self.clear_bucket(b);
+                }
+            } else {
+                for cycle in self.trimmed + 1..=now {
+                    self.clear_bucket((cycle % RING) as usize);
+                }
+            }
+        }
+        self.trimmed = now;
+        if !self.far.is_empty() {
+            let before = self.far.len();
+            self.far.retain(|&(cycle, _)| cycle > now);
+            self.len -= before - self.far.len();
+            // Pull events now inside the horizon into their buckets.
+            let trimmed = self.trimmed;
+            let mut i = 0;
+            while i < self.far.len() {
+                let (cycle, key) = self.far[i];
+                if cycle - trimmed <= RING {
+                    self.far.swap_remove(i);
+                    let b = (cycle % RING) as usize;
+                    self.buckets[b].push(key);
+                    self.occupied |= 1 << b;
+                } else {
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    fn clear_bucket(&mut self, b: usize) {
+        if self.occupied & (1 << b) != 0 {
+            self.len -= self.buckets[b].len();
+            self.buckets[b].clear();
+            self.occupied &= !(1 << b);
+        }
+    }
+
+    /// Removes every event.
+    pub fn clear(&mut self) {
+        for b in 0..RING as usize {
+            self.clear_bucket(b);
+        }
+        self.far.clear();
+        self.len = 0;
+    }
+
+    /// The earliest event strictly after `now` that `live` accepts, as
+    /// `(cycle, key)` — the smallest key among that cycle's live ones.
+    /// Events `live` rejects are stale for good and are dropped along
+    /// the way.
+    pub fn earliest_live(
+        &mut self,
+        now: u64,
+        mut live: impl FnMut(u64, u64) -> bool,
+    ) -> Option<(u64, u64)> {
+        let first = now.max(self.trimmed) + 1;
+        let span = self.trimmed + RING + 1 - first;
+        let start = first % RING;
+        let mut bits = self.occupied.rotate_right(start as u32);
+        if span < RING {
+            bits &= (1 << span) - 1;
+        }
+        while bits != 0 {
+            let offset = u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            let cycle = first + offset;
+            let b = (cycle % RING) as usize;
+            let bucket = &mut self.buckets[b];
+            let before = bucket.len();
+            bucket.retain(|&key| live(cycle, key));
+            self.len -= before - bucket.len();
+            if let Some(&key) = bucket.iter().min() {
+                return Some((cycle, key));
+            }
+            self.occupied &= !(1 << b);
+        }
+        let before = self.far.len();
+        self.far.retain(|&(cycle, key)| cycle <= now || live(cycle, key));
+        self.len -= before - self.far.len();
+        self.far.iter().copied().filter(|&(cycle, _)| cycle > now).min()
+    }
+
+    /// Removes one recorded `(cycle, key)` event, if present.
+    pub fn remove(&mut self, cycle: u64, key: u64) {
+        if cycle > self.trimmed && cycle - self.trimmed <= RING {
+            let b = (cycle % RING) as usize;
+            if let Some(i) = self.buckets[b].iter().position(|&k| k == key) {
+                self.buckets[b].swap_remove(i);
+                self.len -= 1;
+                if self.buckets[b].is_empty() {
+                    self.occupied &= !(1 << b);
+                }
+            }
+        } else if let Some(i) = self.far.iter().position(|&e| e == (cycle, key)) {
+            self.far.swap_remove(i);
+            self.len -= 1;
+        }
+    }
+
+    /// Visits every recorded event as `(cycle, key)`, in no particular
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let trimmed = self.trimmed;
+        (0..RING)
+            .filter(move |&b| self.occupied & (1 << b) != 0)
+            .flat_map(move |b| {
+                // The one cycle in `(trimmed, trimmed + RING]` on bucket `b`.
+                let cycle = trimmed + 1 + (b + RING - (trimmed + 1) % RING) % RING;
+                self.buckets[b as usize].iter().map(move |&key| (cycle, key))
+            })
+            .chain(self.far.iter().copied())
     }
 }
 
@@ -707,6 +1008,110 @@ mod tests {
             }
             let got: Vec<(u64, u64)> = got.iter().map(|e| (e.key, e.data)).collect();
             assert_eq!(got, want, "divergence at now={now}");
+        }
+    }
+
+    /// Deterministic xorshift for the differential tests below.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    #[test]
+    fn lane_delivers_in_the_drain_the_wheel_would() {
+        // Same schedules into a plain wheel and a lane queue, drained
+        // every cycle as the engine does (with a few mid-cycle
+        // schedules landing before the drain): each drain must hand out
+        // the same entries, and the earliest entry must agree.
+        let mut rng = xorshift(0x5EED_1A2E_0000_0001);
+        let (mut wheel, mut lane) = (TimeQ::new(), LaneQ::new());
+        let mut direct = 0;
+        for now in 0..3000u64 {
+            let schedule = |rng: &mut dyn FnMut() -> u64, wheel: &mut TimeQ, lane: &mut LaneQ| {
+                let cycle = match rng() % 6 {
+                    0 => now.saturating_sub(rng() % 5),
+                    1 | 2 => now + 1,
+                    3 => now,
+                    _ => now + 2 + rng() % 40,
+                };
+                let key = rng() % 64;
+                wheel.schedule(cycle, key, key);
+                u32::from(lane.schedule(cycle, key, key))
+            };
+            if rng().is_multiple_of(4) {
+                direct += schedule(&mut rng, &mut wheel, &mut lane);
+            }
+            if now.is_multiple_of(10) {
+                // The delay-operand-delivery fault's pick.
+                let picks = (wheel.clone().pop_earliest(), lane.clone().pop_earliest());
+                assert_eq!(picks.0, picks.1, "earliest at {now}");
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            wheel.pop_due(now, &mut a);
+            lane.drain(now, &mut b);
+            b.sort_unstable();
+            assert_eq!(a, b, "drain at {now}");
+            for _ in 0..rng() % 4 {
+                direct += schedule(&mut rng, &mut wheel, &mut lane);
+            }
+            assert_eq!(lane.is_empty(), wheel.is_empty());
+            let mut all: Vec<Entry> = lane.iter().copied().collect();
+            all.sort_unstable();
+            let mut want: Vec<Entry> = wheel.iter().copied().collect();
+            want.sort_unstable();
+            assert_eq!(all, want, "contents at {now}");
+            let next = |c: Option<u64>| c.unwrap_or(u64::MAX);
+            assert!(next(lane.next_cycle()) <= next(wheel.next_cycle()));
+        }
+        assert!(direct > 1000, "the lane took {direct} entries");
+        let (a, b) = (wheel.pop_earliest(), lane.pop_earliest());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn completion_queue_finds_the_earliest_live_event() {
+        // Against a plain list: events near and far (past the ring),
+        // trims as the clock moves, and a liveness rule that retires
+        // events for good (odd keys die once the clock passes a mark).
+        let mut rng = xorshift(0xC0DE_C0DE_0000_0002);
+        let mut q = CompletionQ::new();
+        let mut oracle: Vec<(u64, u64)> = Vec::new();
+        let mut dead_below = 0u64;
+        for now in 0..5000u64 {
+            q.trim(now);
+            oracle.retain(|&(c, _)| c > now);
+            for _ in 0..rng() % 3 {
+                let ahead = if rng().is_multiple_of(10) { 60 + rng() % 100 } else { rng() % 20 };
+                let cycle = now + 1 + ahead;
+                let key = rng() % 1000;
+                q.push(cycle, key);
+                oracle.push((cycle, key));
+            }
+            if rng().is_multiple_of(50) {
+                dead_below = now;
+            }
+            // An odd key recorded before `dead_below` is stale.
+            let live = |c: u64, k: u64| k.is_multiple_of(2) || c > dead_below + 40;
+            let want = oracle.iter().copied().filter(|&(c, k)| c > now && live(c, k)).min();
+            assert_eq!(q.earliest_live(now, live), want, "at {now}");
+            oracle.retain(|&(c, k)| live(c, k) || c <= now);
+            let mut got: Vec<(u64, u64)> = q.iter().filter(|&(c, k)| live(c, k)).collect();
+            got.sort_unstable();
+            let mut all = oracle.clone();
+            all.retain(|&(c, k)| live(c, k));
+            all.sort_unstable();
+            assert_eq!(got, all, "contents at {now}");
+            if let Some((c, k)) = want {
+                if rng().is_multiple_of(7) {
+                    q.remove(c, k);
+                    let i = oracle.iter().position(|&e| e == (c, k)).unwrap();
+                    oracle.swap_remove(i);
+                }
+            }
         }
     }
 }

@@ -100,7 +100,14 @@ impl ClusterSet {
 
     /// Iterates over the clusters in the set, in index order.
     pub fn iter(self) -> impl Iterator<Item = ClusterId> {
-        (0..8).filter(move |&i| self.0 & (1 << i) != 0).map(ClusterId::new)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let i = bits.trailing_zeros();
+            (bits != 0).then(|| {
+                bits &= bits - 1;
+                ClusterId::new(i as u8)
+            })
+        })
     }
 }
 
@@ -273,12 +280,14 @@ impl RegisterAssignment {
 
     /// The assignment of `reg`.
     #[must_use]
+    #[inline]
     pub fn assignment_of(&self, reg: ArchReg) -> RegAssignment {
         self.table[reg.dense_index()]
     }
 
     /// The set of clusters that hold a copy of `reg`.
     #[must_use]
+    #[inline]
     pub fn clusters_of(&self, reg: ArchReg) -> ClusterSet {
         match self.assignment_of(reg) {
             RegAssignment::Local(c) => ClusterSet::only(c),

@@ -66,6 +66,7 @@ impl InstrClass {
     /// a read port", i.e. forwarding an integer operand consumes an
     /// integer issue slot (and an fp operand an fp slot).
     #[must_use]
+    #[inline]
     pub fn for_operand_bank(bank: RegBank) -> InstrClass {
         match bank {
             RegBank::Int => InstrClass::IntAlu,

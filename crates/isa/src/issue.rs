@@ -77,6 +77,7 @@ impl IssueRules {
     /// The per-cycle limit that applies to `class` (the class's column
     /// group in Table 1), not counting the overall `total` limit.
     #[must_use]
+    #[inline]
     pub fn class_limit(&self, class: InstrClass) -> u32 {
         match class {
             InstrClass::IntMul | InstrClass::IntAlu => self.int_all,
@@ -88,6 +89,7 @@ impl IssueRules {
 
     /// Starts a fresh per-cycle issue budget governed by these rules.
     #[must_use]
+    #[inline]
     pub fn budget(&self) -> IssueBudget {
         IssueBudget { rules: *self, total: 0, int_all: 0, fp_all: 0, mem: 0, control: 0 }
     }
@@ -125,6 +127,7 @@ impl IssueBudget {
     /// Whether an instruction of `class` could issue without exceeding any
     /// limit, without consuming the slot.
     #[must_use]
+    #[inline]
     pub fn can_take(&self, class: InstrClass) -> bool {
         if self.total >= self.rules.total {
             return false;
@@ -135,6 +138,7 @@ impl IssueBudget {
 
     /// Consumes an issue slot for `class`; returns whether the slot was
     /// available.
+    #[inline]
     pub fn try_take(&mut self, class: InstrClass) -> bool {
         if !self.can_take(class) {
             return false;
@@ -151,6 +155,7 @@ impl IssueBudget {
 
     /// Whether the all-classes total has been exhausted.
     #[must_use]
+    #[inline]
     pub fn is_exhausted(&self) -> bool {
         self.total >= self.rules.total
     }
@@ -161,6 +166,7 @@ impl IssueBudget {
         self.total
     }
 
+    #[inline]
     fn class_usage(&self, class: InstrClass) -> (u32, u32) {
         match class {
             InstrClass::IntMul | InstrClass::IntAlu => (self.int_all, self.rules.int_all),
@@ -206,6 +212,7 @@ impl Latencies {
     ///
     /// Divide-class latencies come from the opcode's [`crate::DivWidth`].
     #[must_use]
+    #[inline]
     pub fn of(&self, op: Opcode) -> u32 {
         match op.class() {
             InstrClass::IntMul => self.int_mul,

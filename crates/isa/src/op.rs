@@ -160,6 +160,7 @@ pub enum Opcode {
 impl Opcode {
     /// The Table 1 instruction class this opcode issues under.
     #[must_use]
+    #[inline]
     pub fn class(self) -> InstrClass {
         use Opcode::*;
         match self {
@@ -317,6 +318,7 @@ impl Opcode {
     /// Decodes an opcode byte produced by [`Opcode::code`]; `None` for
     /// out-of-range bytes.
     #[must_use]
+    #[inline]
     pub fn from_code(code: u8) -> Option<Opcode> {
         Opcode::all().get(usize::from(code)).copied()
     }

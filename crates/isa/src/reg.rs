@@ -115,6 +115,7 @@ impl ArchReg {
 
     /// The bank this register belongs to.
     #[must_use]
+    #[inline]
     pub fn bank(self) -> RegBank {
         self.bank
     }
@@ -137,6 +138,7 @@ impl ArchReg {
 
     /// A dense index in `0..64` over both banks, useful for table lookups.
     #[must_use]
+    #[inline]
     pub fn dense_index(self) -> usize {
         match self.bank {
             RegBank::Int => usize::from(self.index),
@@ -150,6 +152,7 @@ impl ArchReg {
     ///
     /// Panics if `index >= 64`.
     #[must_use]
+    #[inline]
     pub fn from_dense_index(index: usize) -> ArchReg {
         let per_bank = usize::from(REGS_PER_BANK);
         if index < per_bank {

@@ -116,6 +116,11 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`, `log2(sets)` and `sets - 1`: the geometry is
+    /// all powers of two, so indexing is shifts and masks.
+    line_shift: u32,
+    set_shift: u32,
+    set_mask: u64,
     sets: Vec<Vec<Line>>,
     mshr: InvertedMshr,
     stats: CacheStats,
@@ -134,6 +139,9 @@ impl Cache {
         let line = Line { tag: 0, valid: false, ready_at: 0, lru: 0 };
         Cache {
             config,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             sets: vec![vec![line; config.assoc]; sets],
             mshr: InvertedMshr::new(),
             stats: CacheStats::default(),
@@ -253,9 +261,8 @@ impl Cache {
     }
 
     fn index(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes as u64;
-        let sets = self.sets.len() as u64;
-        ((line % sets) as usize, line / sets)
+        let line = addr >> self.line_shift;
+        ((line & self.set_mask) as usize, line >> self.set_shift)
     }
 }
 

@@ -111,6 +111,7 @@ impl PackedOp {
 
     /// Unpacks into a [`TraceOp`] with the given sequence number.
     #[must_use]
+    #[inline(always)]
     pub fn unpack(&self, seq: u64) -> TraceOp {
         let (mem_addr, branch) = if self.flags & HAS_MEM != 0 {
             (Some(self.aux), None)
@@ -230,6 +231,7 @@ fn pack_reg(reg: Option<ArchReg>) -> u8 {
     }
 }
 
+#[inline]
 fn unpack_reg(byte: u8) -> Option<ArchReg> {
     if byte == NO_REG {
         None
@@ -318,6 +320,7 @@ impl PackedTrace {
     ///
     /// Panics if `index` is out of bounds.
     #[must_use]
+    #[inline(always)]
     pub fn get(&self, index: usize) -> TraceOp {
         self.ops[index].unpack(index as u64)
     }
@@ -442,7 +445,7 @@ impl TraceSource for PackedTrace {
         PackedTrace::len(self)
     }
 
-    #[inline]
+    #[inline(always)]
     fn get(&self, index: usize) -> TraceOp {
         PackedTrace::get(self, index)
     }

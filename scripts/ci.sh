@@ -40,6 +40,19 @@ if ! diff -q "$smoke_dir/table2_j1.txt" "$smoke_dir/table2_checked.txt"; then
     exit 1
 fi
 
+echo "== smoke: per-cycle checker does not change results =="
+# `--check cycle` single-steps every cell and validates dispatch-queue,
+# transfer-buffer and register accounting plus waiter and completion
+# liveness at the end of every cycle, so the engine's event structures
+# are audited on all the Table 2 cells.
+(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 8 --jobs 2 > table2_8.txt)
+(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 8 --jobs 2 --check cycle \
+    > table2_8_cycle.txt)
+if ! diff -q "$smoke_dir/table2_8.txt" "$smoke_dir/table2_8_cycle.txt"; then
+    echo "FAIL: --check cycle changed table2 output" >&2
+    exit 1
+fi
+
 echo "== smoke: selftest (differential + fault injection) =="
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" selftest 8 --jobs 2)
 
