@@ -159,7 +159,30 @@ use mcl_core::ProcessorConfig;
 use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
+/// Pins glibc's mmap threshold at its 128 KiB default. glibc otherwise
+/// raises the threshold to the size of each mmapped block it frees, so
+/// once the store has released a benchmark's traces, the next traces
+/// (megabytes each at full scale) come from the heap, where the freed
+/// ones linger as holes: a full-scale `repro all --jobs 2` then peaks
+/// at 78–102 MB instead of 76–82 MB.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_mmap_threshold() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_MMAP_THRESHOLD: i32 = -3;
+    // SAFETY: `mallopt` only sets an allocator tunable, and no other
+    // thread exists yet.
+    unsafe {
+        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_mmap_threshold() {}
+
 fn main() -> ExitCode {
+    pin_mmap_threshold();
     let cli = match parse_cli(std::env::args().skip(1).collect()) {
         Ok(cli) => cli,
         Err(e) => {
@@ -268,7 +291,7 @@ fn main() -> ExitCode {
         "ablate-globals" => plan_ablate_globals(&mut plan, &store, divisor, options.obs.as_ref()),
         "ablate-width" => plan_ablate_width(&mut plan, &store, divisor, options.obs.as_ref()),
         "ablate-unroll" => plan_ablate_unroll(&mut plan, &store, divisor, options.obs.as_ref()),
-        "mix" => plan_mix(&mut plan, divisor),
+        "mix" => plan_mix(&mut plan, &store, divisor),
         "schedulers" => plan_schedulers(&mut plan, &store, divisor),
         "selftest" => plan_selftest(&mut plan, divisor),
         "explain" => {
@@ -618,8 +641,13 @@ impl Plan {
         store: &TraceStore,
     ) -> Result<(), String> {
         let start = Instant::now();
-        let (payloads, metrics) =
-            runner::run_cells_isolated(jobs, self.cells, options.watchdog_seconds);
+        // A benchmark's traces are freed once its last cell is done.
+        let (payloads, metrics) = runner::run_cells_isolated(
+            jobs,
+            self.cells,
+            options.watchdog_seconds,
+            &|bench| store.release(bench),
+        );
         let failed: Vec<String> = metrics
             .iter()
             .filter(|m| m.status != CellStatus::Ok)
@@ -740,13 +768,14 @@ fn plan_table2_cells(
         let scale = bench.scaled(divisor);
         let store = Arc::clone(store);
         let obs = obs.cloned();
-        plan.cells.push(Cell::new(format!("table2/{bench}"), move || {
+        let cell = Cell::new(format!("table2/{bench}"), move || {
             let (row, cost) = table2::table2_row_with(&store, bench, scale)?;
             if let Some(settings) = &obs {
                 obs::observe_cell(&store, bench, scale, settings)?;
             }
             Ok((Payload::Row(Box::new(row)), cost))
-        }));
+        });
+        plan.cells.push(cell.for_benchmark(bench));
     }
     start..plan.cells.len()
 }
@@ -830,6 +859,7 @@ fn plan_benchmarks(
                 let (rendered, cost) = cell(&store, bench, bench.scaled(divisor))?;
                 Ok((Payload::Text(rendered), cost))
             })
+            .for_benchmark(bench)
         })
         .collect();
     plan.section(
@@ -987,6 +1017,7 @@ fn plan_ablate_globals(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, o
                 );
                 Ok((Payload::Text(line), cost))
             })
+            .for_benchmark(bench)
         })
         .collect();
     plan.section(
@@ -1029,6 +1060,7 @@ fn plan_ablate_width(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32, obs
                 );
                 Ok((Payload::Text(line), cost))
             })
+            .for_benchmark(bench)
         })
         .collect();
     plan.section(
@@ -1065,6 +1097,7 @@ fn plan_schedulers(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32) {
                     .collect();
                 Ok((Payload::Text(lines.join("\n")), cost))
             })
+            .for_benchmark(bench)
         })
         .collect();
     plan.section(
@@ -1080,16 +1113,18 @@ fn plan_schedulers(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32) {
     );
 }
 
-fn plan_mix(plan: &mut Plan, divisor: u32) {
+fn plan_mix(plan: &mut Plan, store: &Arc<TraceStore>, divisor: u32) {
     use mcl_trace::analysis::analyze;
     let cells = Benchmark::ALL
         .iter()
         .map(|&bench| {
+            let store = Arc::clone(store);
             Cell::new(format!("mix/{bench}"), move || {
-                let il = bench.build(bench.scaled(divisor));
+                let il = store.il(bench, bench.scaled(divisor));
                 let report = analyze(&il).map_err(mcl_bench::Error::Vm)?;
                 Ok((Payload::Text(report.render_row()), CellCost::default()))
             })
+            .for_benchmark(bench)
         })
         .collect();
     plan.section(
@@ -1172,7 +1207,7 @@ fn plan_all(
     plan_ablate_width(plan, store, divisor, obs);
     plan_ablate_unroll(plan, store, divisor, obs);
     plan_schedulers(plan, store, divisor);
-    plan_mix(plan, divisor);
+    plan_mix(plan, store, divisor);
 }
 
 fn run_pipeline(bench: Benchmark) -> Result<(), mcl_bench::Error> {

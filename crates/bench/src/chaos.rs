@@ -496,7 +496,7 @@ pub fn run(jobs: usize, watchdog_seconds: f64) -> ChaosReport {
         .collect();
     // The per-attempt hard watchdog is armed inside each cell (with
     // retries), so no runner-level budget here.
-    let (rows, metrics) = runner::run_cells_isolated(jobs, cells, None);
+    let (rows, metrics) = runner::run_cells_isolated(jobs, cells, None, &|_| {});
     let broken_cells = metrics
         .iter()
         .filter(|m| m.status != CellStatus::Ok)

@@ -8,6 +8,16 @@
 //! finished first. Rendering happens after collection, which is what
 //! makes `--jobs N` output byte-identical to a serial run.
 //!
+//! Claim order and result order differ. A cell built with
+//! [`Cell::for_benchmark`] belongs to that benchmark's group; the pool
+//! claims the untagged cells first, then each benchmark's cells in
+//! submission order, one group after the other (groups in order of
+//! their first cell). When a group's last cell has finished — ok,
+//! error or panic — the runner calls the caller's release hook once
+//! with its benchmark, which is how `repro` frees a benchmark's traces
+//! while the rest of the run goes on. Results still come back in
+//! submission order.
+//!
 //! The pool also records per-cell wall time and the simulated cycles
 //! reported by the cells (see [`CellCost`]); the driver writes them to
 //! `BENCH_repro.json` via [`report_json`]. The wall clock is the only
@@ -27,6 +37,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use mcl_core::FastForward;
+use mcl_workloads::Benchmark;
 
 use crate::json::Json;
 use crate::store::{SimProduct, StoreCounters};
@@ -74,6 +85,9 @@ impl CellCost {
 pub struct Cell<R> {
     /// Stable identifier, e.g. `table2/compress`.
     pub id: String,
+    /// The benchmark whose group the cell runs in (see the
+    /// [module docs](self)); `None` runs it before every group.
+    pub bench: Option<Benchmark>,
     /// The work itself.
     pub run: Box<dyn FnOnce() -> Result<(R, CellCost), Error> + Send>,
 }
@@ -84,7 +98,14 @@ impl<R> Cell<R> {
         id: impl Into<String>,
         run: impl FnOnce() -> Result<(R, CellCost), Error> + Send + 'static,
     ) -> Cell<R> {
-        Cell { id: id.into(), run: Box::new(run) }
+        Cell { id: id.into(), bench: None, run: Box::new(run) }
+    }
+
+    /// Puts the cell in `bench`'s group.
+    #[must_use]
+    pub fn for_benchmark(mut self, bench: Benchmark) -> Cell<R> {
+        self.bench = Some(bench);
+        self
     }
 }
 
@@ -191,7 +212,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// guard is per-cell, so a timed-out cell never leaks its deadline
 /// into the next one scheduled on the same worker.
 fn execute_cell<R>(cell: Cell<R>, watchdog_seconds: Option<f64>) -> FinishedCell<R> {
-    let Cell { id, run } = cell;
+    let Cell { id, run, .. } = cell;
     let _watchdog = watchdog_seconds
         .filter(|s| *s > 0.0)
         .map(|s| mcl_core::watchdog::arm_for(std::time::Duration::from_secs_f64(s)));
@@ -208,33 +229,59 @@ fn execute_cell<R>(cell: Cell<R>, watchdog_seconds: Option<f64>) -> FinishedCell
     (id, result, start.elapsed().as_secs_f64())
 }
 
-/// Runs every cell (serially or on the worker pool) and returns the
-/// outcomes in submission order, panics caught.
+/// Runs every cell (serially or on the worker pool) in claim order —
+/// untagged cells, then each benchmark's group — calling `release` once
+/// per group after its last cell, and returns the outcomes in submission
+/// order, panics caught.
 fn run_raw<R: Send>(
     jobs: usize,
     cells: Vec<Cell<R>>,
     watchdog_seconds: Option<f64>,
+    release: &(dyn Fn(Benchmark) + Sync),
 ) -> Vec<FinishedCell<R>> {
     let n = cells.len();
-    if jobs <= 1 || n <= 1 {
-        return cells.into_iter().map(|c| execute_cell(c, watchdog_seconds)).collect();
+    let mut order = Vec::with_capacity(n);
+    let mut groups: Vec<(Benchmark, Vec<usize>)> = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        let Some(bench) = cell.bench else {
+            order.push(i);
+            continue;
+        };
+        match groups.iter_mut().find(|(b, _)| *b == bench) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((bench, vec![i])),
+        }
     }
+    let left: Vec<(Benchmark, AtomicUsize)> =
+        groups.iter().map(|(b, members)| (*b, AtomicUsize::new(members.len()))).collect();
+    order.extend(groups.into_iter().flat_map(|(_, members)| members));
+
     let work: Vec<Mutex<Option<Cell<R>>>> =
         cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let done: Vec<Mutex<Option<FinishedCell<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+    let worker = || {
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let cell = work[i].lock().unwrap().take().expect("each cell claimed once");
+            let bench = cell.bench;
+            *done[i].lock().unwrap() = Some(execute_cell(cell, watchdog_seconds));
+            let group = bench.and_then(|b| left.iter().find(|(g, _)| *g == b));
+            if let Some((bench, count)) = group {
+                if count.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    release(*bench);
                 }
-                let cell = work[i].lock().unwrap().take().expect("each cell claimed once");
-                *done[i].lock().unwrap() = Some(execute_cell(cell, watchdog_seconds));
-            });
+            }
         }
-    });
+    };
+    if jobs <= 1 || n <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..jobs.min(n) {
+                s.spawn(worker);
+            }
+        });
+    }
     done.into_iter().map(|slot| slot.into_inner().unwrap().expect("every cell ran")).collect()
 }
 
@@ -256,7 +303,7 @@ pub fn run_cells<R: Send>(
     jobs: usize,
     cells: Vec<Cell<R>>,
 ) -> Result<(Vec<R>, Vec<CellMetric>), Error> {
-    let slots = run_raw(jobs, cells, None);
+    let slots = run_raw(jobs, cells, None, &|_| {});
     let mut payloads = Vec::with_capacity(slots.len());
     let mut metrics = Vec::with_capacity(slots.len());
     for (id, result, wall_seconds) in slots {
@@ -280,7 +327,9 @@ pub fn run_cells<R: Send>(
 /// per cell instead of aborting the run.
 ///
 /// Returns one payload slot per cell (`None` for failed cells) and one
-/// metric per cell, both in submission order. `watchdog_seconds`, when
+/// metric per cell, both in submission order. `release` is called once
+/// per benchmark group, after the group's last cell has finished (see
+/// the [module docs](self)). `watchdog_seconds`, when
 /// set, is enforced two ways: the *hard* cooperative watchdog arms the
 /// budget as a per-cell deadline the simulator polls (a runaway
 /// simulation is cancelled with `SimError::Timeout`, surfacing as a
@@ -294,8 +343,9 @@ pub fn run_cells_isolated<R: Send>(
     jobs: usize,
     cells: Vec<Cell<R>>,
     watchdog_seconds: Option<f64>,
+    release: &(dyn Fn(Benchmark) + Sync),
 ) -> (Vec<Option<R>>, Vec<CellMetric>) {
-    let slots = run_raw(jobs, cells, watchdog_seconds);
+    let slots = run_raw(jobs, cells, watchdog_seconds, release);
     let mut payloads = Vec::with_capacity(slots.len());
     let mut metrics = Vec::with_capacity(slots.len());
     for (id, result, wall_seconds) in slots {
@@ -574,6 +624,8 @@ pub fn write_report(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn counting_cells(n: usize) -> Vec<Cell<usize>> {
@@ -824,7 +876,7 @@ mod tests {
     #[test]
     fn isolated_run_keeps_surviving_payloads_and_records_statuses() {
         for jobs in [1, 4] {
-            let (payloads, metrics) = run_cells_isolated(jobs, mixed_cells(), None);
+            let (payloads, metrics) = run_cells_isolated(jobs, mixed_cells(), None, &|_| {});
             assert_eq!(payloads, vec![Some(0), Some(1), None, None, Some(4)]);
             assert_eq!(metrics[0].status, CellStatus::Ok);
             assert_eq!(metrics[2].status, CellStatus::Panicked("cell 2 exploded".into()));
@@ -833,6 +885,106 @@ mod tests {
                 CellStatus::Error("trace store: cache poisoned".into())
             );
             assert!(metrics.iter().all(|m| !m.watchdog_exceeded), "no watchdog configured");
+        }
+    }
+
+    /// Cells of two benchmark groups interleaved with untagged cells.
+    /// Each logs `id` to `log` when it runs; `gcc1`'s last cell panics
+    /// and `compress`'s last cell errors.
+    fn grouped_cells(log: &Arc<Mutex<Vec<String>>>) -> Vec<Cell<usize>> {
+        use Benchmark::{Compress, Gcc1};
+        let plan = [
+            Some(Compress),
+            None,
+            Some(Gcc1),
+            Some(Compress),
+            Some(Gcc1),
+            None,
+            Some(Compress),
+            Some(Gcc1),
+        ];
+        plan.iter()
+            .enumerate()
+            .map(|(i, &bench)| {
+                let log = Arc::clone(log);
+                let id = format!("{}/{i}", bench.map_or("untagged", Benchmark::name));
+                let cell = Cell::new(id.clone(), move || {
+                    // Early cells are the slowest, so parallel workers
+                    // finish out of claim order.
+                    std::thread::sleep(std::time::Duration::from_millis(16 - 2 * i as u64));
+                    log.lock().unwrap().push(id);
+                    match i {
+                        6 => Err(Error::Store("cache poisoned".into())),
+                        7 => panic!("cell {i} exploded"),
+                        _ => Ok((i, CellCost::default())),
+                    }
+                });
+                match bench {
+                    Some(bench) => cell.for_benchmark(bench),
+                    None => cell,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn serial_runs_claim_untagged_cells_then_each_benchmark_group() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let _ = run_cells_isolated(1, grouped_cells(&log), None, &|_| {});
+        let order = log.lock().unwrap().clone();
+        assert_eq!(
+            order,
+            [
+                "untagged/1",
+                "untagged/5",
+                "compress/0",
+                "compress/3",
+                "compress/6",
+                "gcc1/2",
+                "gcc1/4",
+                "gcc1/7",
+            ]
+        );
+    }
+
+    #[test]
+    fn release_fires_once_per_group_after_its_last_cell() {
+        for jobs in [1, 4] {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let release = |bench: Benchmark| {
+                log.lock().unwrap().push(format!("release {bench}"));
+            };
+            let (payloads, metrics) = run_cells_isolated(jobs, grouped_cells(&log), None, &release);
+            let log = log.lock().unwrap().clone();
+            for bench in ["compress", "gcc1"] {
+                let release = format!("release {bench}");
+                let fired: Vec<usize> = (0..log.len()).filter(|&k| log[k] == release).collect();
+                assert_eq!(fired.len(), 1, "jobs {jobs}: {bench} released once: {log:?}");
+                let last_cell = log.iter().rposition(|e| e.starts_with(&format!("{bench}/")));
+                assert!(last_cell < Some(fired[0]), "jobs {jobs}: {bench} released early: {log:?}");
+            }
+            assert_eq!(log.len(), 10, "jobs {jobs}: no release for untagged cells: {log:?}");
+            // Results come back in submission order.
+            assert_eq!(
+                payloads,
+                [Some(0), Some(1), Some(2), Some(3), Some(4), Some(5), None, None]
+            );
+            let ids: Vec<&str> = metrics.iter().map(|m| m.id.as_str()).collect();
+            assert_eq!(
+                ids,
+                [
+                    "compress/0",
+                    "untagged/1",
+                    "gcc1/2",
+                    "compress/3",
+                    "gcc1/4",
+                    "untagged/5",
+                    "compress/6",
+                    "gcc1/7",
+                ]
+            );
+            assert_eq!(metrics[6].status.name(), "error");
+            assert_eq!(metrics[7].status.name(), "panicked");
         }
     }
 
@@ -856,7 +1008,7 @@ mod tests {
             .run_program(&program)?;
             Ok((result.stats.cycles, CellCost::default()))
         })];
-        let (payloads, metrics) = run_cells_isolated(1, cells, Some(1e-9));
+        let (payloads, metrics) = run_cells_isolated(1, cells, Some(1e-9), &|_| {});
         assert_eq!(payloads, vec![None], "the cancelled cell yields no payload");
         match &metrics[0].status {
             CellStatus::Error(m) => {
@@ -876,7 +1028,7 @@ mod tests {
                 Ok((2, CellCost::default()))
             }),
         ];
-        let (_, metrics) = run_cells_isolated(1, cells, Some(0.01));
+        let (_, metrics) = run_cells_isolated(1, cells, Some(0.01), &|_| {});
         assert!(!metrics[0].watchdog_exceeded);
         assert!(metrics[1].watchdog_exceeded);
         assert_eq!(

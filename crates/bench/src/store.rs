@@ -37,7 +37,18 @@
 //! unroll factor on a benchmark without self-loops) share one buffer,
 //! one persistent-store key prefix ([`TraceDigest`], hashed only when
 //! a disk store is attached) and — since simulation is deterministic —
-//! one memoized simulation per configuration.
+//! one memoized simulation per configuration. The content pool buckets
+//! traces by [`PackedTrace::content_hash`] and compares contents
+//! within a bucket, so a hash collision never merges two traces.
+//!
+//! The store does not hold a benchmark's artifacts for the whole run.
+//! The plan knows when a benchmark's last cell has finished (see
+//! [`runner`](crate::runner)), and then [`TraceStore::release`] drops
+//! that benchmark's IL, prepared IL and trace slots; the content pool
+//! only holds weak references, so the memory goes once the last cell
+//! drops its handles. What stays is small: the simulation memo, the
+//! request-tier slots and the content ids. A request after a release
+//! builds its trace again (and counts a trace miss).
 //!
 //! With a disk store attached, [`TraceStore::sim`] first asks its
 //! *request tier* ([`PersistStore::load_request`]) for the digest of the
@@ -60,9 +71,9 @@
 //! did.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use mcl_core::{FastForward, Processor, ProcessorConfig, SimStats};
 use mcl_isa::assign::RegisterAssignment;
@@ -311,8 +322,9 @@ pub struct TraceStore {
     traces: Mutex<HashMap<TraceKey, Slot<CanonTrace>>>,
     /// Content hash → canonical traces with that hash (a bucket per
     /// hash; contents are compared on insert, so colliding hashes stay
-    /// correct).
-    canonical: Mutex<HashMap<u64, Vec<CanonTrace>>>,
+    /// correct). Weak: the trace slots own the traces, and
+    /// [`TraceStore::release`] prunes the entries it orphans.
+    canonical: Mutex<HashMap<u64, Vec<Weak<Canonical>>>>,
     next_content_id: AtomicU64,
     /// Trace digest → content id, used instead of [`Canonical::id`]
     /// when a disk store is attached: a request-tier hit knows only the
@@ -463,7 +475,7 @@ impl TraceStore {
         let mut built = false;
         let result = slot.get_or_init(|| {
             built = true;
-            self.build_trace(key).map(|trace| self.canonicalize(trace))
+            self.build_trace(key)
         });
         if built {
             self.trace_misses.fetch_add(1, Ordering::Relaxed);
@@ -476,24 +488,38 @@ impl TraceStore {
     /// Folds a freshly built trace into the content-addressed pool:
     /// byte-identical traces share one buffer and one content id.
     fn canonicalize(&self, trace: PackedTrace) -> CanonTrace {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        trace.hash(&mut hasher);
-        let digest = hasher.finish();
+        let hash = trace.content_hash();
         let mut pool = self.canonical.lock().unwrap();
-        let bucket = pool.entry(digest).or_default();
-        if let Some(existing) = bucket.iter().find(|c| *c.trace == trace) {
-            return Arc::clone(existing);
+        let bucket = pool.entry(hash).or_default();
+        if let Some(existing) =
+            bucket.iter().filter_map(Weak::upgrade).find(|c| *c.trace == trace)
+        {
+            return existing;
         }
         let entry = Arc::new(Canonical {
             id: self.next_content_id.fetch_add(1, Ordering::Relaxed),
             trace: Arc::new(trace),
             digest: OnceLock::new(),
         });
-        bucket.push(Arc::clone(&entry));
+        bucket.push(Arc::downgrade(&entry));
         entry
     }
 
-    fn build_trace(&self, key: TraceKey) -> Result<PackedTrace, String> {
+    /// Drops `bench`'s IL, prepared IL and trace slots, at every scale
+    /// and unroll factor, once the plan has run its last cell. Handles
+    /// a caller still holds stay valid; a later request builds again.
+    pub fn release(&self, bench: Benchmark) {
+        self.ils.lock().unwrap().retain(|k, _| k.bench != bench);
+        self.prepared.lock().unwrap().retain(|k, _| k.bench != bench);
+        self.traces.lock().unwrap().retain(|k, _| k.il.bench != bench);
+        self.canonical.lock().unwrap().retain(|_, bucket| {
+            bucket.retain(|c| c.strong_count() > 0);
+            !bucket.is_empty()
+        });
+    }
+
+    /// Builds, packs and canonicalizes the trace of `key`.
+    fn build_trace(&self, key: TraceKey) -> Result<CanonTrace, String> {
         // The IL and prepared IL are memoized and span their own builds.
         let prepared = self.prepared_at(key.il).map_err(|e| e.to_string())?;
         let options = ScheduleOptions {
@@ -511,7 +537,7 @@ impl TraceStore {
         let hint = dynamic_len_estimate(&scheduled.program, prepared.profile());
         let (trace, _) =
             trace_program_packed(&scheduled.program, hint).map_err(|e| e.to_string())?;
-        Ok(trace)
+        Ok(self.canonicalize(trace))
     }
 
     /// The content id indexing the simulation cache for `digest`.
@@ -821,6 +847,58 @@ mod tests {
         assert_eq!(first.stats, fresh);
         let c = store.counters();
         assert_eq!((c.sim_hits, c.sim_misses), (1, 1));
+    }
+
+    #[test]
+    fn release_frees_a_benchmarks_traces_and_a_later_request_rebuilds_them() {
+        let (req, cfg) = compress_local();
+        let store = TraceStore::new();
+        let before = store.sim(&req, &cfg).unwrap();
+        let trace = store.trace(&req).unwrap();
+        let bytes = trace.to_bytes();
+        let weak = Arc::downgrade(&trace);
+        // Another benchmark's trace survives the release.
+        let other = TraceRequest::new(Benchmark::Ora, 2, SchedulerKind::Local);
+        let kept = Arc::downgrade(&store.trace(&other).unwrap());
+
+        store.release(Benchmark::Compress);
+        assert!(weak.upgrade().is_some(), "a caller's handle stays valid");
+        drop(trace);
+        assert!(weak.upgrade().is_none(), "nothing in the store pins a released trace");
+        assert!(kept.upgrade().is_some(), "release drops only its benchmark");
+
+        let misses = store.counters().trace_misses;
+        let rebuilt = store.trace(&req).unwrap();
+        assert_eq!(rebuilt.to_bytes(), bytes, "the rebuild is byte-identical");
+        assert_eq!(store.counters().trace_misses, misses + 1, "the rebuild counts a miss");
+        let after = store.sim(&req, &cfg).unwrap();
+        assert_eq!((after.stats, after.ff), (before.stats, before.ff));
+    }
+
+    #[test]
+    fn a_benchmarks_cells_share_its_trace_until_the_group_is_released() {
+        use crate::runner::{run_cells_isolated, Cell, CellCost};
+        let (req, cfg) = compress_local();
+        let store = Arc::new(TraceStore::new());
+        let cells: Vec<Cell<u64>> = (0..3)
+            .map(|i| {
+                let (store, cfg) = (Arc::clone(&store), cfg.clone());
+                Cell::new(format!("compress/{i}"), move || {
+                    let product = store.sim(&req, &cfg)?;
+                    let mut cost = CellCost::default();
+                    cost.charge_sim(&product);
+                    Ok((product.stats.cycles, cost))
+                })
+                .for_benchmark(Benchmark::Compress)
+            })
+            .collect();
+        let (payloads, _) = run_cells_isolated(2, cells, None, &|bench| store.release(bench));
+        assert!(payloads.iter().all(Option::is_some));
+        let c = store.counters();
+        assert_eq!((c.trace_misses, c.trace_hits), (1, 2), "the trace is built once");
+        assert_eq!((c.sim_misses, c.sim_hits), (1, 2));
+        assert!(store.traces.lock().unwrap().is_empty(), "the group's release ran");
+        assert!(store.canonical.lock().unwrap().is_empty(), "and pruned the content pool");
     }
 
     /// A fresh disk store under `tag` whose request keys cover

@@ -53,7 +53,7 @@ const SCHED_INSERTED: u8 = 1 << 4;
 /// [`PackedTrace`]); registers are [`ArchReg::dense_index`] bytes with
 /// `0xFF` for "none"; the memory address and branch target share one
 /// auxiliary word discriminated by flag bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedOp {
     pc: u64,
     /// Memory address (`HAS_MEM`), branch target (`HAS_BRANCH`), or 0.
@@ -262,7 +262,7 @@ fn unpack_reg(byte: u8) -> Option<ArchReg> {
 /// assert_eq!(trace.len(), 1);
 /// assert_eq!(trace.get(0), op);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedTrace {
     ops: Vec<PackedOp>,
 }
@@ -335,6 +335,24 @@ impl PackedTrace {
     #[must_use]
     pub fn to_ops(&self) -> Vec<TraceOp> {
         self.iter().collect()
+    }
+
+    /// A fast 64-bit hash of the trace's content, for bucketing traces
+    /// that may be equal: a multiply-rotate mix over the records' `pc`
+    /// words, one over their `aux` words and one over their packed byte
+    /// fields (three independent chains, so they overlap in the
+    /// pipeline), folded with the length. It is not collision-resistant,
+    /// so compare contents before treating two traces as one.
+    #[must_use]
+    pub fn content_hash(&self) -> u64 {
+        // FxHash's multiplier: odd, with well-spread bits.
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+        let (pc, aux, fields) = self.ops.iter().fold((0, 0, 0), |(pc, aux, fields), op| {
+            let bytes = [op.op, op.dest, op.src0, op.src1, op.flags, 0, 0, 0];
+            (mix(pc, op.pc), mix(aux, op.aux), mix(fields, u64::from_le_bytes(bytes)))
+        });
+        [pc, aux, fields].into_iter().fold(self.ops.len() as u64, mix)
     }
 
     /// Bytes per stored record (24, vs [`TraceOp`]'s ~72).

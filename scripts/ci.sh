@@ -32,6 +32,21 @@ test -s "$smoke_dir/BENCH_repro.json" || {
     echo "FAIL: BENCH_repro.json was not written" >&2
     exit 1
 }
+# `repro all` frees each benchmark's traces after its last cell; a
+# trace built again after an early release shows as a 73rd trace miss.
+for jobs in 1 2; do
+    (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs "$jobs" > "all8_j$jobs.txt")
+    for counter in '"trace_misses":72' '"sim_misses":136'; do
+        grep -q "$counter" "$smoke_dir/BENCH_repro.json" || {
+            echo "FAIL: repro all 8 --jobs $jobs report lacks $counter" >&2
+            exit 1
+        }
+    done
+done
+if ! diff -q "$smoke_dir/all8_j1.txt" "$smoke_dir/all8_j2.txt"; then
+    echo "FAIL: parallel and serial repro all 8 output differ" >&2
+    exit 1
+fi
 
 echo "== smoke: invariant checker does not change results =="
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 --jobs 2 --check retire > table2_checked.txt)
