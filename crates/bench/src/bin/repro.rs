@@ -37,9 +37,9 @@
 //! Arguments a command does not use are errors: an unknown `--flag`, a
 //! flag given twice, a second positional argument, a divisor that is
 //! not a positive `u32`, or one of `--obs`, `--sample-interval`,
-//! `--baseline`, `--range` and `--out` on a command that would ignore
-//! it. So is an unknown benchmark name, in `repro pipeline NAME` or in
-//! `MCL_ONLY` (which restricts `table2`, `explain`, `profile`,
+//! `--baseline`, `--range`, `--out` and `--check` on a command that
+//! would ignore it. So is an unknown benchmark name, in `repro pipeline
+//! NAME` or in `MCL_ONLY` (which restricts `table2`, `explain`, `profile`,
 //! `pipetrace` and `all` to one benchmark).
 //!
 //! Robustness flags:
@@ -49,7 +49,8 @@
 //!   nothing when something failed. The exit code is still nonzero.
 //! - `--check LEVEL` — run every simulation with the architectural
 //!   invariant checker at `off`, `retire`, or `cycle` level
-//!   (see `mcl_core::check`).
+//!   (see `mcl_core::check`). Results served by `--store` are not
+//!   re-checked. Commands it cannot reach reject it.
 //! - `--watchdog SECS` — a positive budget whose deadline is
 //!   representable (so not `inf`). Each cell's simulations run under a
 //!   hard cooperative deadline: a cell whose simulation exceeds the
@@ -190,11 +191,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(level) = cli.check_level {
-        // Configuration presets built anywhere below (including deep
-        // inside experiment cells) read this process-wide default.
-        mcl_core::check::set_global_level(level);
-    }
     if cli.options.flight.is_some() {
         // Turn the recorder on before any cell, trace build, or store
         // access so the recording covers the whole invocation.
@@ -206,7 +202,7 @@ fn main() -> ExitCode {
     if cmd == "pipeline" {
         let name = arg.as_deref().unwrap_or("compress");
         let run = benchmark_named(name, "pipeline")
-            .and_then(|bench| run_pipeline(bench).map_err(|e| e.to_string()));
+            .and_then(|bench| run_pipeline(bench, options.check).map_err(|e| e.to_string()));
         return match run {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -258,7 +254,7 @@ fn main() -> ExitCode {
     // and are reused across experiments (and across workers under
     // `--jobs N`). With `--store DIR`, simulation results are
     // additionally cached on disk across processes.
-    let mut store = TraceStore::new();
+    let mut store = TraceStore::new().with_check(options.check);
     if let Some(dir) = store_dir {
         match mcl_bench::PersistStore::open(std::path::Path::new(&dir)) {
             Ok(persist) => store = store.with_persist(Arc::new(persist)),
@@ -277,7 +273,7 @@ fn main() -> ExitCode {
         "table2" => {
             plan_table2(&mut plan, &store, divisor, only, options.obs.as_ref());
         }
-        "scenarios" => plan_scenarios(&mut plan, options.obs.as_ref()),
+        "scenarios" => plan_scenarios(&mut plan, options.obs.as_ref(), store.check_level()),
         "fig6" => plan_fig6(&mut plan),
         "crossover" => {
             let rows = plan_table2_cells(&mut plan, &store, divisor, None, options.obs.as_ref());
@@ -363,6 +359,8 @@ fn main() -> ExitCode {
 #[derive(Clone, Default)]
 struct RunOptions {
     keep_going: bool,
+    /// `--check`: the invariant-check level of every simulation.
+    check: CheckLevel,
     watchdog_seconds: Option<f64>,
     obs: Option<ObsSettings>,
     /// `(export dir, baseline name)` of a `repro explain` run, recorded
@@ -387,7 +385,6 @@ struct Cli {
     arg: Option<String>,
     divisor: u32,
     jobs: usize,
-    check_level: Option<CheckLevel>,
     store_dir: Option<String>,
     baseline: Option<Baseline>,
     /// `--range` as given, and parsed.
@@ -425,9 +422,9 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         .transpose()?
         .unwrap_or_else(runner::default_jobs);
     let keep_going = take_switch(&mut args, "--keep-going");
-    let check_level = take_value_flag(&mut args, "--check")?;
+    let check = take_value_flag(&mut args, "--check")?;
     let watchdog = take_value_flag(&mut args, "--watchdog")?;
-    let check_level = check_level.map(|v| v.parse::<CheckLevel>()).transpose()?;
+    let check = check.map(|v| v.parse::<CheckLevel>()).transpose()?;
     let watchdog_seconds = watchdog
         .map(|v| match v.parse::<f64>() {
             // The deadline must be representable: no `inf`, no `1e300`.
@@ -463,12 +460,15 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
     // `cmd` reads it.
     let companions = COMPANION_COMMANDS.contains(&cmd.as_str());
     let tool = matches!(cmd.as_str(), "explain" | "profile" | "pipetrace");
+    let simulates =
+        !matches!(cmd.as_str(), "table1" | "fig6" | "mix" | "obs-validate" | "chaos" | "selftest");
     let flags = [
         ("--obs", obs_dir.is_some(), companions || tool),
         ("--sample-interval", sample_interval.is_some(), companions),
         ("--baseline", baseline.is_some(), matches!(cmd.as_str(), "explain" | "pipetrace")),
         ("--range", range.is_some(), cmd == "pipetrace"),
         ("--out", out_dir.is_some(), cmd == "pipetrace"),
+        ("--check", check.is_some(), simulates),
     ];
     if let Some((flag, ..)) = flags.iter().find(|&&(_, given, read)| given && !read) {
         return Err(format!("`{cmd}` does not read `{flag}`"));
@@ -485,13 +485,13 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         cmd,
         divisor,
         jobs,
-        check_level,
         store_dir,
         baseline,
         range,
         out_dir,
         options: RunOptions {
             keep_going,
+            check: check.unwrap_or_default(),
             watchdog_seconds,
             obs: obs_dir.map(|dir| ObsSettings {
                 dir: PathBuf::from(dir),
@@ -810,14 +810,14 @@ fn plan_crossover(plan: &mut Plan, table2_cells: Range<usize>) {
     );
 }
 
-fn plan_scenarios(plan: &mut Plan, obs: Option<&ObsSettings>) {
+fn plan_scenarios(plan: &mut Plan, obs: Option<&ObsSettings>, check: CheckLevel) {
     let obs = obs.cloned();
     plan.section(
         vec![Cell::new("scenarios", move || {
-            let timelines = scenarios::run_all()?;
+            let timelines = scenarios::run_all(check)?;
             if let Some(settings) = &obs {
                 for s in mcl_workloads::scenarios::all() {
-                    obs::observe_scenario(&s, settings)?;
+                    obs::observe_scenario(&s, settings, check)?;
                 }
             }
             Ok((Payload::Text(scenarios::render(&timelines)), CellCost::default()))
@@ -1187,7 +1187,7 @@ fn plan_all(
 ) {
     plan_table1(plan);
     let table2_cells = plan_table2(plan, store, divisor, only, obs);
-    plan_scenarios(plan, obs);
+    plan_scenarios(plan, obs, store.check_level());
     plan_fig6(plan);
     // The crossover analysis derives from Table 2's rows; reuse them
     // instead of re-simulating — unless MCL_ONLY restricted Table 2, in
@@ -1210,8 +1210,8 @@ fn plan_all(
     plan_mix(plan, store, divisor);
 }
 
-fn run_pipeline(bench: Benchmark) -> Result<(), mcl_bench::Error> {
-    use mcl_core::{render_pipeline, PipeViewOptions, Processor, ProcessorConfig};
+fn run_pipeline(bench: Benchmark, check: CheckLevel) -> Result<(), mcl_bench::Error> {
+    use mcl_core::{render_pipeline, EventLog, PipeViewOptions, Processor, ProcessorConfig};
     use mcl_isa::assign::RegisterAssignment;
     use mcl_sched::SchedulerKind;
     use mcl_trace::vm::trace_program_packed;
@@ -1222,10 +1222,11 @@ fn run_pipeline(bench: Benchmark) -> Result<(), mcl_bench::Error> {
         .run(&il)
         .map_err(mcl_bench::Error::Schedule)?;
     let (trace, _) = trace_program_packed(&scheduled.program, 0).map_err(mcl_bench::Error::Vm)?;
-    let result = Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-        .run_packed(&trace)
+    let mut events = EventLog::new();
+    Processor::new(ProcessorConfig::dual_cluster_8way())
+        .checked(check)
+        .run_packed_observed(&trace, &mut events)
         .map_err(mcl_bench::Error::Sim)?;
-    let events = result.events.expect("events enabled");
     // Show a steady-state window of 48 instructions.
     let mid = (trace.len() as u64 / 2).max(1);
     println!(

@@ -194,17 +194,16 @@ impl Case {
             self.fault.name(),
             self.workload.name(),
             engine_name(self.single_stepped),
-            level_name(self.level)
+            self.level.name()
         )
     }
 
     fn processor(&self, with_fault: bool) -> Processor {
-        let mut cfg = self.workload.config().with_check_level(self.level);
-        cfg.wedge_threshold = WEDGE_THRESHOLD;
-        if with_fault {
-            cfg.faults = vec![self.fault.clone()];
-        }
-        let processor = Processor::new(cfg);
+        let faults = if with_fault { vec![self.fault.clone()] } else { Vec::new() };
+        let processor = Processor::new(self.workload.config())
+            .checked(self.level)
+            .with_wedge_threshold(WEDGE_THRESHOLD)
+            .with_faults(faults);
         if self.single_stepped {
             processor.single_stepped()
         } else {
@@ -220,14 +219,6 @@ fn engine_name(single_stepped: bool) -> &'static str {
         "ticked"
     } else {
         "event"
-    }
-}
-
-fn level_name(level: CheckLevel) -> &'static str {
-    match level {
-        CheckLevel::Off => "off",
-        CheckLevel::Retire => "retire",
-        CheckLevel::Cycle => "cycle",
     }
 }
 
@@ -471,7 +462,7 @@ fn run_case(case: &Case, watchdog_seconds: f64) -> Result<ChaosRow, Error> {
         fault: case.fault.name(),
         workload: case.workload.name(),
         engine: engine_name(case.single_stepped),
-        level: level_name(case.level),
+        level: case.level.name(),
         outcome,
     })
 }

@@ -163,24 +163,11 @@ pub fn simulate(config: &ProcessorConfig, trace: &[TraceOp]) -> Result<SimStats,
     Ok(Processor::new(config.clone()).run_trace(trace)?.stats)
 }
 
-/// The three runs behind one Table 2 row: the native binary on the
-/// single-cluster machine, the native binary on the dual-cluster
-/// machine, and the local-scheduler binary on the dual-cluster machine.
-///
-/// # Errors
-///
-/// Propagates scheduling/trace/simulation failures.
-pub fn run_all_configs(
-    bench: Benchmark,
-    scale: u32,
-) -> Result<(SimStats, SimStats, SimStats), Error> {
-    let (stats, _) = run_all_configs_with(&TraceStore::new(), bench, scale)?;
-    Ok(stats)
-}
-
-/// [`run_all_configs`] routed through a shared [`TraceStore`], also
-/// returning the cell cost (cycles of all three runs plus the
-/// build/simulate wall-time split).
+/// The three runs behind one Table 2 row, served by `store`: the
+/// native binary on the single-cluster machine, the native binary on
+/// the dual-cluster machine, and the local-scheduler binary on the
+/// dual-cluster machine. Also returns the cell cost (cycles of all
+/// three runs plus the build/simulate wall-time split).
 ///
 /// # Errors
 ///

@@ -34,6 +34,7 @@ use std::sync::Arc;
 
 use mcl_core::events::EventKind;
 use mcl_core::obs::{EventRing, ObsConfig, ObsProbe, Probe, StallCause};
+use mcl_core::CheckLevel;
 use mcl_core::{HostProfReport, PipeViewOptions, Processor, ProcessorConfig, SimError, SimStats};
 use mcl_sched::SchedulerKind;
 use mcl_trace::PackedTrace;
@@ -75,10 +76,12 @@ pub(crate) fn write_export(dir: &Path, name: &str, contents: &str) -> Result<(),
 /// The uninstrumented run a [`companion`] must reproduce.
 pub(crate) enum Reference<'a> {
     /// A store-served cell: the store's simulation is the reference,
-    /// and is charged to the cost.
+    /// and is charged to the cost. The companion runs at the store's
+    /// check level.
     Store(&'a TraceStore, &'a TraceRequest, &'a mut CellCost),
-    /// A trace and the statistics of its uninstrumented run.
-    Run(Arc<PackedTrace>, &'a SimStats),
+    /// A trace, the statistics of its uninstrumented run, and the check
+    /// level the companion runs at.
+    Run(Arc<PackedTrace>, &'a SimStats, CheckLevel),
 }
 
 /// What a [`companion`] run attaches to the processor.
@@ -114,15 +117,15 @@ pub(crate) fn companion<P: Probe>(
     instrument: Instrument<'_, P>,
 ) -> Result<Companion, Error> {
     let product;
-    let (trace, expected) = match reference {
+    let (trace, expected, check) = match reference {
         Reference::Store(store, req, cost) => {
             product = store.sim(req, cfg)?;
             cost.charge_sim(&product);
-            (store.trace(req)?, &product.stats)
+            (store.trace(req)?, &product.stats, store.check_level())
         }
-        Reference::Run(trace, stats) => (trace, stats),
+        Reference::Run(trace, stats, check) => (trace, stats, check),
     };
-    let mut processor = Processor::new(cfg.clone());
+    let mut processor = Processor::new(cfg.clone()).checked(check);
     let (result, hostprof) = match instrument {
         Instrument::Probe(probe) => (processor.run_packed_observed(&trace, probe)?, None),
         Instrument::HostProf => {
@@ -200,6 +203,7 @@ pub fn observe_request(
 
 /// Instrumented companion of one prescheduled scenario program
 /// (`repro scenarios --obs`): exports under the stem `scenario<N>`.
+/// Both runs use the invariant checker at `check`.
 ///
 /// # Errors
 ///
@@ -208,14 +212,15 @@ pub fn observe_request(
 pub fn observe_scenario(
     scenario: &mcl_workloads::scenarios::Scenario,
     settings: &ObsSettings,
+    check: CheckLevel,
 ) -> Result<Vec<String>, Error> {
     let (trace, _) = mcl_trace::vm::trace_program_packed(&scenario.program, 0)?;
     let cfg = ProcessorConfig::dual_cluster_8way();
-    let expected = Processor::new(cfg.clone()).run_packed(&trace)?;
+    let expected = Processor::new(cfg.clone()).checked(check).run_packed(&trace)?;
     let stem = format!("scenario{}", scenario.number);
     observe(
         &cfg,
-        Reference::Run(Arc::new(trace), &expected.stats),
+        Reference::Run(Arc::new(trace), &expected.stats, check),
         ObsTarget {
             stem: &stem,
             config_label: "dual_cluster_8way",
@@ -752,7 +757,7 @@ mod tests {
         let mut expected = Processor::new(cfg.clone()).run_packed(&trace).unwrap().stats;
         expected.cycles += 1;
         let mut probe = mcl_core::CritPathProbe::new();
-        let reference = Reference::Run(Arc::new(trace), &expected);
+        let reference = Reference::Run(Arc::new(trace), &expected, CheckLevel::Off);
         let err = companion("perturbed", &cfg, reference, Instrument::Probe(&mut probe))
             .err()
             .expect("a diverging run is rejected");

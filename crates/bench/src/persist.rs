@@ -62,8 +62,10 @@ use crate::flight::SpanGuard;
 /// the configuration half of every key) — the version participates in
 /// both the content key (old entries are not addressed) and the header
 /// check (old entries quarantine if a key collides anyway). Version 2:
-/// the configuration lost its `engine` field.
-pub const STORE_FORMAT_VERSION: u32 = 2;
+/// the configuration lost its `engine` field. Version 3: it lost its
+/// run options (`max_cycles`, `record_events`, `check_level`,
+/// `wedge_threshold`, `faults`), so it renders the machine only.
+pub const STORE_FORMAT_VERSION: u32 = 3;
 
 /// Magic tag opening every result entry file.
 const MAGIC: &[u8; 8] = b"MCLSTOR1";
@@ -778,8 +780,8 @@ mod tests {
         ];
         let trace = PackedTrace::from_ops(&ops);
         let key = EntryKey::of(&trace, "ProcessorConfig { clusters: 2, width: 8 }");
-        assert_eq!(key.hex(), "3cb5b379389086ff9c42b3791945e978");
-        assert_eq!(EntryKey::of(&PackedTrace::new(), "").hex(), "46c2da3be7c311767cd968bcbddc7603");
+        assert_eq!(key.hex(), "a1b52d5eccaf5f2c47d1540864a98a5b");
+        assert_eq!(EntryKey::of(&PackedTrace::new(), "").hex(), "67bd6b43893f40775bded7b51c604702");
     }
 
     /// The one-pass, reusable digest derives exactly the reference key,

@@ -1,7 +1,7 @@
 //! Figures 2–5: cycle-by-cycle timelines of the dual-execution
 //! scenarios.
 
-use mcl_core::{Processor, ProcessorConfig};
+use mcl_core::{CheckLevel, EventLog, Processor, ProcessorConfig};
 use mcl_trace::vm::trace_program_packed;
 use mcl_workloads::scenarios::{all, Scenario};
 
@@ -23,21 +23,23 @@ pub struct ScenarioTimeline {
     pub scenario_counts: [u64; 5],
 }
 
-/// Runs every scenario program on the paper's dual-cluster machine with
-/// event recording and extracts the add's timeline.
+/// Runs every scenario program on the paper's dual-cluster machine,
+/// with the invariant checker at `check`, recording its event log, and
+/// extracts the add's timeline.
 ///
 /// # Errors
 ///
 /// Propagates trace/simulation failures.
-pub fn run_all() -> Result<Vec<ScenarioTimeline>, Error> {
-    all().into_iter().map(run_one).collect()
+pub fn run_all(check: CheckLevel) -> Result<Vec<ScenarioTimeline>, Error> {
+    all().into_iter().map(|s| run_one(s, check)).collect()
 }
 
-fn run_one(s: Scenario) -> Result<ScenarioTimeline, Error> {
+fn run_one(s: Scenario, check: CheckLevel) -> Result<ScenarioTimeline, Error> {
     let (trace, _) = trace_program_packed(&s.program, 0)?;
-    let result = Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-        .run_packed(&trace)?;
-    let events = result.events.expect("events enabled");
+    let mut events = EventLog::new();
+    let result = Processor::new(ProcessorConfig::dual_cluster_8way())
+        .checked(check)
+        .run_packed_observed(&trace, &mut events)?;
     Ok(ScenarioTimeline {
         number: s.number,
         figure: s.figure,

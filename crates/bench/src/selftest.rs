@@ -309,12 +309,12 @@ pub fn fuzz_checker(cases: u64) -> Result<(String, CellCost), Error> {
         let program = random_program(&mut rng);
         let (trace, _) = trace_program(&program).map_err(Error::Vm)?;
         for (_, cfg) in &presets {
-            let off = cfg.clone().with_check_level(CheckLevel::Off);
-            let baseline = Processor::new(off)
+            let baseline = Processor::new(cfg.clone())
                 .run_trace(&trace)
                 .map_err(|e| mismatch("fuzz-checker", format!("seed {seed} failed plain: {e}")))?
                 .stats;
-            let checked = Processor::new(cfg.clone().with_check_level(CheckLevel::Cycle))
+            let checked = Processor::new(cfg.clone())
+                .checked(CheckLevel::Cycle)
                 .run_trace(&trace)
                 .map_err(|e| {
                     mismatch("fuzz-checker", format!("seed {seed} tripped the checker: {e}"))
@@ -357,9 +357,10 @@ pub fn leak_fault_caught() -> Result<(String, CellCost), Error> {
         (FaultInjection::LeakResultBuffer { cycle: 0 }, "rtb-accounting"),
     ];
     for (fault, want_rule) in faults {
-        let mut cfg = ProcessorConfig::dual_cluster_8way().with_check_level(CheckLevel::Cycle);
-        cfg.faults = vec![fault.clone()];
-        match Processor::new(cfg).run_program(&program) {
+        let mut processor = Processor::new(ProcessorConfig::dual_cluster_8way())
+            .checked(CheckLevel::Cycle)
+            .with_faults(vec![fault.clone()]);
+        match processor.run_program(&program) {
             Err(SimError::Invariant { rule, .. }) if rule == want_rule => {}
             Err(SimError::Invariant { rule, .. }) => {
                 return Err(mismatch(

@@ -58,8 +58,9 @@
 //! trace is built, digested and simulated as above, and the request
 //! entry is written for the next run.
 //!
-//! The store serves *statistics only*; runs that need event logs
-//! (`repro pipeline`, the scenario timelines) bypass it.
+//! The store serves *statistics only*; runs that attach a probe (the
+//! event log behind `repro pipeline` and the scenario timelines, the
+//! probe tools' companions) bypass it.
 //!
 //! The store keeps no clock of its own. Each stage that does real work
 //! records a [`flight`](crate::flight) span inside its build slot, in a
@@ -75,7 +76,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-use mcl_core::{FastForward, Processor, ProcessorConfig, SimStats};
+use mcl_core::{CheckLevel, FastForward, Processor, ProcessorConfig, SimStats};
 use mcl_isa::assign::RegisterAssignment;
 use mcl_sched::{
     unroll_self_loops, PreparedIl, ScheduleOptions, SchedulePipeline, SchedulerKind,
@@ -336,6 +337,8 @@ pub struct TraceStore {
     /// The optional crash-safe on-disk result cache consulted when the
     /// in-process memo misses (see [`TraceStore::with_persist`]).
     persist: Option<Arc<PersistStore>>,
+    /// See [`TraceStore::with_check`].
+    check: CheckLevel,
     /// Persistent-store key prefixes hashed (at most one per canonical
     /// trace).
     trace_digests: AtomicU64,
@@ -367,6 +370,7 @@ impl TraceStore {
             requests: Mutex::new(HashMap::new()),
             sims: Mutex::new(HashMap::new()),
             persist: None,
+            check: CheckLevel::Off,
             trace_digests: AtomicU64::new(0),
             trace_hits: AtomicU64::new(0),
             trace_misses: AtomicU64::new(0),
@@ -383,6 +387,21 @@ impl TraceStore {
     pub fn with_persist(mut self, persist: Arc<PersistStore>) -> TraceStore {
         self.persist = Some(persist);
         self
+    }
+
+    /// Runs the store's simulations under the invariant checker at
+    /// `level` (`repro --check`). The level is in no key, so a checked
+    /// store serves what a plain one stored, without re-checking it.
+    #[must_use]
+    pub fn with_check(mut self, level: CheckLevel) -> TraceStore {
+        self.check = level;
+        self
+    }
+
+    /// The invariant-check level of the store's simulations.
+    #[must_use]
+    pub fn check_level(&self) -> CheckLevel {
+        self.check
     }
 
     /// The attached persistent store, if any.
@@ -598,8 +617,8 @@ impl TraceStore {
 
     /// Simulates a request's trace under `config`, serving memoized
     /// statistics when the identical (trace, configuration) pair already
-    /// ran. Use only for statistics — the cached result has no event
-    /// log.
+    /// ran. The key is the trace and the machine: the store's check
+    /// level is not part of it.
     ///
     /// With a disk store attached, a request-tier hit serves the
     /// persisted result without building the trace (see the
@@ -653,6 +672,7 @@ impl TraceStore {
             let result = {
                 let _flight = flight::span("core.simulate", || key.label());
                 Processor::new(config.clone())
+                    .checked(self.check)
                     .run_packed(&canon.trace)
                     .map(|r| (r.stats, r.ff))
                     .map_err(|e| e.to_string())
@@ -788,6 +808,18 @@ mod tests {
         let again = warm_store.sim(&req, &cfg).unwrap();
         assert_eq!(again.stats, warm.stats);
         assert_eq!(warm_store.counters().disk_hits, 1);
+
+        // A checked run (`--check retire`) keys by the machine alone, so
+        // it too is served entirely from disk.
+        let checked_store = TraceStore::new()
+            .with_persist(Arc::clone(&persist))
+            .with_check(CheckLevel::Retire);
+        let checked = checked_store.sim(&req, &cfg).unwrap();
+        assert_eq!(cold.stats, checked.stats, "a checked store serves the plain result");
+        assert!(!checked.fresh, "a disk serve simulated nothing this run");
+        let k = checked_store.counters();
+        assert_eq!((k.disk_hits, k.disk_misses, k.disk_stores), (2, 1, 1));
+        assert_eq!(k.trace_misses, 0, "the request tier named the digest");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

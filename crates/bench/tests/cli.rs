@@ -178,7 +178,7 @@ fn removed_engine_and_history_arguments_are_rejected() {
 #[test]
 fn a_flag_the_command_does_not_read_is_rejected() {
     let dir = temp_dir("unread-flag");
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["explain", "64", "--out", "zz"], "--out"),
         (&["profile", "64", "--range", "0..5"], "--range"),
         (&["profile", "64", "--baseline", "single"], "--baseline"),
@@ -186,12 +186,45 @@ fn a_flag_the_command_does_not_read_is_rejected() {
         (&["explain", "64", "--obs", "d", "--sample-interval", "64"], "--sample-interval"),
         (&["table2", "64", "--sample-interval", "64"], "--sample-interval"),
         (&["pipetrace", "64", "--obs", "d", "--out", "zz"], "--obs"),
+        (&["table1", "--check", "retire"], "--check"),
+        (&["fig6", "--check", "cycle"], "--check"),
+        (&["mix", "64", "--check", "retire"], "--check"),
+        (&["obs-validate", "d", "--check", "retire"], "--check"),
+        (&["chaos", "--check", "cycle"], "--check"),
+        (&["selftest", "64", "--check", "cycle"], "--check"),
     ];
     for (args, flag) in cases {
         assert_rejected_with_env(&dir, args, &[("MCL_ONLY", "ora")], flag);
     }
     let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(left.is_empty(), "rejected runs must write nothing: {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The check level is a run option, not part of the machine: a
+/// `--check retire` run over a store that a plain run filled prints the
+/// same and is served entirely from disk.
+#[test]
+fn a_checked_run_is_served_from_a_plain_store() {
+    let dir = temp_dir("checked-store");
+    let run = |extra: &[&str]| {
+        let args: Vec<&str> =
+            ["table2", "8", "--store", "store"].iter().chain(extra).copied().collect();
+        let out = repro_with_env(&dir, &args, &[("MCL_ONLY", "compress")]);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let report = std::fs::read_to_string(dir.join("BENCH_repro.json")).unwrap();
+        (out.stdout, report)
+    };
+    let (plain, _) = run(&[]);
+    let (checked, report) = run(&["--check", "retire"]);
+    assert_eq!(
+        String::from_utf8_lossy(&plain),
+        String::from_utf8_lossy(&checked),
+        "--check retire changed the output"
+    );
+    for counter in ["\"disk_misses\":0", "\"disk_stores\":0"] {
+        assert!(report.contains(counter), "no {counter} in the checked run's report: {report}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -186,9 +186,14 @@ fn engines_agree_under_the_cycle_level_checker() {
         let (trace, _) = trace_program(&program).expect("valid program");
         let packed = PackedTrace::from_ops(&trace);
         for (name, cfg) in &presets {
-            let checked = cfg.clone().with_check_level(CheckLevel::Cycle);
-            let ticked = run(&checked, true, &packed);
-            let event = run(&checked, false, &packed);
+            let checked = |single_stepped| {
+                processor(cfg, single_stepped)
+                    .checked(CheckLevel::Cycle)
+                    .run_packed(&packed)
+                    .expect("runs")
+            };
+            let ticked = checked(true);
+            let event = checked(false);
             assert_eq!(
                 ticked.stats, event.stats,
                 "seed {seed} preset {name}: engines diverged under the checker"

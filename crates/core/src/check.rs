@@ -8,7 +8,10 @@
 //! corrupts cycle counts — the paper's metric — long before it crashes.
 //!
 //! [`CheckLevel`] selects how aggressively the simulator re-derives and
-//! cross-checks that state from the window:
+//! cross-checks that state from the window. It is a run option
+//! ([`Processor::checked`](crate::Processor::checked)), not part of the
+//! [`ProcessorConfig`](crate::ProcessorConfig), so a checked run and a
+//! plain one share every result-cache key:
 //!
 //! - [`CheckLevel::Off`] — no checking (the default; zero cost);
 //! - [`CheckLevel::Retire`] — validate on every cycle that retires at
@@ -26,7 +29,6 @@
 //! byte-identical with the checker on or off.
 
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How much architectural-invariant validation the simulator performs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,22 +52,6 @@ impl CheckLevel {
             CheckLevel::Cycle => "cycle",
         }
     }
-
-    fn from_u8(v: u8) -> CheckLevel {
-        match v {
-            1 => CheckLevel::Retire,
-            2 => CheckLevel::Cycle,
-            _ => CheckLevel::Off,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            CheckLevel::Off => 0,
-            CheckLevel::Retire => 1,
-            CheckLevel::Cycle => 2,
-        }
-    }
 }
 
 impl FromStr for CheckLevel {
@@ -79,24 +65,6 @@ impl FromStr for CheckLevel {
             other => Err(format!("unknown check level `{other}` (use off, retire, or cycle)")),
         }
     }
-}
-
-/// The process-wide default check level, read by the
-/// [`ProcessorConfig`](crate::ProcessorConfig) presets.
-static GLOBAL_LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the default check level for every configuration constructed
-/// afterwards. Drivers call this once at startup (e.g. `repro --check
-/// retire`) so the level reaches configurations built deep inside
-/// experiment code; explicitly-set `check_level` fields are unaffected.
-pub fn set_global_level(level: CheckLevel) {
-    GLOBAL_LEVEL.store(level.as_u8(), Ordering::Relaxed);
-}
-
-/// The current process-wide default check level.
-#[must_use]
-pub fn global_level() -> CheckLevel {
-    CheckLevel::from_u8(GLOBAL_LEVEL.load(Ordering::Relaxed))
 }
 
 /// A deliberate fault injected into the simulator's resource

@@ -4,8 +4,6 @@ use mcl_bpred::PredictorConfig;
 use mcl_isa::{assign::RegisterAssignment, IssueRules, Latencies};
 use mcl_mem::CacheConfig;
 
-use crate::check::{self, CheckLevel, FaultInjection};
-
 /// Complete configuration of a simulated processor (single-cluster or
 /// multicluster).
 ///
@@ -20,6 +18,11 @@ use crate::check::{self, CheckLevel, FaultInjection};
 /// Both fetch up to 12 instructions per cycle, retire up to 8 per cycle,
 /// share 64 KB two-way instruction and data caches with a 16-cycle
 /// memory interface, and use the McFarling combining branch predictor.
+///
+/// The configuration describes the machine and nothing else: how one
+/// run executes (the invariant-check level, injected faults, the wedge
+/// threshold, an attached probe) is set on the [`crate::Processor`].
+/// Its derived `Debug` rendering therefore keys result caches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorConfig {
     /// Number of clusters (1 or 2).
@@ -58,10 +61,6 @@ pub struct ProcessorConfig {
     /// Extra cycles charged to restart dispatch after an
     /// instruction-replay exception.
     pub replay_penalty: u64,
-    /// Hard cap on simulated cycles (guards against simulator bugs).
-    pub max_cycles: u64,
-    /// Record a detailed event log (used for the Figure 2–5 timelines).
-    pub record_events: bool,
     /// Dynamic architectural-register reassignment points (the Section 6
     /// "hardware mechanism ... to permit the dynamic reassignment of the
     /// architectural registers"). When dispatch first reaches a trigger
@@ -73,19 +72,6 @@ pub struct ProcessorConfig {
     /// Cycles charged for moving architectural state at a reassignment
     /// point (after the pipeline drain).
     pub reassignment_penalty: u64,
-    /// How much architectural-invariant validation to perform while
-    /// simulating (see [`crate::check`]). The presets default to the
-    /// process-wide level set via [`check::set_global_level`] (normally
-    /// [`CheckLevel::Off`]).
-    pub check_level: CheckLevel,
-    /// Consecutive zero-progress cycles (with nothing scheduled and no
-    /// attributable transfer-buffer deadlock) tolerated before the
-    /// simulator gives up with [`SimError::Wedged`](crate::SimError).
-    pub wedge_threshold: u32,
-    /// Deliberate resource-accounting faults to inject, for validating
-    /// that the invariant checker catches real corruption (used by
-    /// `repro selftest`; empty in normal runs).
-    pub faults: Vec<FaultInjection>,
 }
 
 /// One compiler-directed reassignment of the architectural registers
@@ -122,13 +108,8 @@ impl ProcessorConfig {
             predictor: PredictorConfig::paper_default(),
             fetch_stops_at_taken: true,
             replay_penalty: 5,
-            max_cycles: 2_000_000_000,
-            record_events: false,
             reassignments: Vec::new(),
             reassignment_penalty: 32,
-            check_level: check::global_level(),
-            wedge_threshold: 1000,
-            faults: Vec::new(),
         }
     }
 
@@ -195,22 +176,6 @@ impl ProcessorConfig {
         }
     }
 
-    /// Returns the configuration with event recording enabled (for
-    /// timeline reconstruction, Figures 2–5).
-    #[must_use]
-    pub fn with_events(mut self) -> ProcessorConfig {
-        self.record_events = true;
-        self
-    }
-
-    /// Returns the configuration with the given invariant-checking
-    /// level.
-    #[must_use]
-    pub fn with_check_level(mut self, level: CheckLevel) -> ProcessorConfig {
-        self.check_level = level;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -231,7 +196,6 @@ impl ProcessorConfig {
                 "multicluster configurations need transfer buffers"
             );
         }
-        assert!(self.wedge_threshold >= 1, "wedge threshold must allow at least one stall cycle");
     }
 }
 

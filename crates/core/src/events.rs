@@ -1,8 +1,11 @@
-//! Event logging for timeline reconstruction (Figures 2–5).
+//! Event logging for timeline reconstruction (Figures 2–5): the
+//! [`EventLog`] probe records every [`Probe::event`] of a run.
 
 use std::fmt;
 
 use mcl_isa::ClusterId;
+
+use crate::obs::Probe;
 
 /// What happened to an instruction copy at some cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +72,7 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// An append-only event log (enabled by
-/// [`crate::ProcessorConfig::record_events`]).
+/// An append-only event log; attach it to a run as a probe.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     events: Vec<Event>,
@@ -112,6 +114,12 @@ impl EventLog {
             let _ = writeln!(out, "  cycle {:>4}{cluster}: {}", e.cycle, e.kind);
         }
         out
+    }
+}
+
+impl Probe for EventLog {
+    fn event(&mut self, cycle: u64, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {
+        self.push(cycle, seq, cluster, kind);
     }
 }
 

@@ -18,8 +18,8 @@
 //!   transfer buffers, suspended slave copies, instruction-replay
 //!   exceptions, non-blocking memory via the inverted-MSHR data cache,
 //!   and 8-wide in-order retire;
-//! - [`events`] — per-instruction event logs for reconstructing the
-//!   paper's Figures 2–5 timelines;
+//! - [`events`] — the per-instruction event log, a [`Probe`] that
+//!   records the paper's Figures 2–5 timelines;
 //! - [`stats`] — run statistics ([`SimStats::cycles`] is the paper's
 //!   metric) and the Table 2 speedup convention;
 //! - [`delay`] — the Palacharla-derived cycle-time model behind the

@@ -2,8 +2,9 @@
 //! latency histograms, and a bounded lifecycle event ring.
 //!
 //! The simulator is generic over a [`Probe`] that it calls at fixed hook
-//! points (dispatch, issue, forward, complete, retire, replay, and
-//! per-cycle stall attribution). The default [`NullProbe`] sets
+//! points (dispatch, issue, forward, complete, retire, replay,
+//! per-cycle stall attribution, and the timeline events the
+//! [`EventLog`](crate::EventLog) records). The default [`NullProbe`] sets
 //! [`Probe::ENABLED`] to `false`; every hook site is guarded by
 //! `if P::ENABLED`, a monomorphization-time constant, so the
 //! uninstrumented simulator compiles to exactly the code it had before
@@ -33,6 +34,8 @@ pub use ring::EventRing;
 pub use sampler::{IntervalSampler, Sample};
 
 use mcl_isa::ClusterId;
+
+use crate::events::EventKind;
 
 /// Which copy of a dual-distributed instruction issued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,6 +285,11 @@ pub trait Probe {
 
     /// A simulated cycle finished; `snap` is the end-of-cycle occupancy.
     fn cycle_end(&mut self, snap: &CycleSnapshot) {}
+
+    /// One entry of the Figures 2–5 timelines ([`crate::EventLog`]):
+    /// `kind` happened to `seq` (in `cluster`, if any) at `cycle`, which
+    /// may lie in the future.
+    fn event(&mut self, cycle: u64, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {}
 }
 
 /// The disabled probe: all hook sites compile out.
@@ -371,6 +379,10 @@ impl<P: Probe + ?Sized> Probe for &mut P {
 
     fn cycle_end(&mut self, snap: &CycleSnapshot) {
         (**self).cycle_end(snap);
+    }
+
+    fn event(&mut self, cycle: u64, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {
+        (**self).event(cycle, seq, cluster, kind);
     }
 }
 

@@ -174,6 +174,7 @@ mod tests {
     use super::*;
     use crate::{Processor, ProcessorConfig};
     use mcl_isa::ArchReg;
+    use mcl_trace::vm::trace_program_packed;
     use mcl_trace::ProgramBuilder;
 
     fn sample_log() -> EventLog {
@@ -181,12 +182,12 @@ mod tests {
         b.lda(ArchReg::int(4), 1);
         b.lda(ArchReg::int(3), 2);
         b.addq(ArchReg::int(2), ArchReg::int(4), ArchReg::int(3));
-        let p = b.finish().unwrap();
-        Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-            .run_program(&p)
-            .unwrap()
-            .events
-            .unwrap()
+        let (trace, _) = trace_program_packed(&b.finish().unwrap(), 0).unwrap();
+        let mut log = EventLog::new();
+        Processor::new(ProcessorConfig::dual_cluster_8way())
+            .run_packed_observed(&trace, &mut log)
+            .unwrap();
+        log
     }
 
     #[test]

@@ -21,7 +21,7 @@ use mcl_trace::{vm::trace_program, PackedTrace, Program, TraceOp, TraceSource, V
 use crate::check::{self, CheckLevel, FaultInjection};
 use crate::config::ProcessorConfig;
 use crate::dist::{distribute, distribute_fixed, Distribution, PhysRegs};
-use crate::events::{EventKind, EventLog};
+use crate::events::EventKind;
 use crate::obs::{
     CopyKind, CycleSnapshot, DeliverySource, HostPhase, HostProf, HostProfReport, IssueBlock,
     NullHostProf, NullProbe, PhaseProf, Probe, StallCause, TransferKind, TransferPhase,
@@ -37,8 +37,6 @@ pub struct SimResult {
     /// Accumulated statistics ([`SimStats::cycles`] is the paper's
     /// metric).
     pub stats: SimStats,
-    /// The event log, when [`ProcessorConfig::record_events`] was set.
-    pub events: Option<EventLog>,
     /// Dead-cycle-skip counters (all zero in a
     /// [`single_stepped`](Processor::single_stepped) run).
     pub ff: FastForward,
@@ -49,14 +47,15 @@ pub struct SimResult {
 pub enum SimError {
     /// Trace generation (the functional VM) failed.
     Trace(VmError),
-    /// The configured cycle limit was reached.
+    /// The cycle limit ([`MAX_CYCLES`]) was reached.
     CycleLimit {
         /// The limit that was hit.
         limit: u64,
     },
     /// The simulator detected a hard stall it could not attribute to a
     /// transfer-buffer deadlock — a bug, reported rather than hidden.
-    /// The tolerated stall length is [`ProcessorConfig::wedge_threshold`].
+    /// The tolerated stall length is set by
+    /// [`Processor::with_wedge_threshold`].
     Wedged {
         /// The cycle at which progress stopped.
         cycle: u64,
@@ -139,14 +138,20 @@ impl From<VmError> for SimError {
 /// assert!(result.stats.cycles > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// The [`ProcessorConfig`] is the machine; how one run executes is set
+/// by the methods below, so it never reaches a result-cache key.
 #[derive(Debug, Clone)]
 pub struct Processor {
     config: ProcessorConfig,
-    /// Disables dead-cycle fast-forward (see
-    /// [`Processor::single_stepped`]). Not part of the configuration,
-    /// so it never reaches a result-cache key.
     single_stepped: bool,
+    check: CheckLevel,
+    faults: Vec<FaultInjection>,
+    wedge_threshold: u32,
 }
+
+/// Hard cap on simulated cycles (guards against simulator bugs).
+pub const MAX_CYCLES: u64 = 2_000_000_000;
 
 impl Processor {
     /// Creates a processor.
@@ -158,7 +163,13 @@ impl Processor {
     #[must_use]
     pub fn new(config: ProcessorConfig) -> Processor {
         config.check();
-        Processor { config, single_stepped: false }
+        Processor {
+            config,
+            single_stepped: false,
+            check: CheckLevel::Off,
+            faults: Vec::new(),
+            wedge_threshold: 1000,
+        }
     }
 
     /// Returns the processor with dead-cycle fast-forward turned off:
@@ -168,6 +179,37 @@ impl Processor {
     #[must_use]
     pub fn single_stepped(mut self) -> Processor {
         self.single_stepped = true;
+        self
+    }
+
+    /// Returns the processor with the invariant checker at `level` (see
+    /// [`crate::check`]); [`CheckLevel::Cycle`] turns fast-forward off.
+    #[must_use]
+    pub fn checked(mut self, level: CheckLevel) -> Processor {
+        self.check = level;
+        self
+    }
+
+    /// Returns the processor with `faults` injected, to prove that the
+    /// checker catches real corruption (`repro selftest`, `repro chaos`).
+    #[must_use]
+    pub fn with_faults(mut self, faults: Vec<FaultInjection>) -> Processor {
+        self.faults = faults;
+        self
+    }
+
+    /// Returns the processor tolerating `cycles` (default 1000)
+    /// consecutive zero-progress cycles (with nothing scheduled and no
+    /// attributable transfer-buffer deadlock) before it gives up with
+    /// [`SimError::Wedged`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` is zero.
+    #[must_use]
+    pub fn with_wedge_threshold(mut self, cycles: u32) -> Processor {
+        assert!(cycles >= 1, "wedge threshold must allow at least one stall cycle");
+        self.wedge_threshold = cycles;
         self
     }
 
@@ -195,7 +237,7 @@ impl Processor {
     ///
     /// See [`SimError`].
     pub fn run_trace(&mut self, trace: &[TraceOp]) -> Result<SimResult, SimError> {
-        Sim::new(&self.config, trace).run(self.single_stepped)
+        Sim::new(self, trace, NullProbe, NullHostProf).run()
     }
 
     /// Simulates a packed dynamic instruction stream (same timing model
@@ -206,7 +248,7 @@ impl Processor {
     ///
     /// See [`SimError`].
     pub fn run_packed(&mut self, trace: &PackedTrace) -> Result<SimResult, SimError> {
-        Sim::new(&self.config, trace).run(self.single_stepped)
+        Sim::new(self, trace, NullProbe, NullHostProf).run()
     }
 
     /// Like [`Processor::run_trace`], with an observability [`Probe`]
@@ -221,7 +263,7 @@ impl Processor {
         trace: &[TraceOp],
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        Sim::with_probe(&self.config, trace, probe).run(self.single_stepped)
+        Sim::new(self, trace, probe, NullHostProf).run()
     }
 
     /// Like [`Processor::run_packed`], with an observability [`Probe`]
@@ -236,7 +278,7 @@ impl Processor {
         trace: &PackedTrace,
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        Sim::with_probe(&self.config, trace, probe).run(self.single_stepped)
+        Sim::new(self, trace, probe, NullHostProf).run()
     }
 
     /// Like [`Processor::run_packed`], with the host phase profiler
@@ -255,8 +297,7 @@ impl Processor {
         trace: &PackedTrace,
     ) -> Result<(SimResult, HostProfReport), SimError> {
         let mut prof = PhaseProf::new();
-        let result = Sim::with_parts(&self.config, trace, NullProbe, &mut prof)
-            .run(self.single_stepped)?;
+        let result = Sim::new(self, trace, NullProbe, &mut prof).run()?;
         let cycles = result.stats.cycles;
         Ok((result, prof.report(cycles)))
     }
@@ -1043,18 +1084,21 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     /// See [`DistCache`].
     dist_cache: DistCache,
     stats: SimStats,
-    events: Option<EventLog>,
 
     /// Set during the issue pass when a ready copy was blocked *only* by
     /// a full transfer buffer.
     blocked_on_buffer: bool,
     no_progress_cycles: u32,
-    /// Invariant-checking level (from the configuration).
+    /// Zero-progress cycles tolerated before [`SimError::Wedged`].
+    wedge_threshold: u32,
+    /// Disables dead-cycle fast-forward.
+    single_stepped: bool,
+    /// Invariant-checking level.
     check: CheckLevel,
     /// Replay exceptions taken since the last retirement; the checker's
     /// replay-forward-progress rule bounds this.
     replays_since_retire: u32,
-    /// Configured resource-accounting faults not yet applied.
+    /// Injected resource-accounting faults not yet applied.
     pending_faults: Vec<FaultInjection>,
     /// Set by [`FaultInjection::StallRetire`]: the retirement stage is
     /// latched off for the rest of the run.
@@ -1080,25 +1124,9 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     hostprof: H,
 }
 
-impl<'a, T: TraceSource + ?Sized> Sim<'a, T> {
-    fn new(cfg: &'a ProcessorConfig, trace: &'a T) -> Sim<'a, T> {
-        Sim::with_parts(cfg, trace, NullProbe, NullHostProf)
-    }
-}
-
-impl<'a, T: TraceSource + ?Sized, P: Probe> Sim<'a, T, P> {
-    fn with_probe(cfg: &'a ProcessorConfig, trace: &'a T, probe: P) -> Sim<'a, T, P> {
-        Sim::with_parts(cfg, trace, probe, NullHostProf)
-    }
-}
-
 impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
-    fn with_parts(
-        cfg: &'a ProcessorConfig,
-        trace: &'a T,
-        probe: P,
-        hostprof: H,
-    ) -> Sim<'a, T, P, H> {
+    fn new(processor: &'a Processor, trace: &'a T, probe: P, hostprof: H) -> Sim<'a, T, P, H> {
+        let cfg = &processor.config;
         let assign = cfg.register_assignment();
         let (int_free, fp_free) = free_lists_for(cfg, &assign);
         assert!(cfg.fp_dividers as usize <= MAX_DIVIDERS, "too many divider units");
@@ -1144,12 +1172,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             dispatch_memo: None,
             dist_cache: DistCache::new(),
             stats: SimStats::default(),
-            events: cfg.record_events.then(EventLog::new),
             blocked_on_buffer: false,
             no_progress_cycles: 0,
-            check: cfg.check_level,
+            wedge_threshold: processor.wedge_threshold,
+            single_stepped: processor.single_stepped,
+            check: processor.check,
             replays_since_retire: 0,
-            pending_faults: cfg.faults.clone(),
+            pending_faults: processor.faults.clone(),
             retire_stalled: false,
             last_replay_base: None,
             pending_reassign: cfg.reassignments.clone(),
@@ -1169,28 +1198,14 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         }
     }
 
-    fn log(&mut self, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {
-        let now = self.now;
-        if let Some(log) = &mut self.events {
-            log.push(now, seq, cluster, kind);
-        }
-    }
-
-    fn log_at(&mut self, cycle: u64, seq: u64, cluster: Option<ClusterId>, kind: EventKind) {
-        if let Some(log) = &mut self.events {
-            log.push(cycle, seq, cluster, kind);
-        }
-    }
-
-    /// Runs the trace to completion; `single_stepped` turns dead-cycle
-    /// fast-forward off (see [`Processor::single_stepped`]).
-    fn run(&mut self, single_stepped: bool) -> Result<SimResult, SimError> {
+    /// Runs the trace to completion.
+    fn run(&mut self) -> Result<SimResult, SimError> {
         // Fast-forward only when nothing needs to see individual dead
         // cycles: probes sample per cycle, and cycle-level checking
         // validates per cycle, so both force single-stepping (their
         // observations are of dead cycles that log nothing and change
         // no stats, which is why on/off stays byte-identical).
-        let fast_forward = !single_stepped && !P::ENABLED && self.check != CheckLevel::Cycle;
+        let fast_forward = !self.single_stepped && !P::ENABLED && self.check != CheckLevel::Cycle;
         // Cooperative hard watchdog: the deadline is a thread-local
         // token (not part of the configuration — configurations key
         // result caches), polled every `WATCHDOG_STRIDE` steps so the
@@ -1203,8 +1218,8 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             self.hostprof.begin();
         }
         while self.cursor < self.trace.len() || !self.window.is_empty() {
-            if self.now >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimit { limit: self.cfg.max_cycles });
+            if self.now >= MAX_CYCLES {
+                return Err(SimError::CycleLimit { limit: MAX_CYCLES });
             }
             if let Some(deadline) = deadline {
                 until_poll -= 1;
@@ -1238,7 +1253,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         self.stats.cycles = self.now;
         self.stats.icache = self.icache.stats();
         self.stats.dcache = self.dcache.stats();
-        Ok(SimResult { stats: self.stats.clone(), events: self.events.take(), ff: self.ff })
+        Ok(SimResult { stats: self.stats.clone(), ff: self.ff })
     }
 
     /// Simulates one cycle, returning how many retire/wake/issue/
@@ -1330,7 +1345,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
     }
 
     /// Applies due fault-injection hooks (testing only; see
-    /// [`ProcessorConfig::faults`]). A leak decrements a free count with
+    /// [`Processor::with_faults`]). A leak decrements a free count with
     /// no matching holder, which a correct checker must report; the
     /// event-targeting faults wait in the pending list until their
     /// target structure (a live completion, a blocking branch, an
@@ -1598,7 +1613,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         }
         // The single-stepped loop errors out upon reaching the cycle limit;
         // jumping past it would skip that check.
-        target = target.min(self.cfg.max_cycles);
+        target = target.min(MAX_CYCLES);
         if target <= now {
             return;
         }
@@ -1784,8 +1799,8 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 }
             }
             debug_assert!(d.w_done == NIL && d.w_write == NIL, "waiters notified before retire");
-            self.log(seq, None, EventKind::Retired);
             if P::ENABLED {
+                self.probe.event(self.now, seq, None, EventKind::Retired);
                 self.probe.retired(self.now, seq);
             }
             self.last_replay_base = None; // retirement = forward progress
@@ -1844,9 +1859,9 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             self.buffer_frees.schedule(now + 1, (slave.index() as u64) << 1 | u64::from(RTB), 0);
             if P::ENABLED {
                 self.probe.forwarded(now + 1, seq, TransferKind::Result, TransferPhase::Release, slave);
+                self.probe.event(now, seq, Some(slave), EventKind::SlaveWoke);
+                self.probe.event(now + 1, seq, Some(slave), EventKind::RegWritten);
             }
-            self.log(seq, Some(slave), EventKind::SlaveWoke);
-            self.log_at(now + 1, seq, Some(slave), EventKind::RegWritten);
             woke += 1;
         }
         due.clear();
@@ -2417,8 +2432,8 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             self.rtb_free[slave.index()] -= 1;
             self.window[seq].rtb_held = true;
             self.stats.results_forwarded += 1;
-            self.log_at(done, seq, Some(slave), EventKind::ResultWritten);
             if P::ENABLED {
+                self.probe.event(done, seq, Some(slave), EventKind::ResultWritten);
                 self.probe.forwarded(now, seq, TransferKind::Result, TransferPhase::Alloc, slave);
             }
         }
@@ -2426,14 +2441,14 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         // Branch resolution.
         if is_cond {
             self.pending_bpred.schedule(done, seq, pack_branch(pc, taken, mispredicted));
-            if mispredicted {
-                self.log_at(done, seq, Some(cluster), EventKind::Mispredicted);
+            if P::ENABLED && mispredicted {
+                self.probe.event(done, seq, Some(cluster), EventKind::Mispredicted);
             }
         }
 
-        self.log(seq, Some(cluster), EventKind::MasterIssued);
-        self.log_at(done, seq, Some(cluster), EventKind::ExecDone);
         if P::ENABLED {
+            self.probe.event(now, seq, Some(cluster), EventKind::MasterIssued);
+            self.probe.event(done, seq, Some(cluster), EventKind::ExecDone);
             self.probe.issued(now, seq, cluster, CopyKind::Master, done);
             self.probe.completed(done, seq, cluster);
             if load_miss {
@@ -2442,10 +2457,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         }
         // The master writes a register copy only when its own cluster
         // holds the destination (always, except scenario three).
-        if self.events.is_some() {
+        if P::ENABLED {
             let d = &self.window[seq];
             if d.op.dest.is_some_and(|dest| self.assign.clusters_of(dest).contains(cluster)) {
-                self.log_at(done, seq, Some(cluster), EventKind::RegWritten);
+                self.probe.event(done, seq, Some(cluster), EventKind::RegWritten);
             }
         }
     }
@@ -2485,11 +2500,13 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 d.dq_slave_freed = true;
                 self.dq_free[cluster.index()] += 1;
             }
-        } else {
-            self.log_at(now + 1, seq, Some(cluster), EventKind::SlaveSuspended);
+        } else if P::ENABLED {
+            self.probe.event(now + 1, seq, Some(cluster), EventKind::SlaveSuspended);
         }
-        self.log(seq, Some(cluster), EventKind::SlaveIssued);
-        self.log_at(now + 1, seq, Some(master), EventKind::OperandWritten);
+        if P::ENABLED {
+            self.probe.event(now, seq, Some(cluster), EventKind::SlaveIssued);
+            self.probe.event(now + 1, seq, Some(master), EventKind::OperandWritten);
+        }
     }
 
     fn issue_slave_receive(&mut self, seq: u64, cluster: ClusterId) {
@@ -2520,8 +2537,10 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 self.dq_free[cluster.index()] += 1;
             }
         }
-        self.log(seq, Some(cluster), EventKind::SlaveIssued);
-        self.log_at(now + 1, seq, Some(cluster), EventKind::RegWritten);
+        if P::ENABLED {
+            self.probe.event(now, seq, Some(cluster), EventKind::SlaveIssued);
+            self.probe.event(now + 1, seq, Some(cluster), EventKind::RegWritten);
+        }
     }
 
     // -- dispatch (fetch + rename + queue insert) ----------------------------
@@ -2833,11 +2852,11 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 otb_held: false,
                 rtb_held: false,
             });
-            self.log(seq, Some(master), EventKind::Distributed);
-            if let Some(s) = slave {
-                self.log(seq, Some(s), EventKind::Distributed);
-            }
             if P::ENABLED {
+                self.probe.event(now, seq, Some(master), EventKind::Distributed);
+                if let Some(s) = slave {
+                    self.probe.event(now, seq, Some(s), EventKind::Distributed);
+                }
                 self.probe.dispatched(now, seq, master, slave);
                 self.probe.op_dispatch_meta(
                     seq,
@@ -2927,7 +2946,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 return Ok(());
             }
         }
-        if self.no_progress_cycles > self.cfg.wedge_threshold {
+        if self.no_progress_cycles > self.wedge_threshold {
             return Err(SimError::Wedged { cycle: now, oldest_seq: self.window.base });
         }
         Ok(())
@@ -3275,7 +3294,9 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             let (w_done, w_write) = (d.w_done, d.w_write);
             self.waiters.release_list(w_done);
             self.waiters.release_list(w_write);
-            self.log(seq, None, EventKind::ReplaySquashed);
+            if P::ENABLED {
+                self.probe.event(now, seq, None, EventKind::ReplaySquashed);
+            }
         }
         self.window.truncate_from(from_seq);
         let squash_count = end - from_seq;
@@ -3370,6 +3391,7 @@ fn free_lists_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventLog;
     use mcl_trace::ProgramBuilder;
 
     fn run(cfg: ProcessorConfig, program: &Program<ArchReg>) -> SimResult {
@@ -3565,9 +3587,11 @@ mod tests {
 
     #[test]
     fn event_log_is_recorded_when_enabled() {
-        let p = chain_program(3);
-        let res = run(ProcessorConfig::single_cluster_8way().with_events(), &p);
-        let events = res.events.expect("events enabled");
+        let (trace, _) = trace_program(&chain_program(3)).unwrap();
+        let mut events = EventLog::new();
+        Processor::new(ProcessorConfig::single_cluster_8way())
+            .run_trace_observed(&trace, &mut events)
+            .expect("simulates");
         assert!(events.events().iter().any(|e| e.kind == EventKind::Retired));
         assert!(events.events().iter().any(|e| e.kind == EventKind::MasterIssued));
     }
@@ -3641,12 +3665,14 @@ mod tests {
             let mut cfg = ProcessorConfig::dual_cluster_8way();
             cfg.operand_buffer = 1;
             cfg.result_buffer = 1;
-            cfg.wedge_threshold = threshold;
-            cfg.faults = vec![
-                FaultInjection::LeakOperandBuffer { cycle: 0 },
-                FaultInjection::LeakResultBuffer { cycle: 0 },
-            ];
-            let err = Processor::new(cfg).run_program(&p).unwrap_err();
+            let err = Processor::new(cfg)
+                .with_wedge_threshold(threshold)
+                .with_faults(vec![
+                    FaultInjection::LeakOperandBuffer { cycle: 0 },
+                    FaultInjection::LeakResultBuffer { cycle: 0 },
+                ])
+                .run_program(&p)
+                .unwrap_err();
             match err {
                 SimError::Wedged { cycle, oldest_seq } => {
                     assert!(oldest_seq > 0, "the lda retires before the machine wedges");
@@ -3664,9 +3690,11 @@ mod tests {
     #[test]
     fn cycle_checker_catches_injected_buffer_leak_immediately() {
         let p = pingpong_program(20);
-        let mut cfg = ProcessorConfig::dual_cluster_8way().with_check_level(CheckLevel::Cycle);
-        cfg.faults = vec![FaultInjection::LeakOperandBuffer { cycle: 0 }];
-        let err = Processor::new(cfg).run_program(&p).unwrap_err();
+        let err = Processor::new(ProcessorConfig::dual_cluster_8way())
+            .checked(CheckLevel::Cycle)
+            .with_faults(vec![FaultInjection::LeakOperandBuffer { cycle: 0 }])
+            .run_program(&p)
+            .unwrap_err();
         match err {
             SimError::Invariant { cycle, rule, .. } => {
                 assert_eq!(rule, "otb-accounting");
@@ -3679,9 +3707,11 @@ mod tests {
     #[test]
     fn retire_checker_catches_injected_buffer_leak_by_first_retirement() {
         let p = pingpong_program(20);
-        let mut cfg = ProcessorConfig::dual_cluster_8way().with_check_level(CheckLevel::Retire);
-        cfg.faults = vec![FaultInjection::LeakResultBuffer { cycle: 0 }];
-        let err = Processor::new(cfg).run_program(&p).unwrap_err();
+        let err = Processor::new(ProcessorConfig::dual_cluster_8way())
+            .checked(CheckLevel::Retire)
+            .with_faults(vec![FaultInjection::LeakResultBuffer { cycle: 0 }])
+            .run_program(&p)
+            .unwrap_err();
         match err {
             SimError::Invariant { cycle, rule, snapshot, .. } => {
                 assert_eq!(rule, "rtb-accounting");
@@ -3726,9 +3756,11 @@ mod tests {
             b.mulq(r, r, r);
         }
         let p = b.finish().unwrap();
-        let mut cfg = ProcessorConfig::single_cluster_8way().with_check_level(CheckLevel::Cycle);
-        cfg.faults = vec![FaultInjection::DropCompletion { cycle: 0 }];
-        let err = Processor::new(cfg).run_program(&p).unwrap_err();
+        let err = Processor::new(ProcessorConfig::single_cluster_8way())
+            .checked(CheckLevel::Cycle)
+            .with_faults(vec![FaultInjection::DropCompletion { cycle: 0 }])
+            .run_program(&p)
+            .unwrap_err();
         match err {
             SimError::Invariant { rule, .. } => assert_eq!(rule, "completion-liveness"),
             other => panic!("expected Invariant, got {other}"),
@@ -3742,10 +3774,11 @@ mod tests {
         // progress check must report Wedged (with trace left to run),
         // not spin two billion cycles to the limit.
         let p = loop_with_tail_program();
-        let mut cfg = ProcessorConfig::single_cluster_8way();
-        cfg.wedge_threshold = 64;
-        cfg.faults = vec![FaultInjection::StickBranchResolution { cycle: 0 }];
-        let err = Processor::new(cfg).run_program(&p).unwrap_err();
+        let err = Processor::new(ProcessorConfig::single_cluster_8way())
+            .with_wedge_threshold(64)
+            .with_faults(vec![FaultInjection::StickBranchResolution { cycle: 0 }])
+            .run_program(&p)
+            .unwrap_err();
         assert!(matches!(err, SimError::Wedged { .. }), "got {err}");
     }
 
@@ -3758,10 +3791,9 @@ mod tests {
         let p = loop_with_tail_program();
         let mut errs = Vec::new();
         for single_stepped in [true, false] {
-            let mut cfg = ProcessorConfig::single_cluster_8way();
-            cfg.wedge_threshold = 64;
-            cfg.faults = vec![FaultInjection::StickBranchResolution { cycle: 0 }];
-            let mut processor = Processor::new(cfg);
+            let mut processor = Processor::new(ProcessorConfig::single_cluster_8way())
+                .with_wedge_threshold(64)
+                .with_faults(vec![FaultInjection::StickBranchResolution { cycle: 0 }]);
             if single_stepped {
                 processor = processor.single_stepped();
             }
@@ -3776,9 +3808,11 @@ mod tests {
     #[test]
     fn corrupted_transfer_credit_trips_the_accounting_checker() {
         let p = pingpong_program(20);
-        let mut cfg = ProcessorConfig::dual_cluster_8way().with_check_level(CheckLevel::Cycle);
-        cfg.faults = vec![FaultInjection::CorruptTransferCredit { cycle: 0 }];
-        let err = Processor::new(cfg).run_program(&p).unwrap_err();
+        let err = Processor::new(ProcessorConfig::dual_cluster_8way())
+            .checked(CheckLevel::Cycle)
+            .with_faults(vec![FaultInjection::CorruptTransferCredit { cycle: 0 }])
+            .run_program(&p)
+            .unwrap_err();
         match err {
             SimError::Invariant { cycle, rule, .. } => {
                 assert_eq!(rule, "otb-accounting");
@@ -3794,19 +3828,22 @@ mod tests {
         // threshold starves its consumer forever; in-order retirement
         // then blocks the whole machine on it.
         let p = pingpong_program(20);
-        let mut cfg = ProcessorConfig::dual_cluster_8way();
-        cfg.wedge_threshold = 64;
-        cfg.faults = vec![FaultInjection::DelayOperandDelivery { cycle: 0, delay: 1 << 40 }];
-        let err = Processor::new(cfg).run_program(&p).unwrap_err();
+        let err = Processor::new(ProcessorConfig::dual_cluster_8way())
+            .with_wedge_threshold(64)
+            .with_faults(vec![FaultInjection::DelayOperandDelivery { cycle: 0, delay: 1 << 40 }])
+            .run_program(&p)
+            .unwrap_err();
         assert!(matches!(err, SimError::Wedged { .. }), "got {err}");
     }
 
     #[test]
     fn leaked_phys_reg_trips_the_accounting_checker() {
         let p = pingpong_program(20);
-        let mut cfg = ProcessorConfig::dual_cluster_8way().with_check_level(CheckLevel::Cycle);
-        cfg.faults = vec![FaultInjection::LeakPhysReg { cycle: 0 }];
-        let err = Processor::new(cfg).run_program(&p).unwrap_err();
+        let err = Processor::new(ProcessorConfig::dual_cluster_8way())
+            .checked(CheckLevel::Cycle)
+            .with_faults(vec![FaultInjection::LeakPhysReg { cycle: 0 }])
+            .run_program(&p)
+            .unwrap_err();
         match err {
             SimError::Invariant { rule, .. } => assert_eq!(rule, "phys-reg-accounting"),
             other => panic!("expected Invariant, got {other}"),
@@ -3816,10 +3853,11 @@ mod tests {
     #[test]
     fn stalled_retirement_wedges() {
         let p = chain_program(30);
-        let mut cfg = ProcessorConfig::single_cluster_8way();
-        cfg.wedge_threshold = 64;
-        cfg.faults = vec![FaultInjection::StallRetire { cycle: 0 }];
-        let err = Processor::new(cfg).run_program(&p).unwrap_err();
+        let err = Processor::new(ProcessorConfig::single_cluster_8way())
+            .with_wedge_threshold(64)
+            .with_faults(vec![FaultInjection::StallRetire { cycle: 0 }])
+            .run_program(&p)
+            .unwrap_err();
         assert!(matches!(err, SimError::Wedged { .. }), "got {err}");
     }
 
@@ -3849,16 +3887,16 @@ mod tests {
         // Buffers of one entry force replay exceptions through the
         // checker; the stats must match the unchecked run exactly.
         let p = pingpong_program(50);
-        for mut cfg in [ProcessorConfig::dual_cluster_8way(), {
+        for cfg in [ProcessorConfig::dual_cluster_8way(), {
             let mut tiny = ProcessorConfig::dual_cluster_8way();
             tiny.operand_buffer = 1;
             tiny.result_buffer = 1;
             tiny
         }] {
-            cfg.check_level = CheckLevel::Off;
             let baseline = run(cfg.clone(), &p);
             for level in [CheckLevel::Retire, CheckLevel::Cycle] {
-                let checked = run(cfg.clone().with_check_level(level), &p);
+                let checked =
+                    Processor::new(cfg.clone()).checked(level).run_program(&p).expect("simulates");
                 assert_eq!(checked.stats, baseline.stats, "level {level:?} diverged");
             }
         }
@@ -3877,8 +3915,8 @@ mod tests {
         }
         let p = b.finish().unwrap();
         let (trace, _) = trace_program(&p).unwrap();
-        let cfg = ProcessorConfig::dual_cluster_8way();
-        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let processor = Processor::new(ProcessorConfig::dual_cluster_8way());
+        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
         let mut dispatched = 0;
         for _ in 0..100 {
             dispatched += sim.dispatch();
@@ -3903,9 +3941,13 @@ mod tests {
         assert_eq!(sim.stats.replays, 1);
         assert_eq!(sim.stats.replay_escalations, 1, "same-base recurrence escalates");
         assert_eq!(sim.window.len(), 1, "full squash keeps only the oldest instruction");
-        assert_eq!(sim.otb_free[0], cfg.operand_buffer, "squash returned the held entry");
+        assert_eq!(
+            sim.otb_free[0],
+            processor.config().operand_buffer,
+            "squash returned the held entry"
+        );
 
-        let result = sim.run(false).expect("escalated recovery completes the run");
+        let result = sim.run().expect("escalated recovery completes the run");
         assert_eq!(result.stats.retired, 4, "everything retires after re-dispatch");
         assert_eq!(result.stats.replay_escalations, 1);
     }
@@ -3922,8 +3964,8 @@ mod tests {
         }
         let p = b.finish().unwrap();
         let (trace, _) = trace_program(&p).unwrap();
-        let cfg = ProcessorConfig::single_cluster_8way();
-        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let processor = Processor::new(ProcessorConfig::single_cluster_8way());
+        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
         for _ in 0..200 {
             sim.step().unwrap();
             if sim.window.iter().any(|d| matches!(d.master_done, Some(t) if t > sim.now)) {
@@ -3955,8 +3997,8 @@ mod tests {
         }
         let p = b.finish().unwrap();
         let (trace, _) = trace_program(&p).unwrap();
-        let cfg = ProcessorConfig::dual_cluster_8way();
-        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let processor = Processor::new(ProcessorConfig::dual_cluster_8way());
+        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
         // The first fetch group takes a cold icache miss; step cycles
         // until the whole group has dispatched.
         let mut dispatched = 0;
@@ -4006,8 +4048,8 @@ mod tests {
         b.bne(i, body);
         let p = b.finish().unwrap();
         let (trace, _) = trace_program(&p).unwrap();
-        let cfg = ProcessorConfig::single_cluster_8way();
-        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let processor = Processor::new(ProcessorConfig::single_cluster_8way());
+        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
         while sim.cursor < trace.len() || !sim.window.is_empty() {
             sim.step().unwrap();
             let now = sim.now;
@@ -4033,6 +4075,7 @@ mod tests {
         let mut cfg = ProcessorConfig::dual_cluster_8way();
         cfg.operand_buffer = 1;
         cfg.result_buffer = 1;
+        let processor = Processor::new(cfg);
         let mut replays = 0;
         for seed in 0..24 {
             let mut rng = mcl_testutil::Rng::new(seed);
@@ -4050,7 +4093,7 @@ mod tests {
             }
             let p = b.finish().unwrap();
             let (trace, _) = trace_program(&p).unwrap();
-            let mut sim = Sim::new(&cfg, trace.as_slice());
+            let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
             while sim.cursor < trace.len() || !sim.window.is_empty() {
                 sim.step().unwrap();
                 for c in 0..2 {
@@ -4094,8 +4137,8 @@ mod tests {
         b.addq_imm(q, p, 1);
         let prog = b.finish().unwrap();
         let (trace, _) = trace_program(&prog).unwrap();
-        let cfg = ProcessorConfig::dual_cluster_8way();
-        let mut sim = Sim::new(&cfg, trace.as_slice());
+        let processor = Processor::new(ProcessorConfig::dual_cluster_8way());
+        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
         let mul_issued = |sim: &Sim<'_, [TraceOp]>| {
             sim.window.get(2).is_some_and(|d| d.master_issued.is_some())
         };

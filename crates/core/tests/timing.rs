@@ -3,17 +3,17 @@
 
 use mcl_core::{EventKind, Processor, ProcessorConfig};
 use mcl_isa::ArchReg;
+use mcl_trace::vm::trace_program_packed;
 use mcl_trace::ProgramBuilder;
 
 fn events_of(
     program: &mcl_trace::Program<ArchReg>,
     cfg: ProcessorConfig,
 ) -> mcl_core::EventLog {
-    Processor::new(cfg.with_events())
-        .run_program(program)
-        .expect("simulates")
-        .events
-        .expect("events recorded")
+    let (trace, _) = trace_program_packed(program, 0).expect("traces");
+    let mut log = mcl_core::EventLog::new();
+    Processor::new(cfg).run_packed_observed(&trace, &mut log).expect("simulates");
+    log
 }
 
 fn issue_cycle(events: &mcl_core::EventLog, seq: u64) -> u64 {

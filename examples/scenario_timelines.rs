@@ -5,8 +5,8 @@
 //! cargo run --example scenario_timelines
 //! ```
 
-use multicluster::core::{render_pipeline, PipeViewOptions, Processor, ProcessorConfig};
-use multicluster::trace::vm::trace_program;
+use multicluster::core::{render_pipeline, EventLog, PipeViewOptions, Processor, ProcessorConfig};
+use multicluster::trace::vm::trace_program_packed;
 use multicluster::workloads::scenarios;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,10 +15,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("── Scenario {} ({figure}) ─ {}", s.number, s.description);
         println!("{}", s.program.listing());
 
-        let (trace, _) = trace_program(&s.program)?;
-        let result = Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-            .run_trace(&trace)?;
-        let events = result.events.expect("events enabled");
+        let (trace, _) = trace_program_packed(&s.program, 0)?;
+        let mut events = EventLog::new();
+        let result = Processor::new(ProcessorConfig::dual_cluster_8way())
+            .run_packed_observed(&trace, &mut events)?;
         println!("timeline of the add (dynamic instruction #{}):", s.add_seq);
         println!("{}", events.timeline(s.add_seq));
         println!(

@@ -60,11 +60,22 @@ echo "== smoke: per-cycle checker does not change results =="
 # transfer-buffer and register accounting plus waiter and completion
 # liveness at the end of every cycle, so the engine's event structures
 # are audited on all the Table 2 cells.
-(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 8 --jobs 2 > table2_8.txt)
+# The plain run fills a store; the checked runs must print the same.
+# The check level is not part of any result key, so a `--check retire`
+# run over that store is served entirely from disk.
+(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 8 --jobs 2 --store checked_store \
+    > table2_8.txt)
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 8 --jobs 2 --check cycle \
     > table2_8_cycle.txt)
 if ! diff -q "$smoke_dir/table2_8.txt" "$smoke_dir/table2_8_cycle.txt"; then
     echo "FAIL: --check cycle changed table2 output" >&2
+    exit 1
+fi
+(cd "$smoke_dir" && "$OLDPWD/target/release/repro" table2 8 --jobs 2 --check retire \
+    --store checked_store > table2_8_retire_store.txt)
+if ! diff -q "$smoke_dir/table2_8.txt" "$smoke_dir/table2_8_retire_store.txt" \
+    || ! grep -q '"disk_misses":0' "$smoke_dir/BENCH_repro.json"; then
+    echo "FAIL: --check retire over a plain run's store changed output or missed entries" >&2
     exit 1
 fi
 

@@ -2,10 +2,10 @@
 //! workload, scheduling it, and simulating it twice must give identical
 //! results, bit for bit.
 
-use multicluster::core::{Processor, ProcessorConfig};
+use multicluster::core::{EventLog, Processor, ProcessorConfig};
 use multicluster::isa::assign::RegisterAssignment;
 use multicluster::sched::{SchedulePipeline, SchedulerKind};
-use multicluster::trace::vm::trace_program;
+use multicluster::trace::vm::{trace_program, trace_program_packed};
 use multicluster::workloads::Benchmark;
 
 #[test]
@@ -52,9 +52,10 @@ fn event_logs_are_deterministic() {
     let il = Benchmark::Compress.build(50);
     let assign = RegisterAssignment::even_odd_with_default_globals(2);
     let scheduled = SchedulePipeline::new(SchedulerKind::Local, &assign).run(&il).unwrap();
-    let (trace, _) = trace_program(&scheduled.program).unwrap();
-    let cfg = ProcessorConfig::dual_cluster_8way().with_events();
-    let a = Processor::new(cfg.clone()).run_trace(&trace).unwrap();
-    let b = Processor::new(cfg).run_trace(&trace).unwrap();
-    assert_eq!(a.events, b.events);
+    let (trace, _) = trace_program_packed(&scheduled.program, 0).unwrap();
+    let cfg = ProcessorConfig::dual_cluster_8way();
+    let (mut a, mut b) = (EventLog::new(), EventLog::new());
+    Processor::new(cfg.clone()).run_packed_observed(&trace, &mut a).unwrap();
+    Processor::new(cfg).run_packed_observed(&trace, &mut b).unwrap();
+    assert_eq!(a, b);
 }

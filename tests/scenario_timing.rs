@@ -2,15 +2,16 @@
 //! the timing rules of Section 2.1 (the paper's Figures 2–5).
 
 use multicluster::core::{EventKind, EventLog, Processor, ProcessorConfig};
-use multicluster::trace::vm::trace_program;
+use multicluster::trace::vm::trace_program_packed;
 use multicluster::workloads::scenarios::{self, Scenario};
 
 fn run(s: &Scenario) -> (EventLog, [u64; 5]) {
-    let (trace, _) = trace_program(&s.program).expect("trace");
-    let result = Processor::new(ProcessorConfig::dual_cluster_8way().with_events())
-        .run_trace(&trace)
+    let (trace, _) = trace_program_packed(&s.program, 0).expect("trace");
+    let mut events = EventLog::new();
+    let result = Processor::new(ProcessorConfig::dual_cluster_8way())
+        .run_packed_observed(&trace, &mut events)
         .expect("simulates");
-    (result.events.expect("events"), result.stats.scenario)
+    (events, result.stats.scenario)
 }
 
 fn cycle_of(events: &EventLog, seq: u64, kind: EventKind) -> Option<u64> {
