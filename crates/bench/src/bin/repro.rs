@@ -61,8 +61,8 @@
 //!   exit code. For `repro chaos` the value overrides the per-attempt
 //!   campaign budget (default 30 s).
 //! - `--store DIR` — a crash-safe persistent result store: simulation
-//!   results are cached on disk keyed by content hash of the
-//!   packed trace and configuration, so a warm rerun serves
+//!   results are cached on disk keyed by the packed trace's content
+//!   digest and the configuration, so a warm rerun serves
 //!   byte-identical statistics without simulating. Entries are written
 //!   atomically, checksummed on read, and corrupt entries are
 //!   quarantined and transparently recomputed; the store is bounded
@@ -135,8 +135,10 @@
 //!   `cell` span per cell on the worker that ran it and, inside the
 //!   cells, one span per unit of real work in a category named after
 //!   the benchmark's layer: `workloads.build`, `sched.prepare`,
-//!   `sched.schedule`, `trace.pack`, `core.simulate`, `persist.key`,
-//!   `persist.load` and `persist.store`. Store hits record no span.
+//!   `sched.schedule`, `trace.pack` (which takes each trace's content
+//!   digest), `core.simulate`, `persist.key` (only the executable
+//!   fingerprint), `persist.load` and `persist.store`. Store hits
+//!   record no span.
 //!   This is the only layer split of host time `repro` makes. Recording
 //!   off is one relaxed atomic load per site, and the recording never
 //!   alters results — `repro` output is byte-identical with the flag
@@ -304,8 +306,11 @@ fn main() -> ExitCode {
         "profile" => {
             let dir = obs_dir.unwrap_or_else(|| PathBuf::from("hostprof_out"));
             options.profile = Some(dir.display().to_string());
-            let header = "Engine phase-cost profile (dual-cluster, local scheduler, event engine)";
-            plan_benchmarks(&mut plan, "profile", Some(header), &store, divisor, only, {
+            let header = format!(
+                "Engine phase-cost profile (dual-cluster, local scheduler, check {})",
+                store.check_level().name()
+            );
+            plan_benchmarks(&mut plan, "profile", Some(&header), &store, divisor, only, {
                 move |store, bench, scale| profile::profile_cell(store, bench, scale, &dir)
             });
         }
@@ -840,7 +845,7 @@ fn plan_fig6(plan: &mut Plan) {
 fn plan_benchmarks(
     plan: &mut Plan,
     id: &str,
-    header: Option<&'static str>,
+    header: Option<&str>,
     store: &Arc<TraceStore>,
     divisor: u32,
     only: Option<Benchmark>,
@@ -862,10 +867,11 @@ fn plan_benchmarks(
             .for_benchmark(bench)
         })
         .collect();
+    let header = header.map(str::to_owned);
     plan.section(
         cells,
         Box::new(move |ps| {
-            if let Some(header) = header {
+            if let Some(header) = &header {
                 println!("{header}\n");
             }
             for p in ps {

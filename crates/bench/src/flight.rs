@@ -5,8 +5,9 @@
 //! cell ran on which `--jobs` worker and, inside it, each unit of real
 //! work in a category named after the benchmark's layer
 //! (`workloads.build`, `sched.prepare`, `sched.schedule`, `trace.pack`,
-//! `core.simulate`, `persist.key`, `persist.load`, `persist.store`),
-//! persistent-store loads named by their hit/miss outcome. It is the
+//! `core.simulate`, `persist.key` — only the executable fingerprint —,
+//! `persist.load`, `persist.store`), persistent-store loads named by
+//! their hit/miss outcome. It is the
 //! only place `repro` splits host time into layers.
 //! The recording exports as one Chrome trace-event file
 //! (`run.flight.json`, the same document shape as the `--obs`

@@ -11,14 +11,12 @@
 //! proviso:
 //!
 //! - **Content addressing.** Entries are keyed by a 128-bit FNV-1a
-//!   digest over the store format version, the statistics wire version,
-//!   the trace's validated 21-byte-per-record wire form
-//!   ([`PackedTrace::to_bytes`]), and the configuration's canonical
-//!   rendering. Any change to the trace, the configuration, or either
-//!   serialization format changes the key; stale entries are simply
-//!   never addressed again. Everything before the configuration is
-//!   hashed once per trace ([`TraceDigest`]) and reused for every
-//!   configuration it is simulated under.
+//!   hash over the store format version, the statistics wire version,
+//!   the trace's 16-byte content digest ([`PackedTrace::digest`], taken
+//!   once when the trace is packed; [`TraceDigest`]) and the
+//!   configuration's canonical rendering. Any change to the trace, the
+//!   configuration, or either serialization format changes the key;
+//!   stale entries are simply never addressed again.
 //! - **Atomic writes.** An entry is written to a temporary file in the
 //!   store root and `rename`d into place, so a concurrent reader (or a
 //!   crash mid-write) can never observe a half-written entry under its
@@ -65,7 +63,8 @@ use crate::flight::SpanGuard;
 /// the configuration lost its `engine` field. Version 3: it lost its
 /// run options (`max_cycles`, `record_events`, `check_level`,
 /// `wedge_threshold`, `faults`), so it renders the machine only.
-pub const STORE_FORMAT_VERSION: u32 = 3;
+/// Version 4: keys hash the trace's content digest, not its wire bytes.
+pub const STORE_FORMAT_VERSION: u32 = 4;
 
 /// Magic tag opening every result entry file.
 const MAGIC: &[u8; 8] = b"MCLSTOR1";
@@ -112,7 +111,6 @@ fn fnv1a(basis: u64, chunks: &[&[u8]]) -> u64 {
 
 /// Two FNV-1a-64 chains over one byte stream, from independent bases:
 /// the 128-bit hash behind every key of the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Fnv128 {
     hi: u64,
     lo: u64,
@@ -139,33 +137,28 @@ impl Fnv128 {
     }
 }
 
-/// The configuration-independent prefix of every [`EntryKey`] of one
-/// trace: both FNV-1a states after the store format version, the
-/// statistics wire version and the trace's wire bytes.
-///
-/// FNV-1a is a streaming hash, so [`TraceDigest::key`] continuing
-/// these states over a configuration's bytes yields exactly the key a
-/// single pass over the whole stream would — a trace replayed under
-/// many configurations is hashed once, not once per configuration.
+/// A trace's identity: its 128-bit content digest
+/// ([`PackedTrace::digest`]). The trace store takes it once, when it
+/// packs the trace, and keys its simulation memo, its content pool and
+/// every [`EntryKey`] of the trace on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TraceDigest(Fnv128);
+pub struct TraceDigest(u128);
 
 impl TraceDigest {
-    /// Hashes `trace`'s key prefix.
+    /// Digests `trace` (one pass over its records).
     #[must_use]
     pub fn of(trace: &PackedTrace) -> TraceDigest {
-        let mut hash = Fnv128::new();
-        hash.absorb(&STORE_FORMAT_VERSION.to_le_bytes());
-        hash.absorb(&STATS_WIRE_VERSION.to_le_bytes());
-        trace.for_each_wire_record(|rec| hash.absorb(rec));
-        TraceDigest(hash)
+        TraceDigest(trace.digest())
     }
 
     /// The key for simulating the digested trace under the
     /// configuration whose canonical rendering is `sim_key`.
     #[must_use]
     pub fn key(self, sim_key: &str) -> EntryKey {
-        let mut hash = self.0;
+        let mut hash = Fnv128::new();
+        hash.absorb(&STORE_FORMAT_VERSION.to_le_bytes());
+        hash.absorb(&STATS_WIRE_VERSION.to_le_bytes());
+        hash.absorb(&self.0.to_le_bytes());
         hash.absorb(sim_key.as_bytes());
         hash.key()
     }
@@ -651,23 +644,18 @@ fn decode_entry(bytes: &[u8], key: &EntryKey) -> Result<(SimStats, FastForward),
     Ok((stats, ff))
 }
 
-/// Encodes one request entry: the named digest's two FNV states,
-/// framed.
+/// Encodes one request entry: the named digest, framed.
 fn encode_request(key: &EntryKey, digest: &TraceDigest) -> Vec<u8> {
-    let mut payload = [0u8; 16];
-    payload[..8].copy_from_slice(&digest.0.hi.to_le_bytes());
-    payload[8..].copy_from_slice(&digest.0.lo.to_le_bytes());
-    encode_frame(REQUEST_MAGIC, key, &payload)
+    encode_frame(REQUEST_MAGIC, key, &digest.0.to_le_bytes())
 }
 
 /// Decodes and fully validates one request entry read for `key`.
 fn decode_request(bytes: &[u8], key: &EntryKey) -> Result<TraceDigest, String> {
     let payload = decode_frame(REQUEST_MAGIC, bytes, key)?;
-    let payload: &[u8; 16] = payload
+    let payload: [u8; 16] = payload
         .try_into()
         .map_err(|_| format!("request payload is {} bytes, expected 16", payload.len()))?;
-    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-    Ok(TraceDigest(Fnv128 { hi: word(0), lo: word(8) }))
+    Ok(TraceDigest(u128::from_le_bytes(payload)))
 }
 
 #[cfg(test)]
@@ -706,14 +694,13 @@ mod tests {
         let _ = fs::remove_dir_all(store.root());
     }
 
-    /// The key derivation as first written: one FNV-1a pass per half
-    /// over the fully serialized stream.
+    /// The key derivation spelled out: one FNV-1a pass per half over
+    /// the versions, the trace's digest and the configuration.
     fn reference_key(trace: &PackedTrace, sim_key: &str) -> EntryKey {
-        let trace_bytes = trace.to_bytes();
         let chunks: [&[u8]; 4] = [
             &STORE_FORMAT_VERSION.to_le_bytes(),
             &STATS_WIRE_VERSION.to_le_bytes(),
-            &trace_bytes,
+            &trace.digest().to_le_bytes(),
             sim_key.as_bytes(),
         ];
         EntryKey { hi: fnv1a(FNV_OFFSET, &chunks), lo: fnv1a(FNV_OFFSET_LO, &chunks) }
@@ -780,12 +767,12 @@ mod tests {
         ];
         let trace = PackedTrace::from_ops(&ops);
         let key = EntryKey::of(&trace, "ProcessorConfig { clusters: 2, width: 8 }");
-        assert_eq!(key.hex(), "a1b52d5eccaf5f2c47d1540864a98a5b");
-        assert_eq!(EntryKey::of(&PackedTrace::new(), "").hex(), "67bd6b43893f40775bded7b51c604702");
+        assert_eq!(key.hex(), "7ebbb743111d231baf8f1b067fc83ad8");
+        assert_eq!(EntryKey::of(&PackedTrace::new(), "").hex(), "0506df05e25d00b066cbfd60421d1385");
     }
 
-    /// The one-pass, reusable digest derives exactly the reference key,
-    /// for random traces (the empty one included) and configurations.
+    /// The reusable digest derives exactly the reference key, for random
+    /// traces (the empty one included) and configurations.
     #[test]
     fn digest_keys_equal_the_reference_derivation() {
         mcl_testutil::check_cases(128, |rng| {

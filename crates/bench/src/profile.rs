@@ -5,7 +5,9 @@
 //! the telescoped per-phase nanosecond buckets into two artifacts:
 //!
 //! - `<bench>.hostprof.json` — the machine-readable breakdown (schema
-//!   [`HOSTPROF_SCHEMA_VERSION`], validated by `repro obs-validate`);
+//!   [`HOSTPROF_SCHEMA_VERSION`], validated by `repro obs-validate`),
+//!   which names the check level the run simulated under: a
+//!   `--check cycle` run is single-stepped and pays for the checker;
 //! - a rendered ranked ns-per-live-cycle report, printed by the driver.
 //!
 //! Where `repro explain` attributes *simulated cycles* to machine
@@ -27,7 +29,7 @@ use std::path::Path;
 
 use mcl_core::obs::hostprof::HOSTPROF_SLOP_NS;
 use mcl_core::obs::NullProbe;
-use mcl_core::{HostPhase, HostProfReport, ProcessorConfig, WorkCounter};
+use mcl_core::{CheckLevel, HostPhase, HostProfReport, ProcessorConfig, WorkCounter};
 use mcl_sched::SchedulerKind;
 use mcl_workloads::Benchmark;
 
@@ -38,8 +40,9 @@ use crate::store::TraceRequest;
 use crate::{Error, TraceStore};
 
 /// Schema version of the `*.hostprof.json` exports (2 added `marks`,
-/// `clock_ns` and the `work` counts).
-pub const HOSTPROF_SCHEMA_VERSION: u64 = 2;
+/// `clock_ns` and the `work` counts; 3 added `check`, the
+/// invariant-check level the profiled run simulated under).
+pub const HOSTPROF_SCHEMA_VERSION: u64 = 3;
 
 /// Runs one profiled companion and enforces the host-profile identity:
 /// phase nanoseconds sum to the sampled span, the profiler counted the
@@ -100,12 +103,12 @@ pub fn profile_cell(
         &ProcessorConfig::dual_cluster_8way(),
         Reference::Store(store, &TraceRequest::new(bench, scale, SchedulerKind::Local), &mut cost),
     )?;
-    let doc = hostprof_json(bench, &report);
+    let doc = hostprof_json(bench, store.check_level(), &report);
     write_export(dir, &format!("{}.hostprof.json", bench.name()), &(doc.render() + "\n"))?;
     Ok((render_cell(bench, &report), cost))
 }
 
-fn hostprof_json(bench: Benchmark, report: &HostProfReport) -> Json {
+fn hostprof_json(bench: Benchmark, check: CheckLevel, report: &HostProfReport) -> Json {
     let mut phases = Json::object();
     for phase in HostPhase::ALL {
         phases.field(phase.name(), report.phase_ns[phase.index()].into());
@@ -119,6 +122,7 @@ fn hostprof_json(bench: Benchmark, report: &HostProfReport) -> Json {
         .field("benchmark", bench.name().into())
         .field("config", "dual_cluster_8way".into())
         .field("scheduler", "local".into())
+        .field("check", check.name().into())
         .field("cycles", report.cycles.into())
         .field("live_cycles", report.live_cycles.into())
         .field("elapsed_ns", report.elapsed_ns.into())
@@ -189,7 +193,8 @@ fn render_cell(bench: Benchmark, report: &HostProfReport) -> String {
 
 /// Checks one parsed `*.hostprof.json` export (its schema version is
 /// checked by [`crate::obs::validate_dir`]): a complete per-phase
-/// breakdown, the mark count and clock cost, every work count, and —
+/// breakdown, the mark count and clock cost, every work count, a known
+/// check level, and —
 /// re-checked from the file itself — the sum-to-elapsed identity (phase
 /// buckets sum to no more than `elapsed_ns` and trail it by at most the
 /// file's recorded `slop_ns`).
@@ -235,6 +240,7 @@ pub(crate) fn validate_hostprof(doc: &Json) -> Result<usize, String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("work.{} missing", counter.name()))?;
     }
+    doc.get("check").and_then(Json::as_str).ok_or("check missing")?.parse::<CheckLevel>()?;
     Ok(0)
 }
 
@@ -265,6 +271,7 @@ mod tests {
         let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("benchmark").and_then(Json::as_str), Some("compress"));
         assert_eq!(doc.get("scheduler").and_then(Json::as_str), Some("local"));
+        assert_eq!(doc.get("check").and_then(Json::as_str), Some("off"));
         let live = doc.get("live_cycles").and_then(Json::as_u64).unwrap();
         let cycles = doc.get("cycles").and_then(Json::as_u64).unwrap();
         assert!(live > 0 && live <= cycles);
@@ -304,7 +311,7 @@ mod tests {
         }
         // 8 phases × 1000 ns but the file claims 1 ns elapsed.
         let doc = format!(
-            "{{\"schema_version\":2,\"benchmark\":\"x\",\"config\":\"c\",\"scheduler\":\"s\",\
+            "{{\"schema_version\":3,\"benchmark\":\"x\",\"config\":\"c\",\"scheduler\":\"s\",\
              \"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":1,\"slop_ns\":0,\
              \"ns_per_live_cycle\":1.0,\"phase_ns\":{{{phases}}}}}"
         );
@@ -313,7 +320,7 @@ mod tests {
         assert!(err.contains("identity violated"), "{err}");
         // An unattributed gap past the recorded slop also fails.
         let doc = format!(
-            "{{\"schema_version\":2,\"benchmark\":\"x\",\"config\":\"c\",\"scheduler\":\"s\",\
+            "{{\"schema_version\":3,\"benchmark\":\"x\",\"config\":\"c\",\"scheduler\":\"s\",\
              \"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":99000,\"slop_ns\":10,\
              \"ns_per_live_cycle\":1.0,\"phase_ns\":{{{phases}}}}}"
         );
@@ -331,7 +338,7 @@ mod tests {
         assert!(validate_file(&path).is_err(), "wrong schema_version");
         std::fs::write(
             &path,
-            "{\"schema_version\":2,\"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":10,\
+            "{\"schema_version\":3,\"cycles\":10,\"live_cycles\":5,\"elapsed_ns\":10,\
              \"slop_ns\":10,\"phase_ns\":{\"dispatch\":1}}",
         )
         .unwrap();
@@ -340,11 +347,23 @@ mod tests {
         // A complete breakdown without its work counts is rejected too.
         let doc =
             HostProfReport { live_cycles: 5, cycles: 10, marks: 40, ..HostProfReport::default() };
-        let text = hostprof_json(Benchmark::Compress, &doc).render();
+        let text = hostprof_json(Benchmark::Compress, CheckLevel::Cycle, &doc).render();
         let cut = text.find(",\"work\":").expect("work is exported last");
         std::fs::write(&path, format!("{},\"work\":{{}}}}", &text[..cut])).unwrap();
         let err = validate_file(&path).unwrap_err().to_string();
         assert!(err.contains("work.ops_dispatched missing"), "{err}");
+        // The complete export validates, but not without a known check
+        // level.
+        std::fs::write(&path, &text).unwrap();
+        validate_file(&path).unwrap();
+        for (from, to, expected) in [
+            ("\"check\":\"cycle\",", "", "check missing"),
+            ("\"check\":\"cycle\"", "\"check\":\"full\"", "unknown check level `full`"),
+        ] {
+            std::fs::write(&path, text.replace(from, to)).unwrap();
+            let err = validate_file(&path).unwrap_err().to_string();
+            assert!(err.contains(expected), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

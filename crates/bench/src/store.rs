@@ -31,23 +31,25 @@
 //! `imbalance_threshold` equal to the default, unroll factor ≤ 1,
 //! threshold on a scheduler kind that ignores it — share one entry.
 //!
-//! Freshly built traces are additionally *canonicalized by content*:
-//! distinct keys that happen to produce byte-identical traces (a
-//! threshold past the point where the partition stops changing, an
-//! unroll factor on a benchmark without self-loops) share one buffer,
-//! one persistent-store key prefix ([`TraceDigest`], hashed only when
-//! a disk store is attached) and — since simulation is deterministic —
-//! one memoized simulation per configuration. The content pool buckets
-//! traces by [`PackedTrace::content_hash`] and compares contents
-//! within a bucket, so a hash collision never merges two traces.
+//! Every freshly built trace is digested once, right after it is
+//! packed: its [`TraceDigest`] ([`PackedTrace::digest`]) is its one
+//! identity, for the content pool, the simulation memo and the disk
+//! store alike. Distinct keys that happen to produce byte-identical
+//! traces (a threshold past the point where the partition stops
+//! changing, an unroll factor on a benchmark without self-loops) share
+//! one buffer, one digest and — since simulation is deterministic — one
+//! memoized simulation per configuration. The content pool holds one
+//! entry per digest and compares contents on a match: two different
+//! traces with one digest are an error, never a merge, because no
+//! cache could tell them apart.
 //!
 //! The store does not hold a benchmark's artifacts for the whole run.
 //! The plan knows when a benchmark's last cell has finished (see
 //! [`runner`](crate::runner)), and then [`TraceStore::release`] drops
 //! that benchmark's IL, prepared IL and trace slots; the content pool
 //! only holds weak references, so the memory goes once the last cell
-//! drops its handles. What stays is small: the simulation memo, the
-//! request-tier slots and the content ids. A request after a release
+//! drops its handles. What stays is small: the simulation memo and the
+//! request-tier state. A request after a release
 //! builds its trace again (and counts a trace miss).
 //!
 //! With a disk store attached, [`TraceStore::sim`] first asks its
@@ -55,8 +57,8 @@
 //! trace a request builds. On a hit it addresses the persisted result
 //! directly and builds no trace at all; only a result that is missing
 //! there (evicted, corrupt) builds the trace after all. On a miss the
-//! trace is built, digested and simulated as above, and the request
-//! entry is written for the next run.
+//! trace is built and simulated as above, and the request entry is
+//! written for the next run.
 //!
 //! The store serves *statistics only*; runs that attach a probe (the
 //! event log behind `repro pipeline` and the scenario timelines, the
@@ -66,12 +68,13 @@
 //! records a [`flight`](crate::flight) span inside its build slot, in a
 //! category named after the benchmark layer it belongs to:
 //! `workloads.build` (IL), `sched.prepare`, `sched.schedule`,
-//! `trace.pack`, `core.simulate` and `persist.key` (the trace digest),
-//! plus the disk store's own `persist.load` and `persist.store`. A hit
+//! `trace.pack` (the digest included) and `core.simulate`, plus the
+//! disk store's own `persist.key` (the executable fingerprint),
+//! `persist.load` and `persist.store`. A hit
 //! records nothing, so a warm run's recording shows only the work it
 //! did.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -258,40 +261,19 @@ fn slot_of<K: Eq + Hash, T>(map: &Mutex<HashMap<K, Slot<T>>>, key: K) -> Slot<T>
     map.lock().unwrap().entry(key).or_default().clone()
 }
 
-/// A content-canonicalized trace, shared by every trace key whose built
-/// trace came out byte-identical.
+/// A content-canonicalized trace and its digest, shared by every trace
+/// key whose built trace came out byte-identical.
+#[derive(Clone)]
 struct Canonical {
-    /// Indexes the simulation cache when no disk store is attached.
-    id: u64,
+    digest: TraceDigest,
     trace: Arc<PackedTrace>,
-    /// The persistent-store key prefix, hashed on the first disk lookup
-    /// and reused by every configuration after it.
-    digest: OnceLock<TraceDigest>,
 }
-
-type CanonTrace = Arc<Canonical>;
 
 /// An IL build slot (infallible — `Benchmark::build` cannot fail).
 type IlSlot = Arc<OnceLock<Arc<Program<Vreg>>>>;
 /// Memoized simulation result: statistics and fast-forward counters,
-/// keyed by (content id, rendered configuration).
+/// keyed by (trace digest, rendered configuration).
 type SimSlot = Slot<(SimStats, FastForward)>;
-
-/// One trace key's request-tier state: the entry loaded from disk (at
-/// most once per process), and whether this process wrote one.
-#[derive(Default)]
-struct RequestSlot {
-    loaded: OnceLock<Option<TraceDigest>>,
-    written: OnceLock<()>,
-}
-
-/// How [`TraceStore::sim`] found a request's trace.
-enum Resolved {
-    /// The request tier named the trace's digest; nothing was built.
-    Digest(TraceDigest),
-    /// The trace was built (or memoized) in this process.
-    Built(CanonTrace),
-}
 
 /// The thread-safe, `Arc`-sharing memoization layer described in the
 /// [module docs](self).
@@ -320,28 +302,22 @@ pub struct TraceStore {
     assignment: RegisterAssignment,
     ils: Mutex<HashMap<IlKey, IlSlot>>,
     prepared: Mutex<HashMap<IlKey, Slot<Arc<PreparedIl>>>>,
-    traces: Mutex<HashMap<TraceKey, Slot<CanonTrace>>>,
-    /// Content hash → canonical traces with that hash (a bucket per
-    /// hash; contents are compared on insert, so colliding hashes stay
-    /// correct). Weak: the trace slots own the traces, and
-    /// [`TraceStore::release`] prunes the entries it orphans.
-    canonical: Mutex<HashMap<u64, Vec<Weak<Canonical>>>>,
-    next_content_id: AtomicU64,
-    /// Trace digest → content id, used instead of [`Canonical::id`]
-    /// when a disk store is attached: a request-tier hit knows only the
-    /// digest, and must share simulations with the built traces (and
-    /// other hits) of the same content.
-    content_ids: Mutex<HashMap<TraceDigest, u64>>,
-    requests: Mutex<HashMap<TraceKey, Arc<RequestSlot>>>,
-    sims: Mutex<HashMap<(u64, String), SimSlot>>,
+    traces: Mutex<HashMap<TraceKey, Slot<Canonical>>>,
+    /// Trace digest → the canonical trace with that digest. Weak: the
+    /// trace slots own the traces, and [`TraceStore::release`] prunes
+    /// the entries it orphans.
+    canonical: Mutex<HashMap<TraceDigest, Weak<PackedTrace>>>,
+    /// Trace key → the digest its request-tier entry named (`None`: no
+    /// usable entry), loaded at most once per process.
+    requested: Mutex<HashMap<TraceKey, Option<TraceDigest>>>,
+    /// Trace keys whose request-tier entry this process wrote.
+    written: Mutex<HashSet<TraceKey>>,
+    sims: Mutex<HashMap<(TraceDigest, String), SimSlot>>,
     /// The optional crash-safe on-disk result cache consulted when the
     /// in-process memo misses (see [`TraceStore::with_persist`]).
     persist: Option<Arc<PersistStore>>,
     /// See [`TraceStore::with_check`].
     check: CheckLevel,
-    /// Persistent-store key prefixes hashed (at most one per canonical
-    /// trace).
-    trace_digests: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
     sim_hits: AtomicU64,
@@ -365,13 +341,11 @@ impl TraceStore {
             prepared: Mutex::new(HashMap::new()),
             traces: Mutex::new(HashMap::new()),
             canonical: Mutex::new(HashMap::new()),
-            next_content_id: AtomicU64::new(0),
-            content_ids: Mutex::new(HashMap::new()),
-            requests: Mutex::new(HashMap::new()),
+            requested: Mutex::new(HashMap::new()),
+            written: Mutex::new(HashSet::new()),
             sims: Mutex::new(HashMap::new()),
             persist: None,
             check: CheckLevel::Off,
-            trace_digests: AtomicU64::new(0),
             trace_hits: AtomicU64::new(0),
             trace_misses: AtomicU64::new(0),
             sim_hits: AtomicU64::new(0),
@@ -489,7 +463,7 @@ impl TraceStore {
 
     /// The canonical trace of a trace key; a failure is the build's
     /// cached reason.
-    fn canon_trace(&self, key: TraceKey) -> Result<CanonTrace, String> {
+    fn canon_trace(&self, key: TraceKey) -> Result<Canonical, String> {
         let slot = slot_of(&self.traces, key);
         let mut built = false;
         let result = slot.get_or_init(|| {
@@ -504,24 +478,22 @@ impl TraceStore {
         result.clone()
     }
 
-    /// Folds a freshly built trace into the content-addressed pool:
-    /// byte-identical traces share one buffer and one content id.
-    fn canonicalize(&self, trace: PackedTrace) -> CanonTrace {
-        let hash = trace.content_hash();
+    /// Digests a freshly built trace and folds it into the content
+    /// pool: byte-identical traces share one buffer. A digest already
+    /// held by a different trace is an error, since no cache keyed on
+    /// the digest could tell the two apart.
+    fn canonicalize(&self, trace: PackedTrace) -> Result<Canonical, String> {
+        let digest = TraceDigest::of(&trace);
         let mut pool = self.canonical.lock().unwrap();
-        let bucket = pool.entry(hash).or_default();
-        if let Some(existing) =
-            bucket.iter().filter_map(Weak::upgrade).find(|c| *c.trace == trace)
-        {
-            return existing;
+        if let Some(existing) = pool.get(&digest).and_then(Weak::upgrade) {
+            if *existing != trace {
+                return Err(format!("two different traces share the content digest {digest:?}"));
+            }
+            return Ok(Canonical { digest, trace: existing });
         }
-        let entry = Arc::new(Canonical {
-            id: self.next_content_id.fetch_add(1, Ordering::Relaxed),
-            trace: Arc::new(trace),
-            digest: OnceLock::new(),
-        });
-        bucket.push(Arc::downgrade(&entry));
-        entry
+        let trace = Arc::new(trace);
+        pool.insert(digest, Arc::downgrade(&trace));
+        Ok(Canonical { digest, trace })
     }
 
     /// Drops `bench`'s IL, prepared IL and trace slots, at every scale
@@ -531,14 +503,11 @@ impl TraceStore {
         self.ils.lock().unwrap().retain(|k, _| k.bench != bench);
         self.prepared.lock().unwrap().retain(|k, _| k.bench != bench);
         self.traces.lock().unwrap().retain(|k, _| k.il.bench != bench);
-        self.canonical.lock().unwrap().retain(|_, bucket| {
-            bucket.retain(|c| c.strong_count() > 0);
-            !bucket.is_empty()
-        });
+        self.canonical.lock().unwrap().retain(|_, trace| trace.strong_count() > 0);
     }
 
-    /// Builds, packs and canonicalizes the trace of `key`.
-    fn build_trace(&self, key: TraceKey) -> Result<CanonTrace, String> {
+    /// Builds, packs, digests and canonicalizes the trace of `key`.
+    fn build_trace(&self, key: TraceKey) -> Result<Canonical, String> {
         // The IL and prepared IL are memoized and span their own builds.
         let prepared = self.prepared_at(key.il).map_err(|e| e.to_string())?;
         let options = ScheduleOptions {
@@ -556,38 +525,14 @@ impl TraceStore {
         let hint = dynamic_len_estimate(&scheduled.program, prepared.profile());
         let (trace, _) =
             trace_program_packed(&scheduled.program, hint).map_err(|e| e.to_string())?;
-        Ok(self.canonicalize(trace))
+        self.canonicalize(trace)
     }
 
-    /// The content id indexing the simulation cache for `digest`.
-    fn content_id(&self, digest: TraceDigest) -> u64 {
-        *self
-            .content_ids
-            .lock()
-            .unwrap()
-            .entry(digest)
-            .or_insert_with(|| self.next_content_id.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// The simulation-cache id of `key`'s built trace and, with a disk
-    /// store attached, its digest — hashed once per canonical trace, on
-    /// first use, and reused by every configuration after it. The
-    /// digest is also remembered in the request tier.
-    fn sim_id(&self, key: TraceKey, canon: &Canonical) -> (u64, Option<TraceDigest>) {
-        if self.persist.is_none() {
-            return (canon.id, None);
-        }
-        let digest = *canon.digest.get_or_init(|| {
-            self.trace_digests.fetch_add(1, Ordering::Relaxed);
-            let _flight = flight::span("persist.key", || key.label());
-            TraceDigest::of(&canon.trace)
-        });
-        self.remember_request(key, digest);
-        (self.content_id(digest), Some(digest))
-    }
-
-    fn request_slot(&self, key: TraceKey) -> Arc<RequestSlot> {
-        Arc::clone(self.requests.lock().unwrap().entry(key).or_default())
+    /// The canonical trace of `key`, remembered in the request tier.
+    fn built(&self, key: TraceKey) -> Result<Canonical, String> {
+        let canon = self.canon_trace(key)?;
+        self.remember_request(key, canon.digest);
+        Ok(canon)
     }
 
     /// The digest the request tier names for `key`, loaded from disk at
@@ -595,7 +540,7 @@ impl TraceStore {
     /// code fingerprint, or without a usable entry.
     fn requested_digest(&self, key: TraceKey) -> Option<TraceDigest> {
         let persist = self.persist.as_deref()?;
-        *self.request_slot(key).loaded.get_or_init(|| {
+        *self.requested.lock().unwrap().entry(key).or_insert_with(|| {
             let request_key = persist.request_key(&key.to_bytes())?;
             persist.load_request(&request_key)
         })
@@ -605,13 +550,11 @@ impl TraceStore {
     /// `digest`, unless its entry already says so; once per process.
     fn remember_request(&self, key: TraceKey, digest: TraceDigest) {
         let Some(persist) = self.persist.as_deref() else { return };
-        let slot = self.request_slot(key);
-        if slot.loaded.get().copied().flatten() != Some(digest) {
-            slot.written.get_or_init(|| {
-                if let Some(request_key) = persist.request_key(&key.to_bytes()) {
-                    persist.store_request(&request_key, &digest);
-                }
-            });
+        let loaded = self.requested.lock().unwrap().get(&key).copied().flatten();
+        if loaded != Some(digest) && self.written.lock().unwrap().insert(key) {
+            if let Some(request_key) = persist.request_key(&key.to_bytes()) {
+                persist.store_request(&request_key, &digest);
+            }
         }
     }
 
@@ -630,20 +573,19 @@ impl TraceStore {
     /// [`Error::Store`].
     pub fn sim(&self, req: &TraceRequest, config: &ProcessorConfig) -> Result<SimProduct, Error> {
         let key = req.key();
-        let resolved = match self.requested_digest(key) {
-            Some(digest) => Resolved::Digest(digest),
-            None => Resolved::Built(self.canon_trace(key).map_err(Error::Store)?),
-        };
-        let (id, digest) = match &resolved {
-            Resolved::Digest(digest) => (self.content_id(*digest), Some(*digest)),
-            Resolved::Built(canon) => self.sim_id(key, canon),
+        // The digest first: named by the request tier, or taken from the
+        // built trace.
+        let mut canon = None;
+        let digest = match self.requested_digest(key) {
+            Some(digest) => digest,
+            None => canon.insert(self.built(key).map_err(Error::Store)?).digest,
         };
         // `ProcessorConfig` is not `Hash`; its derived `Debug` rendering
         // covers every field and so is a faithful key. Keying on the
-        // content id (not the trace key) lets distinct requests whose
-        // traces came out identical share one simulation.
+        // digest (not the trace key) lets distinct requests whose traces
+        // came out identical share one simulation.
         let sim_key = format!("{config:?}");
-        let slot = slot_of(&self.sims, (id, sim_key.clone()));
+        let slot = slot_of(&self.sims, (digest, sim_key.clone()));
         let mut built = false;
         let mut disk_served = false;
         let result = slot.get_or_init(|| {
@@ -653,21 +595,15 @@ impl TraceStore {
             // fresh success. A corrupt or missing entry is a plain miss
             // (the store quarantines internally), never an error.
             let persist = self.persist.as_deref();
-            if let (Some(p), Some(digest)) = (persist, digest) {
-                if let Some(product) = p.load(&digest.key(&sim_key)) {
-                    disk_served = true;
-                    return Ok(product);
-                }
+            if let Some(product) = persist.and_then(|p| p.load(&digest.key(&sim_key))) {
+                disk_served = true;
+                return Ok(product);
             }
-            let (canon, digest) = match &resolved {
-                Resolved::Built(canon) => (Arc::clone(canon), digest),
-                // The request tier named a result the store no longer
-                // holds: build the trace after all.
-                Resolved::Digest(_) => {
-                    let canon = self.canon_trace(key)?;
-                    let (_, digest) = self.sim_id(key, &canon);
-                    (canon, digest)
-                }
+            // The trace only if needed: when the request tier named a
+            // result the store no longer holds, build it after all.
+            let canon = match canon {
+                Some(canon) => canon,
+                None => self.built(key)?,
             };
             let result = {
                 let _flight = flight::span("core.simulate", || key.label());
@@ -677,8 +613,8 @@ impl TraceStore {
                     .map(|r| (r.stats, r.ff))
                     .map_err(|e| e.to_string())
             };
-            if let (Some(p), Some(digest), Ok((stats, ff))) = (persist, digest, &result) {
-                p.store(&digest.key(&sim_key), stats, ff);
+            if let (Some(p), Ok((stats, ff))) = (persist, &result) {
+                p.store(&canon.digest.key(&sim_key), stats, ff);
             }
             result
         });
@@ -837,27 +773,61 @@ mod tests {
             ProcessorConfig::single_cluster_8way(),
             ProcessorConfig::dual_cluster_4way(),
         ];
-        for cfg in &configs {
-            store.sim(&base, cfg).unwrap();
-            plain.sim(&base, cfg).unwrap();
-        }
         // The unrolled request builds under its own key but canonicalizes
-        // to the same content (see above), so it reuses the digest too.
+        // to the same content (see above), so it shares the digest too.
         let unrolled = base.with_unroll(2);
         let cfg = ProcessorConfig::single_cluster_4way();
-        store.sim(&unrolled, &cfg).unwrap();
-        assert_eq!(store.trace_digests.load(Ordering::Relaxed), 1, "one hash for four keys");
-        assert_eq!(plain.trace_digests.load(Ordering::Relaxed), 0, "no store, no hashing");
-        let c = store.counters();
+        for (req, cfg) in configs.iter().map(|cfg| (&base, cfg)).chain([(&unrolled, &cfg)]) {
+            store.sim(req, cfg).unwrap();
+            plain.sim(req, cfg).unwrap();
+        }
+        let (c, p) = (store.counters(), plain.counters());
         assert_eq!((c.disk_misses, c.disk_stores), (4, 4));
+        assert_eq!((c.sim_hits, c.sim_misses), (p.sim_hits, p.sim_misses), "one memo key");
 
-        // And every key the cached digest produced is the one-shot key.
+        // And every key the stored digest produced is the one-shot key.
         let trace = store.trace(&unrolled).unwrap();
         for cfg in configs.iter().chain([&cfg]) {
             let key = crate::persist::EntryKey::of(&trace, &format!("{cfg:?}"));
             assert!(persist.entry_path(&key).is_file(), "entry for {cfg:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two different traces with one digest cannot share a cache entry,
+    /// so the second to be built is refused.
+    #[test]
+    fn a_digest_shared_by_different_traces_is_an_error() {
+        use mcl_isa::Opcode;
+        use mcl_trace::TraceOp;
+        let op = |seq: u64, pc: u64| TraceOp {
+            seq,
+            pc,
+            op: Opcode::Addq,
+            dest: None,
+            srcs: [None, None],
+            mem_addr: None,
+            branch: None,
+            sched_inserted: false,
+        };
+        // The digest's `pc` chain, spelled out: each step maps state `h`
+        // and word `w` to `(h.rotate_left(5) ^ w) * K`, from state 0. A
+        // second `pc` word chosen to cancel the first's difference brings
+        // the chain back to the same state.
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let state = |pc: u64| pc.wrapping_mul(K).rotate_left(5);
+        let (a0, a1, b0) = (0x1000, 0x1004, 0x2000);
+        let b1 = a1 ^ state(a0) ^ state(b0);
+        let a = PackedTrace::from_ops(&[op(0, a0), op(1, a1)]);
+        let b = PackedTrace::from_ops(&[op(0, b0), op(1, b1)]);
+        assert_ne!(a, b);
+        assert_eq!(a.digest(), b.digest(), "the two traces collide");
+
+        let store = TraceStore::new();
+        let held = store.canonicalize(a.clone()).unwrap();
+        assert!(Arc::ptr_eq(&store.canonicalize(a).unwrap().trace, &held.trace));
+        let err = store.canonicalize(b).err().expect("a collision is refused");
+        assert!(err.contains("share the content digest"), "{err}");
     }
 
     #[test]

@@ -228,6 +228,22 @@ fn a_checked_run_is_served_from_a_plain_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checked profile runs single-stepped under the checker, so its
+/// header and its export both name the level.
+#[test]
+fn a_profile_names_its_check_level() {
+    let dir = temp_dir("profile-check");
+    let args = ["profile", "8", "--check", "cycle", "--obs", "p"];
+    let out = repro_with_env(&dir, &args, &[("MCL_ONLY", "compress")]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let header = "Engine phase-cost profile (dual-cluster, local scheduler, check cycle)";
+    assert!(stdout.starts_with(header), "{stdout}");
+    let export = std::fs::read_to_string(dir.join("p/compress.hostprof.json")).unwrap();
+    assert!(export.contains("\"check\":\"cycle\""), "{export}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_repeated_value_flag_is_rejected() {
     let dir = temp_dir("repeated-flag");

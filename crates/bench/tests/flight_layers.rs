@@ -111,6 +111,11 @@ fn the_store_spans_each_layer_it_builds_and_nothing_it_serves() {
     for layer in FRONT_END.iter().chain(&persisted) {
         assert!(cats(&cold).contains(layer), "cold run lacks {layer}: {cold:?}");
     }
+    // The trace's digest is taken inside `trace.pack`; the only key
+    // work left is the executable fingerprint.
+    let keys: Vec<&str> =
+        cold.iter().filter(|s| s.cat == "persist.key").map(|s| s.name.as_str()).collect();
+    assert_eq!(keys, ["fingerprint"], "{cold:?}");
 
     // A warm request-tier hit builds and simulates nothing.
     let warm = TraceStore::new().with_persist(open());

@@ -240,6 +240,16 @@ fn unpack_reg(byte: u8) -> Option<ArchReg> {
     }
 }
 
+/// MurmurHash3's 64-bit finalizer: a bijection that spreads every input
+/// bit over the whole word.
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ h >> 33
+}
+
 /// An immutable-after-build dynamic instruction stream in packed form.
 ///
 /// # Example
@@ -337,14 +347,23 @@ impl PackedTrace {
         self.iter().collect()
     }
 
-    /// A fast 64-bit hash of the trace's content, for bucketing traces
-    /// that may be equal: a multiply-rotate mix over the records' `pc`
-    /// words, one over their `aux` words and one over their packed byte
-    /// fields (three independent chains, so they overlap in the
-    /// pipeline), folded with the length. It is not collision-resistant,
-    /// so compare contents before treating two traces as one.
+    /// The trace's 128-bit content digest: its identity in every cache
+    /// keyed on "which trace is this".
+    ///
+    /// Three independent multiply-rotate chains (so they overlap in the
+    /// pipeline) run over the records' `pc` words, their `aux` words and
+    /// their packed byte fields; each chain gets a 64-bit finalizer, and
+    /// the three are folded with the length into two 64-bit halves.
+    ///
+    /// Every chain step is a bijection in the state and in the word, and
+    /// the fold changes with any one or two of the finalized chains while
+    /// the rest hold. So two traces of equal length that differ in one
+    /// record always get different digests, unless the record differs in
+    /// all three words at once (168 bits of record cannot all map to 128
+    /// bits of digest). Anything else is only unlikely to collide, so
+    /// compare contents before treating two traces with one digest as one.
     #[must_use]
-    pub fn content_hash(&self) -> u64 {
+    pub fn digest(&self) -> u128 {
         // FxHash's multiplier: odd, with well-spread bits.
         const K: u64 = 0x517c_c1b7_2722_0a95;
         let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
@@ -352,7 +371,10 @@ impl PackedTrace {
             let bytes = [op.op, op.dest, op.src0, op.src1, op.flags, 0, 0, 0];
             (mix(pc, op.pc), mix(aux, op.aux), mix(fields, u64::from_le_bytes(bytes)))
         });
-        [pc, aux, fields].into_iter().fold(self.ops.len() as u64, mix)
+        let fields = fmix64(fields ^ self.ops.len() as u64);
+        let hi = fmix64(pc) ^ fields;
+        let lo = fmix64(aux) ^ fields.rotate_left(32);
+        u128::from(hi) << 64 | u128::from(lo)
     }
 
     /// Bytes per stored record (24, vs [`TraceOp`]'s ~72).
@@ -370,21 +392,12 @@ impl PackedTrace {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.ops.len() * PackedTrace::WIRE_BYTES_PER_OP);
-        self.for_each_wire_record(|rec| out.extend_from_slice(rec));
-        out
-    }
-
-    /// Calls `f` with each record's [`PackedTrace::to_bytes`] encoding,
-    /// in sequence order, without materializing the whole stream —
-    /// for consumers (content hashes) that only stream over it.
-    pub fn for_each_wire_record(&self, mut f: impl FnMut(&[u8; PackedTrace::WIRE_BYTES_PER_OP])) {
-        let mut rec = [0u8; PackedTrace::WIRE_BYTES_PER_OP];
         for op in &self.ops {
-            rec[0..8].copy_from_slice(&op.pc.to_le_bytes());
-            rec[8..16].copy_from_slice(&op.aux.to_le_bytes());
-            rec[16..].copy_from_slice(&[op.op, op.dest, op.src0, op.src1, op.flags]);
-            f(&rec);
+            out.extend_from_slice(&op.pc.to_le_bytes());
+            out.extend_from_slice(&op.aux.to_le_bytes());
+            out.extend_from_slice(&[op.op, op.dest, op.src0, op.src1, op.flags]);
         }
+        out
     }
 
     /// Deserializes a [`PackedTrace::to_bytes`] stream, validating every
@@ -609,6 +622,74 @@ mod tests {
         let mut bad_aux = good;
         bad_aux[20] = 0; // drop HAS_BRANCH but leave the target word
         assert_eq!(PackedTrace::from_bytes(&bad_aux), Err(PackedDecodeError::BadAux { index: 0 }));
+    }
+
+    fn random_reg(rng: &mut mcl_testutil::Rng) -> Option<ArchReg> {
+        rng.flip().then(|| ArchReg::from_dense_index(rng.range(0, usize::from(DENSE_REGS))))
+    }
+
+    fn random_op(rng: &mut mcl_testutil::Rng, seq: u64) -> TraceOp {
+        let mem_addr = rng.flip().then(|| rng.next_u64());
+        let branch = (mem_addr.is_none() && rng.flip()).then(|| BranchInfo {
+            taken: rng.flip(),
+            target_pc: rng.next_u64(),
+            conditional: rng.flip(),
+        });
+        TraceOp {
+            seq,
+            pc: rng.next_u64(),
+            op: *rng.pick(Opcode::all()),
+            dest: random_reg(rng),
+            srcs: [random_reg(rng), random_reg(rng)],
+            mem_addr,
+            branch,
+            sched_inserted: rng.flip(),
+        }
+    }
+
+    /// Flips a nonzero set of bits in field `field` (0..7, in wire
+    /// order) of `op`.
+    fn perturb(op: &mut PackedOp, field: usize, rng: &mut mcl_testutil::Rng) {
+        let word = rng.next_u64().max(1);
+        let byte = rng.below(255) as u8 + 1;
+        match field {
+            0 => op.pc ^= word,
+            1 => op.aux ^= word,
+            2 => op.op ^= byte,
+            3 => op.dest ^= byte,
+            4 => op.src0 ^= byte,
+            5 => op.src1 ^= byte,
+            _ => op.flags ^= byte,
+        }
+    }
+
+    /// The digest survives the wire form, and changes when any single
+    /// field of any single record changes, or a record is dropped or
+    /// appended — for random traces, the empty one included.
+    #[test]
+    fn digest_is_kept_by_the_wire_and_changed_by_any_one_edit() {
+        mcl_testutil::check_cases(256, |rng| {
+            let len = if rng.below(8) == 0 { 0 } else { rng.range(1, 24) };
+            let ops: Vec<TraceOp> = (0..len as u64).map(|seq| random_op(rng, seq)).collect();
+            let trace = PackedTrace::from_ops(&ops);
+            let digest = trace.digest();
+            assert_eq!(PackedTrace::from_bytes(&trace.to_bytes()).unwrap().digest(), digest);
+            for index in 0..len {
+                for field in 0..7 {
+                    let mut edited = trace.clone();
+                    perturb(&mut edited.ops[index], field, rng);
+                    assert_ne!(edited.digest(), digest, "field {field} of record {index}");
+                }
+            }
+            let mut longer = trace.clone();
+            longer.push(&random_op(rng, len as u64));
+            assert_ne!(longer.digest(), digest, "appended record");
+            if len > 0 {
+                let mut shorter = trace.clone();
+                shorter.ops.remove(rng.range(0, len));
+                assert_ne!(shorter.digest(), digest, "dropped record");
+            }
+        });
     }
 
     #[test]

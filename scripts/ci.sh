@@ -187,6 +187,10 @@ test -s "$smoke_dir/hostprof_out/compress.hostprof.json" || {
     exit 1
 }
 target/release/repro obs-validate "$smoke_dir/hostprof_out"
+grep -q '"check":"off"' "$smoke_dir/hostprof_out/compress.hostprof.json" || {
+    echo "FAIL: compress.hostprof.json does not record check level off" >&2
+    exit 1
+}
 grep -q '"profile":{"dir":"hostprof_out"}' "$smoke_dir/BENCH_repro.json" || {
     echo "FAIL: profile run not recorded in BENCH_repro.json" >&2
     exit 1
@@ -282,14 +286,26 @@ echo "== smoke: persistent result store (cold vs warm) =="
 # tier, so it builds no trace. The speedup guard compares the runs'
 # total wall time; override with MCL_STORE_GUARD_SPEEDUP.
 store_speedup_floor="${MCL_STORE_GUARD_SPEEDUP:-5.0}"
+# The simulation memo keys on the trace digest with a store as without
+# one, so both runs count what the plain `repro all 8` runs above count.
+store_memo_counts() {
+    for counter in '"sim_hits":56' '"sim_misses":136'; do
+        grep -q "$counter" "$smoke_dir/BENCH_repro.json" || {
+            echo "FAIL: $1 --store run report lacks $counter" >&2
+            exit 1
+        }
+    done
+}
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 1 --store result_store > all_cold.txt)
 cold_wall="$(grep -o '"total_wall_seconds":[0-9.]*' "$smoke_dir/BENCH_repro.json" | head -1 | cut -d: -f2)"
+store_memo_counts cold
 grep -q '"disk_stores":0' "$smoke_dir/BENCH_repro.json" && {
     echo "FAIL: cold --store run persisted nothing" >&2
     exit 1
 }
 (cd "$smoke_dir" && "$OLDPWD/target/release/repro" all 8 --jobs 1 --store result_store > all_warm.txt)
 warm_wall="$(grep -o '"total_wall_seconds":[0-9.]*' "$smoke_dir/BENCH_repro.json" | head -1 | cut -d: -f2)"
+store_memo_counts warm
 if ! diff -q "$smoke_dir/all_cold.txt" "$smoke_dir/all_warm.txt"; then
     echo "FAIL: warm --store run changed repro all output" >&2
     exit 1
