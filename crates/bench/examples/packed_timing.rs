@@ -1,8 +1,8 @@
 //! A/B harness for the two trace representations: runs the same
 //! benchmark trace through `Processor::run_trace` (the 72-byte
-//! `TraceOp` slice) and `Processor::run_packed` (the 24-byte packed
-//! form), asserts the statistics are identical, and prints the wall
-//! time of each.
+//! `TraceOp` slice) and `Processor::run_packed` (the packed form: 8
+//! bytes per op over a table of static instructions), asserts the
+//! statistics are identical, and prints the wall time of each.
 //!
 //! ```text
 //! cargo run --release -p mcl-bench --example packed_timing

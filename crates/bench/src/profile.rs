@@ -1,8 +1,9 @@
 //! `repro profile` — host engine phase-cost attribution reports.
 //!
 //! For each benchmark this module reruns the dual-cluster /
-//! local-scheduler Table 2 cell with a [`PhaseProf`] attached and turns
-//! the telescoped per-phase nanosecond buckets into two artifacts:
+//! local-scheduler Table 2 cell with a [`PhaseProf`](mcl_core::PhaseProf)
+//! attached and turns the telescoped per-phase nanosecond buckets into
+//! two artifacts:
 //!
 //! - `<bench>.hostprof.json` — the machine-readable breakdown (schema
 //!   [`HOSTPROF_SCHEMA_VERSION`], validated by `repro obs-validate`),

@@ -65,7 +65,7 @@
 //! probe tools' companions) bypass it.
 //!
 //! The store keeps no clock of its own. Each stage that does real work
-//! records a [`flight`](crate::flight) span inside its build slot, in a
+//! records a [`flight`] span inside its build slot, in a
 //! category named after the benchmark layer it belongs to:
 //! `workloads.build` (IL), `sched.prepare`, `sched.schedule`,
 //! `trace.pack` (the digest included) and `core.simulate`, plus the

@@ -289,7 +289,7 @@ impl TimeQ {
     }
 
     /// Visits every scheduled entry in no particular order. Walks the
-    /// occupancy bitmap rather than all [`WHEEL_SLOTS`] slot headers,
+    /// occupancy bitmap rather than all `WHEEL_SLOTS` slot headers,
     /// so a sparse queue (the common case — the invariant checker
     /// calls this every validated cycle) costs O(occupied slots).
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
@@ -505,7 +505,7 @@ const RING: u64 = 64;
 /// only reads them on actionless cycles — to ask for the earliest live
 /// one — and the invariant checker audits them. So recording must be
 /// cheap and answering may walk: an event is one `u64` key pushed on
-/// the bucket of its cycle in a [`RING`]-cycle ring with an occupancy
+/// the bucket of its cycle in a `RING`-cycle ring with an occupancy
 /// word, fired buckets are cleared as the clock passes them, and the
 /// earliest-event question walks the occupied buckets in cycle order.
 /// The rare event past the ring's horizon waits in a side list.

@@ -15,6 +15,7 @@ use std::fmt;
 use mcl_isa::{ArchReg, Opcode};
 
 use crate::instr::Instr;
+use crate::packed::SiteHint;
 use crate::profile::Profile;
 use crate::program::{BlockId, Layout, Program};
 use crate::traceop::{BranchInfo, TraceOp};
@@ -541,8 +542,22 @@ pub fn trace_program_packed(
     let mut vm = Vm::new(program);
     let capacity = capacity_hint.max(vm.static_len());
     let mut ops = crate::PackedTrace::with_capacity(capacity);
+    // One hint per static instruction, at its block's offset plus its
+    // index, so a step finds its static record without hashing.
+    let block_base: Vec<usize> = program
+        .blocks
+        .iter()
+        .scan(0, |next, b| {
+            let base = *next;
+            *next += b.instrs.len();
+            Some(base)
+        })
+        .collect();
+    let mut sites = vec![SiteHint::default(); vm.static_len()];
     for step in vm.by_ref() {
-        ops.push(&TraceOp::from(step?));
+        let step = step?;
+        let site = &mut sites[block_base[step.block.index()] + step.index];
+        ops.push_at(&TraceOp::from(step), site);
     }
     Ok((ops, vm.profile().clone()))
 }

@@ -12,6 +12,9 @@ cargo build --release
 echo "== lint: clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== lint: rustdoc =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1: tests (default members: the whole workspace) =="
 cargo test -q
 
