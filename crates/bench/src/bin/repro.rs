@@ -1159,7 +1159,6 @@ fn selftest_cell(
 
 fn plan_selftest(plan: &mut Plan, divisor: u32) {
     let mut cells = vec![
-        selftest_cell("packed-vs-fat", move || selftest::packed_vs_fat(divisor)),
         selftest_cell("store-vs-fresh", move || selftest::store_vs_fresh(divisor)),
         selftest_cell("jobs-agree", move || selftest::jobs_agree(divisor)),
     ];

@@ -43,8 +43,8 @@ use mcl_core::{Processor, ProcessorConfig, SimError, SimStats};
 use mcl_isa::assign::RegisterAssignment;
 use mcl_isa::ArchReg;
 use mcl_sched::SchedulerKind;
-use mcl_trace::vm::trace_program;
-use mcl_trace::{ProgramBuilder, TraceOp};
+use mcl_trace::vm::trace_program_packed;
+use mcl_trace::{PackedTrace, ProgramBuilder};
 use mcl_workloads::Benchmark;
 
 use crate::runner::{self, Cell, CellCost, CellStatus};
@@ -96,7 +96,7 @@ impl Workload {
     }
 
     /// The machine trace of this workload.
-    fn ops(self) -> Result<Vec<TraceOp>, Error> {
+    fn trace(self) -> Result<PackedTrace, Error> {
         let program = match self {
             Workload::Chain => {
                 let mut b = ProgramBuilder::<ArchReg>::new("chain");
@@ -150,8 +150,8 @@ impl Workload {
                 return crate::schedule_and_trace(&il, SchedulerKind::Local, &assignment, None);
             }
         };
-        let (ops, _) = trace_program(&program).map_err(Error::Vm)?;
-        Ok(ops)
+        let (trace, _) = trace_program_packed(&program, 0).map_err(Error::Vm)?;
+        Ok(trace)
     }
 
     /// The machine this workload runs on (cross-cluster workloads need
@@ -412,7 +412,7 @@ impl ChaosReport {
 /// retried with a doubled budget and a short backoff.
 fn run_with_watchdog(
     processor: &Processor,
-    ops: &[TraceOp],
+    trace: &PackedTrace,
     watchdog_seconds: f64,
 ) -> (Result<SimStats, SimError>, u32) {
     let mut budget = watchdog_seconds;
@@ -421,7 +421,7 @@ fn run_with_watchdog(
         attempts += 1;
         let result = {
             let _armed = mcl_core::watchdog::arm_for(Duration::from_secs_f64(budget));
-            processor.clone().run_trace(ops).map(|r| r.stats)
+            processor.clone().run_packed(trace).map(|r| r.stats)
         };
         match result {
             Err(SimError::Timeout { .. }) if attempts <= TIMEOUT_RETRIES => {
@@ -435,13 +435,13 @@ fn run_with_watchdog(
 
 /// Runs and classifies one campaign cell.
 fn run_case(case: &Case, watchdog_seconds: f64) -> Result<ChaosRow, Error> {
-    let ops = case.workload.ops()?;
+    let trace = case.workload.trace()?;
     // Clean baseline: same configuration, no fault. Must succeed.
-    let (baseline, _) = run_with_watchdog(&case.processor(false), &ops, watchdog_seconds);
+    let (baseline, _) = run_with_watchdog(&case.processor(false), &trace, watchdog_seconds);
     let baseline = baseline.map_err(|e| {
         Error::SelfCheck(format!("{}: clean baseline failed: {e}", case.id()))
     })?;
-    let (faulted, attempts) = run_with_watchdog(&case.processor(true), &ops, watchdog_seconds);
+    let (faulted, attempts) = run_with_watchdog(&case.processor(true), &trace, watchdog_seconds);
     let outcome = match (faulted, case.expect) {
         (Err(SimError::Invariant { cycle, rule, .. }), Expect::Invariant(want))
             if rule == want =>

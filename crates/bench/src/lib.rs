@@ -39,15 +39,15 @@
 //!   one Chrome trace of cell scheduling and, inside each cell, of the
 //!   work done per benchmark layer, across the entire invocation.
 //!
-//! Everything here is a library so the `repro` binary and the criterion
-//! benches share one implementation.
+//! Everything here is a library so the `repro` binary, the benchmark
+//! harness and the tests share one implementation.
 
 use std::fmt;
 
 use mcl_core::{Processor, ProcessorConfig, SimError, SimStats};
 use mcl_isa::assign::RegisterAssignment;
 use mcl_sched::{ScheduleError, ScheduleOptions, SchedulePipeline, SchedulerKind};
-use mcl_trace::{vm::trace_program, Program, TraceOp, VmError, Vreg};
+use mcl_trace::{vm::trace_program_packed, PackedTrace, Program, VmError, Vreg};
 use mcl_workloads::Benchmark;
 
 pub mod ablate;
@@ -144,13 +144,13 @@ pub fn schedule_and_trace(
     kind: SchedulerKind,
     assignment: &RegisterAssignment,
     options: Option<ScheduleOptions>,
-) -> Result<Vec<TraceOp>, Error> {
+) -> Result<PackedTrace, Error> {
     let mut pipeline = SchedulePipeline::new(kind, assignment);
     if let Some(options) = options {
         pipeline = pipeline.with_options(options);
     }
     let scheduled = pipeline.run(il)?;
-    let (trace, _) = trace_program(&scheduled.program)?;
+    let (trace, _) = trace_program_packed(&scheduled.program, 0)?;
     Ok(trace)
 }
 
@@ -159,8 +159,8 @@ pub fn schedule_and_trace(
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn simulate(config: &ProcessorConfig, trace: &[TraceOp]) -> Result<SimStats, Error> {
-    Ok(Processor::new(config.clone()).run_trace(trace)?.stats)
+pub fn simulate(config: &ProcessorConfig, trace: &PackedTrace) -> Result<SimStats, Error> {
+    Ok(Processor::new(config.clone()).run_packed(trace)?.stats)
 }
 
 /// The three runs behind one Table 2 row, served by `store`: the

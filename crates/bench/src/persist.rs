@@ -44,7 +44,7 @@
 //!   quarantine and LRU rules above, and count in their own counters.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -169,12 +169,25 @@ impl TraceDigest {
 /// (that process simply has no request tier).
 fn exe_fingerprint() -> Option<u128> {
     static FINGERPRINT: OnceLock<Option<u128>> = OnceLock::new();
-    *FINGERPRINT.get_or_init(|| {
-        let bytes = std::env::current_exe().and_then(fs::read).ok()?;
-        let mut hash = Fnv128::new();
-        hash.absorb(&bytes);
-        Some(u128::from(hash.hi) << 64 | u128::from(hash.lo))
-    })
+    *FINGERPRINT.get_or_init(|| std::env::current_exe().and_then(file_fingerprint).ok())
+}
+
+/// The FNV-128 of a file's bytes, streamed through a fixed buffer so
+/// hashing a multi-megabyte executable never holds it in memory. FNV is
+/// sequential, so the hash equals one [`Fnv128::absorb`] of the whole
+/// file.
+fn file_fingerprint(path: impl AsRef<Path>) -> std::io::Result<u128> {
+    let mut file = fs::File::open(path)?;
+    let mut buf = [0u8; 64 << 10];
+    let mut hash = Fnv128::new();
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => return Ok(u128::from(hash.hi) << 64 | u128::from(hash.lo)),
+            Ok(n) => hash.absorb(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// The store capacity `MCL_STORE_CAP_BYTES` asks for: the default when
@@ -679,6 +692,22 @@ mod tests {
             .join(format!("mcl-persist-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         PersistStore::open_with_cap(&dir, cap).unwrap()
+    }
+
+    #[test]
+    fn streamed_file_fingerprint_equals_the_one_shot_hash() {
+        // Two and a half buffers and a few bytes: full reads, a partial
+        // one, then end of file.
+        let mut rng = mcl_testutil::Rng::new(7);
+        let bytes: Vec<u8> = (0..(5 << 15) + 13).map(|_| rng.next_u64() as u8).collect();
+        let path = std::env::temp_dir()
+            .join(format!("mcl-persist-fingerprint-{}", std::process::id()));
+        fs::write(&path, &bytes).unwrap();
+        let mut one_shot = Fnv128::new();
+        one_shot.absorb(&fs::read(&path).unwrap());
+        let want = u128::from(one_shot.hi) << 64 | u128::from(one_shot.lo);
+        assert_eq!(file_fingerprint(&path).unwrap(), want);
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

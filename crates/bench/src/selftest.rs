@@ -4,9 +4,6 @@
 //! that must agree, or injects a known fault and demands the safety net
 //! catches it:
 //!
-//! - [`packed_vs_fat`] — simulating a [`PackedTrace`] must give exactly
-//!   the statistics of simulating its unpacked [`mcl_trace::TraceOp`]
-//!   form;
 //! - [`store_vs_fresh`] — a memoized [`TraceStore`] simulation must
 //!   equal a from-scratch schedule/trace/simulate of the same cell;
 //! - [`jobs_agree`] — the worker pool at `--jobs N` must produce the
@@ -44,7 +41,7 @@ use mcl_core::{CheckLevel, FaultInjection, Processor, ProcessorConfig, SimError}
 use mcl_isa::ArchReg;
 use mcl_sched::SchedulerKind;
 use mcl_testutil::Rng;
-use mcl_trace::{vm::trace_program, PackedDecodeError, PackedTrace, Program, ProgramBuilder};
+use mcl_trace::{vm::trace_program_packed, PackedDecodeError, PackedTrace, Program, ProgramBuilder};
 use mcl_workloads::Benchmark;
 
 use crate::obs::{obs_err, Reference};
@@ -58,31 +55,6 @@ fn quick_scale(bench: Benchmark, divisor: u32) -> u32 {
 
 fn mismatch(what: &str, detail: String) -> Error {
     Error::SelfCheck(format!("{what}: {detail}"))
-}
-
-/// Simulating the packed and the unpacked form of one trace must give
-/// identical statistics.
-///
-/// # Errors
-///
-/// [`Error::SelfCheck`] on divergence; simulation errors propagate.
-pub fn packed_vs_fat(divisor: u32) -> Result<(String, CellCost), Error> {
-    let bench = Benchmark::Compress;
-    let store = TraceStore::new();
-    let req = TraceRequest::new(bench, quick_scale(bench, divisor), SchedulerKind::Naive);
-    let packed = store.trace(&req)?;
-    let cfg = ProcessorConfig::dual_cluster_8way();
-    let from_packed = Processor::new(cfg.clone()).run_packed(&packed)?.stats;
-    let fat = packed.to_ops();
-    let from_fat = Processor::new(cfg).run_trace(&fat)?.stats;
-    if from_packed != from_fat {
-        return Err(mismatch(
-            "packed-vs-fat",
-            format!("packed {} cycles, fat {} cycles", from_packed.cycles, from_fat.cycles),
-        ));
-    }
-    let cost = CellCost::cycles(from_packed.cycles + from_fat.cycles);
-    Ok((format!("{} ops, {} cycles, stats identical", fat.len(), from_packed.cycles), cost))
 }
 
 /// A memoized [`TraceStore`] simulation must equal an independent
@@ -307,15 +279,15 @@ pub fn fuzz_checker(cases: u64) -> Result<(String, CellCost), Error> {
     for seed in 0..cases {
         let mut rng = Rng::new(seed);
         let program = random_program(&mut rng);
-        let (trace, _) = trace_program(&program).map_err(Error::Vm)?;
+        let (trace, _) = trace_program_packed(&program, 0).map_err(Error::Vm)?;
         for (_, cfg) in &presets {
             let baseline = Processor::new(cfg.clone())
-                .run_trace(&trace)
+                .run_packed(&trace)
                 .map_err(|e| mismatch("fuzz-checker", format!("seed {seed} failed plain: {e}")))?
                 .stats;
             let checked = Processor::new(cfg.clone())
                 .checked(CheckLevel::Cycle)
-                .run_trace(&trace)
+                .run_packed(&trace)
                 .map_err(|e| {
                     mismatch("fuzz-checker", format!("seed {seed} tripped the checker: {e}"))
                 })?
@@ -395,8 +367,7 @@ pub fn corrupt_packed_rejected() -> Result<(String, CellCost), Error> {
     b.addq_imm(ArchReg::int(3), ArchReg::int(2), 1);
     b.mulq(ArchReg::int(4), ArchReg::int(3), ArchReg::int(2));
     let program = b.finish().expect("valid");
-    let (trace, _) = trace_program(&program).map_err(Error::Vm)?;
-    let packed = PackedTrace::from_ops(&trace);
+    let (packed, _) = trace_program_packed(&program, 0).map_err(Error::Vm)?;
     let good = packed.to_bytes();
 
     if PackedTrace::from_bytes(&good).as_ref() != Ok(&packed) {
@@ -541,7 +512,6 @@ mod tests {
     #[test]
     fn differential_checks_pass_at_a_coarse_scale() {
         let divisor = 64;
-        packed_vs_fat(divisor).unwrap();
         store_vs_fresh(divisor).unwrap();
         jobs_agree(divisor).unwrap();
     }

@@ -687,7 +687,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(packed.to_ops(), direct);
+        assert_eq!(*packed, direct);
     }
 
     #[test]
@@ -841,11 +841,7 @@ mod tests {
         assert!(first.fresh, "the first serve runs the simulator");
         assert!(!cached.fresh, "the second serve is a cache hit");
         assert_eq!(first.ff, cached.ff, "cached serves report the original run's counters");
-        let fresh = crate::simulate(
-            &cfg,
-            &store.trace(&req).unwrap().to_ops(),
-        )
-        .unwrap();
+        let fresh = crate::simulate(&cfg, &store.trace(&req).unwrap()).unwrap();
         assert_eq!(first.stats, fresh);
         let c = store.counters();
         assert_eq!((c.sim_hits, c.sim_misses), (1, 1));

@@ -548,10 +548,10 @@ mod tests {
         ] {
             let program = cross_cluster_program();
             let plain = Processor::new(cfg.clone()).run_program(&program).unwrap().stats;
-            let (trace, _) = mcl_trace::vm::trace_program(&program).unwrap();
+            let (trace, _) = mcl_trace::vm::trace_program_packed(&program, 0).unwrap();
             let mut probe = CritPathProbe::new();
             let observed =
-                Processor::new(cfg).run_trace_observed(&trace, &mut probe).unwrap().stats;
+                Processor::new(cfg).run_packed_observed(&trace, &mut probe).unwrap().stats;
             assert_eq!(observed, plain, "probe perturbed the simulation");
             let attr = probe.attribution(observed.cycles);
             attr.check_identity(observed.cycles).unwrap();

@@ -587,9 +587,9 @@ mod tests {
         end: u64,
     ) -> (PipeTrace, crate::stats::SimStats) {
         let plain = Processor::new(cfg.clone()).run_program(program).unwrap().stats;
-        let (trace, _) = mcl_trace::vm::trace_program(program).unwrap();
+        let (trace, _) = mcl_trace::vm::trace_program_packed(program, 0).unwrap();
         let mut probe = PipeTraceProbe::new(start, end);
-        let observed = Processor::new(cfg).run_trace_observed(&trace, &mut probe).unwrap().stats;
+        let observed = Processor::new(cfg).run_packed_observed(&trace, &mut probe).unwrap().stats;
         assert_eq!(observed, plain, "probe perturbed the simulation");
         (probe.finish(), observed)
     }

@@ -16,7 +16,7 @@ use mcl_bpred::BranchPredictor;
 use mcl_isa::issue::IssueBudget;
 use mcl_isa::{ArchReg, ClusterId, InstrClass, RegBank};
 use mcl_mem::{Access, Cache};
-use mcl_trace::{vm::trace_program, PackedTrace, Program, TraceOp, TraceSource, VmError};
+use mcl_trace::{vm::trace_program_packed, PackedTrace, Program, TraceOp, VmError};
 
 use crate::check::{self, CheckLevel, FaultInjection};
 use crate::config::ProcessorConfig;
@@ -225,10 +225,10 @@ impl Processor {
     /// # Errors
     ///
     /// Returns [`SimError::Trace`] if the program does not execute, or
-    /// any error of [`Processor::run_trace`].
+    /// any error of [`Processor::run_packed`].
     pub fn run_program(&mut self, program: &Program<ArchReg>) -> Result<SimResult, SimError> {
-        let (trace, _profile) = trace_program(program)?;
-        self.run_trace(&trace)
+        let (trace, _profile) = trace_program_packed(program, 0)?;
+        self.run_packed(&trace)
     }
 
     /// Simulates a dynamic instruction stream.
@@ -236,34 +236,8 @@ impl Processor {
     /// # Errors
     ///
     /// See [`SimError`].
-    pub fn run_trace(&mut self, trace: &[TraceOp]) -> Result<SimResult, SimError> {
-        Sim::new(self, trace, NullProbe, NullHostProf).run()
-    }
-
-    /// Simulates a packed dynamic instruction stream (same timing model
-    /// and results as [`Processor::run_trace`], ~3× less memory traffic
-    /// per fetched instruction).
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
     pub fn run_packed(&mut self, trace: &PackedTrace) -> Result<SimResult, SimError> {
         Sim::new(self, trace, NullProbe, NullHostProf).run()
-    }
-
-    /// Like [`Processor::run_trace`], with an observability [`Probe`]
-    /// attached. The probe observes and never perturbs: statistics and
-    /// results are identical to the unobserved run.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_trace_observed<P: Probe>(
-        &mut self,
-        trace: &[TraceOp],
-        probe: &mut P,
-    ) -> Result<SimResult, SimError> {
-        Sim::new(self, trace, probe, NullHostProf).run()
     }
 
     /// Like [`Processor::run_packed`], with an observability [`Probe`]
@@ -567,69 +541,8 @@ struct IssuePass {
     oldest_waiting: Option<Option<u64>>,
 }
 
-/// Distribution decisions per static instruction.
-///
-/// An op's distribution, physical-register demand and resource needs
-/// depend only on its registers and the register assignment — except
-/// when the load balance breaks a tie ([`distribute_fixed`]) — so they
-/// are the same for every dynamic instance of a loop body. A small
-/// direct-mapped cache keyed by pc, with the registers as part of the
-/// tag, keeps them; a reassignment clears it.
-#[derive(Debug)]
-struct DistCache {
-    entries: Vec<DistEntry>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct DistEntry {
-    /// `u64::MAX` when empty.
-    pc: u64,
-    /// The dense indices of `dest`, `srcs[0]` and `srcs[1]` (`0xFF`
-    /// for none).
-    regs: [u8; 3],
-    dist: Distribution,
-    phys: PhysRegs,
-    needs: Needs,
-}
-
-impl DistCache {
-    /// Entries (a power of two): loop bodies are short.
-    const SIZE: usize = 512;
-
-    fn new() -> DistCache {
-        let empty = DistEntry {
-            pc: u64::MAX,
-            regs: [0xFF; 3],
-            dist: no_distribution(),
-            phys: PhysRegs::none(),
-            needs: Needs::default(),
-        };
-        DistCache { entries: vec![empty; DistCache::SIZE] }
-    }
-
-    fn tag(op: &TraceOp) -> (usize, [u8; 3]) {
-        let reg = |r: Option<ArchReg>| r.map_or(0xFF, |r| r.dense_index() as u8);
-        let slot = (op.pc >> 2) as usize & (DistCache::SIZE - 1);
-        (slot, [reg(op.dest), reg(op.srcs[0]), reg(op.srcs[1])])
-    }
-
-    fn get(&self, op: &TraceOp) -> Option<(Distribution, PhysRegs, Needs)> {
-        let (slot, regs) = DistCache::tag(op);
-        let e = &self.entries[slot];
-        (e.pc == op.pc && e.regs == regs).then_some((e.dist, e.phys, e.needs))
-    }
-
-    fn insert(&mut self, op: &TraceOp, dist: Distribution, phys: PhysRegs, needs: Needs) {
-        let (slot, regs) = DistCache::tag(op);
-        self.entries[slot] = DistEntry { pc: op.pc, regs, dist, phys, needs };
-    }
-
-    fn clear(&mut self) {
-        for e in &mut self.entries {
-            e.pc = u64::MAX;
-        }
-    }
-}
+/// An op's distribution, physical-register demand and resource needs.
+type FrontEnd = (Distribution, PhysRegs, Needs);
 
 /// Memoized front-end work for the op at a stalled dispatch cursor.
 ///
@@ -985,10 +898,10 @@ enum FetchStall {
     Reassign,
 }
 
-struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = NullHostProf> {
+struct Sim<'a, P: Probe = NullProbe, H: HostProf = NullHostProf> {
     cfg: &'a ProcessorConfig,
     assign: mcl_isa::assign::RegisterAssignment,
-    trace: &'a T,
+    trace: &'a PackedTrace,
     cursor: usize,
     now: u64,
 
@@ -1081,8 +994,14 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     /// the next op to dispatch and no dispatch, replay, or
     /// reassignment has run since it was recorded.
     dispatch_memo: Option<DispatchMemo>,
-    /// See [`DistCache`].
-    dist_cache: DistCache,
+    /// Distribution decisions per static record of the trace, indexed
+    /// by [`PackedTrace::sidx`]. An op's distribution, physical-register
+    /// demand and resource needs depend only on its registers and the
+    /// register assignment, except when the load balance breaks a tie
+    /// ([`distribute_fixed`]), and a static record fixes the registers.
+    /// So every dynamic instance of a static record shares one entry; a
+    /// reassignment clears the table.
+    dist_table: Vec<Option<FrontEnd>>,
     stats: SimStats,
 
     /// Set during the issue pass when a ready copy was blocked *only* by
@@ -1124,8 +1043,13 @@ struct Sim<'a, T: TraceSource + ?Sized, P: Probe = NullProbe, H: HostProf = Null
     hostprof: H,
 }
 
-impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
-    fn new(processor: &'a Processor, trace: &'a T, probe: P, hostprof: H) -> Sim<'a, T, P, H> {
+impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
+    fn new(
+        processor: &'a Processor,
+        trace: &'a PackedTrace,
+        probe: P,
+        hostprof: H,
+    ) -> Sim<'a, P, H> {
         let cfg = &processor.config;
         let assign = cfg.register_assignment();
         let (int_free, fp_free) = free_lists_for(cfg, &assign);
@@ -1170,7 +1094,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             dcache: Cache::new(cfg.dcache),
             balance: [0; 2],
             dispatch_memo: None,
-            dist_cache: DistCache::new(),
+            dist_table: vec![None; trace.static_len()],
             stats: SimStats::default(),
             blocked_on_buffer: false,
             no_progress_cycles: 0,
@@ -1684,7 +1608,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 if !self.icache.probe(op.pc, self.now) {
                     return None;
                 }
-                self.front_end(&op).2
+                self.front_end(&op, self.cursor).2
             }
         };
         if !self.dq_fits(&needs) {
@@ -1708,11 +1632,12 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         })
     }
 
-    /// The distribution of `op`, its physical-register demand and its
-    /// resource needs: from the per-instruction cache when the decision
-    /// does not depend on the load balance (see [`DistCache`]).
-    fn front_end(&self, op: &TraceOp) -> (Distribution, PhysRegs, Needs) {
-        if let Some(hit) = self.dist_cache.get(op) {
+    /// The distribution of `op` (the op at trace index `index`), its
+    /// physical-register demand and its resource needs: from the
+    /// per-static table when the decision does not depend on the load
+    /// balance (see [`Sim::dist_table`]).
+    fn front_end(&self, op: &TraceOp, index: usize) -> FrontEnd {
+        if let Some(hit) = self.dist_table[self.trace.sidx(index)] {
             return hit;
         }
         let dist = distribute(op, &self.assign, &self.balance);
@@ -1720,17 +1645,18 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
         (dist, phys, Needs::of(&dist, &phys))
     }
 
-    /// [`Sim::front_end`], filling the cache on a miss.
-    fn front_end_cached(&mut self, op: &TraceOp) -> (Distribution, PhysRegs, Needs) {
-        if let Some(hit) = self.dist_cache.get(op) {
+    /// [`Sim::front_end`], filling the table on a miss.
+    fn front_end_cached(&mut self, op: &TraceOp, index: usize) -> FrontEnd {
+        let sidx = self.trace.sidx(index);
+        if let Some(hit) = self.dist_table[sidx] {
             return hit;
         }
         let Some(dist) = distribute_fixed(op, &self.assign) else {
-            return self.front_end(op);
+            return self.front_end(op, index);
         };
         let phys = dist.phys_needed(op, &self.assign);
         let needs = Needs::of(&dist, &phys);
-        self.dist_cache.insert(op, dist, phys, needs);
+        self.dist_table[sidx] = Some((dist, phys, needs));
         (dist, phys, needs)
     }
 
@@ -2617,7 +2543,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
                 self.assign = point.assignment;
                 // Distribution votes depend on the assignment.
                 self.dispatch_memo = None;
-                self.dist_cache.clear();
+                self.dist_table.fill(None);
                 let (int_free, fp_free) = free_lists_for(self.cfg, &self.assign);
                 self.int_free = int_free;
                 self.fp_free = fp_free;
@@ -2676,7 +2602,7 @@ impl<'a, T: TraceSource + ?Sized, P: Probe, H: HostProf> Sim<'a, T, P, H> {
             // Distribution and resource checks.
             let (dist, phys, needs) = match memo {
                 Some(front) => front,
-                None => self.front_end_cached(&op),
+                None => self.front_end_cached(&op, self.cursor),
             };
             if !self.dq_fits(&needs) {
                 self.dispatch_memo =
@@ -3587,10 +3513,10 @@ mod tests {
 
     #[test]
     fn event_log_is_recorded_when_enabled() {
-        let (trace, _) = trace_program(&chain_program(3)).unwrap();
+        let (trace, _) = trace_program_packed(&chain_program(3), 0).unwrap();
         let mut events = EventLog::new();
         Processor::new(ProcessorConfig::single_cluster_8way())
-            .run_trace_observed(&trace, &mut events)
+            .run_packed_observed(&trace, &mut events)
             .expect("simulates");
         assert!(events.events().iter().any(|e| e.kind == EventKind::Retired));
         assert!(events.events().iter().any(|e| e.kind == EventKind::MasterIssued));
@@ -3598,7 +3524,9 @@ mod tests {
 
     #[test]
     fn empty_trace_simulates_to_zero_cycles() {
-        let res = Processor::new(ProcessorConfig::single_cluster_8way()).run_trace(&[]).unwrap();
+        let res = Processor::new(ProcessorConfig::single_cluster_8way())
+            .run_packed(&PackedTrace::new())
+            .unwrap();
         assert_eq!(res.stats.cycles, 0);
         assert_eq!(res.stats.retired, 0);
     }
@@ -3914,9 +3842,9 @@ mod tests {
             b.lda(ArchReg::int(2 + 2 * u8::try_from(i).unwrap()), i);
         }
         let p = b.finish().unwrap();
-        let (trace, _) = trace_program(&p).unwrap();
+        let (trace, _) = trace_program_packed(&p, 0).unwrap();
         let processor = Processor::new(ProcessorConfig::dual_cluster_8way());
-        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
+        let mut sim = Sim::new(&processor, &trace, NullProbe, NullHostProf);
         let mut dispatched = 0;
         for _ in 0..100 {
             dispatched += sim.dispatch();
@@ -3963,9 +3891,9 @@ mod tests {
             b.mulq_imm(r, r, 3);
         }
         let p = b.finish().unwrap();
-        let (trace, _) = trace_program(&p).unwrap();
+        let (trace, _) = trace_program_packed(&p, 0).unwrap();
         let processor = Processor::new(ProcessorConfig::single_cluster_8way());
-        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
+        let mut sim = Sim::new(&processor, &trace, NullProbe, NullHostProf);
         for _ in 0..200 {
             sim.step().unwrap();
             if sim.window.iter().any(|d| matches!(d.master_done, Some(t) if t > sim.now)) {
@@ -3996,9 +3924,9 @@ mod tests {
             b.lda(ArchReg::int(2 + 2 * u8::try_from(i).unwrap()), i);
         }
         let p = b.finish().unwrap();
-        let (trace, _) = trace_program(&p).unwrap();
+        let (trace, _) = trace_program_packed(&p, 0).unwrap();
         let processor = Processor::new(ProcessorConfig::dual_cluster_8way());
-        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
+        let mut sim = Sim::new(&processor, &trace, NullProbe, NullHostProf);
         // The first fetch group takes a cold icache miss; step cycles
         // until the whole group has dispatched.
         let mut dispatched = 0;
@@ -4047,9 +3975,9 @@ mod tests {
         b.subq_imm(i, i, 1);
         b.bne(i, body);
         let p = b.finish().unwrap();
-        let (trace, _) = trace_program(&p).unwrap();
+        let (trace, _) = trace_program_packed(&p, 0).unwrap();
         let processor = Processor::new(ProcessorConfig::single_cluster_8way());
-        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
+        let mut sim = Sim::new(&processor, &trace, NullProbe, NullHostProf);
         while sim.cursor < trace.len() || !sim.window.is_empty() {
             sim.step().unwrap();
             let now = sim.now;
@@ -4092,8 +4020,8 @@ mod tests {
                 }
             }
             let p = b.finish().unwrap();
-            let (trace, _) = trace_program(&p).unwrap();
-            let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
+            let (trace, _) = trace_program_packed(&p, 0).unwrap();
+            let mut sim = Sim::new(&processor, &trace, NullProbe, NullHostProf);
             while sim.cursor < trace.len() || !sim.window.is_empty() {
                 sim.step().unwrap();
                 for c in 0..2 {
@@ -4136,10 +4064,10 @@ mod tests {
         b.mulq(p, x, y);
         b.addq_imm(q, p, 1);
         let prog = b.finish().unwrap();
-        let (trace, _) = trace_program(&prog).unwrap();
+        let (trace, _) = trace_program_packed(&prog, 0).unwrap();
         let processor = Processor::new(ProcessorConfig::dual_cluster_8way());
-        let mut sim = Sim::new(&processor, trace.as_slice(), NullProbe, NullHostProf);
-        let mul_issued = |sim: &Sim<'_, [TraceOp]>| {
+        let mut sim = Sim::new(&processor, &trace, NullProbe, NullHostProf);
+        let mul_issued = |sim: &Sim<'_>| {
             sim.window.get(2).is_some_and(|d| d.master_issued.is_some())
         };
         while !mul_issued(&sim) {

@@ -7,7 +7,7 @@ use mcl_core::obs::{ObsConfig, ObsProbe};
 use mcl_core::{Processor, ProcessorConfig, SimResult};
 use mcl_isa::assign::{RegAssignment, RegisterAssignment};
 use mcl_isa::{ArchReg, ClusterId};
-use mcl_trace::vm::trace_program;
+use mcl_trace::vm::trace_program_packed;
 use mcl_trace::{Layout, Program, ProgramBuilder};
 
 /// A loop mixing cross-cluster dependences (forwarded operands and
@@ -63,11 +63,11 @@ fn deadlock_program() -> Program<ArchReg> {
 /// asserts byte-identical statistics before returning both the result
 /// and the finished probe.
 fn run_observed(program: &Program<ArchReg>, cfg: ProcessorConfig) -> (SimResult, ObsProbe) {
-    let (trace, _profile) = trace_program(program).expect("traces");
-    let bare = Processor::new(cfg.clone()).run_trace(&trace).expect("bare run");
+    let (trace, _profile) = trace_program_packed(program, 0).expect("traces");
+    let bare = Processor::new(cfg.clone()).run_packed(&trace).expect("bare run");
     let mut probe = ObsProbe::new(ObsConfig { sample_interval: 64, ring_capacity: 256 });
     let observed = Processor::new(cfg)
-        .run_trace_observed(&trace, &mut probe)
+        .run_packed_observed(&trace, &mut probe)
         .expect("observed run");
     assert_eq!(bare.stats, observed.stats, "probes must observe, never perturb");
     probe.finish();

@@ -60,7 +60,7 @@ pub mod vreg;
 pub use asm::ParseError;
 pub use builder::ProgramBuilder;
 pub use instr::Instr;
-pub use packed::{PackedDecodeError, PackedOp, PackedTrace, TraceSource};
+pub use packed::{PackedDecodeError, PackedOp, PackedTrace};
 pub use profile::Profile;
 pub use program::{Block, BlockId, Layout, Program, ValidateError};
 pub use traceop::{BranchInfo, TraceOp};

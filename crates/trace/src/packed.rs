@@ -27,8 +27,9 @@
 //! [digest](PackedTrace::digest) are defined over the logical records,
 //! so neither depends on the order of the static table.
 //!
-//! [`TraceSource`] abstracts over the two storages so the simulator's
-//! dispatch loop monomorphizes over either without an intermediate copy.
+//! The simulator reads a `PackedTrace` directly: [`PackedTrace::get`]
+//! decodes one op, and [`PackedTrace::sidx`] names its static record, so
+//! per-instruction facts can be kept in a table indexed by it.
 //!
 //! # Invariant
 //!
@@ -357,7 +358,7 @@ fn digest_words(len: usize, words: impl Iterator<Item = [u64; 3]>) -> u128 {
 ///
 /// ```
 /// use mcl_isa::{ArchReg, Opcode};
-/// use mcl_trace::{PackedTrace, TraceOp, TraceSource};
+/// use mcl_trace::{PackedTrace, TraceOp};
 ///
 /// let op = TraceOp {
 ///     seq: 0,
@@ -488,6 +489,19 @@ impl PackedTrace {
         op
     }
 
+    /// The index of the static record of the op at `index`, below
+    /// [`PackedTrace::static_len`]. Ops with one index share pc, opcode,
+    /// registers and flags.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    #[must_use]
+    #[inline(always)]
+    pub fn sidx(&self, index: usize) -> usize {
+        self.ops[index].sidx as usize
+    }
+
     /// Iterates over the unpacked ops in sequence order.
     pub fn iter(&self) -> impl Iterator<Item = TraceOp> + '_ {
         (0..self.len()).map(|i| self.get(i))
@@ -602,43 +616,6 @@ impl PartialEq for PackedTrace {
 }
 
 impl Eq for PackedTrace {}
-
-/// A random-access dynamic instruction stream the simulator can fetch
-/// from: a fat [`TraceOp`] slice or a [`PackedTrace`].
-pub trait TraceSource {
-    /// The number of dynamic instructions.
-    fn len(&self) -> usize;
-
-    /// Whether the stream is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The op at `index` (with its sequence number materialized).
-    fn get(&self, index: usize) -> TraceOp;
-}
-
-impl TraceSource for [TraceOp] {
-    fn len(&self) -> usize {
-        <[TraceOp]>::len(self)
-    }
-
-    #[inline]
-    fn get(&self, index: usize) -> TraceOp {
-        self[index]
-    }
-}
-
-impl TraceSource for PackedTrace {
-    fn len(&self) -> usize {
-        PackedTrace::len(self)
-    }
-
-    #[inline(always)]
-    fn get(&self, index: usize) -> TraceOp {
-        PackedTrace::get(self, index)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -973,6 +950,17 @@ mod tests {
             let keys: std::collections::HashSet<StaticKey> =
                 ops.iter().map(|op| Record::pack(op).split().0).collect();
             assert_eq!(trace.static_len(), keys.len());
+            // A static index is in range and fixes everything but the
+            // auxiliary word's low half: the invariant per-static tables
+            // in the simulator rely on.
+            let mut shapes = std::collections::HashMap::new();
+            for i in 0..len {
+                let sidx = trace.sidx(i);
+                assert!(sidx < trace.static_len(), "op #{i}: sidx {sidx} out of range");
+                let r = Record::pack(&trace.get(i));
+                let shape = *shapes.entry(sidx).or_insert((r.pc, r.fields()));
+                assert_eq!((r.pc, r.fields()), shape, "op #{i} differs from its static record");
+            }
         });
     }
 
@@ -997,15 +985,5 @@ mod tests {
             assert_eq!(reversed.digest(), trace.digest());
             assert_eq!(reversed.to_bytes(), trace.to_bytes());
         });
-    }
-
-    #[test]
-    fn trace_source_views_agree() {
-        let ops = vec![branch_op(0), branch_op(1)];
-        let packed = PackedTrace::from_ops(&ops);
-        assert_eq!(TraceSource::len(&packed), TraceSource::len(ops.as_slice()));
-        for i in 0..ops.len() {
-            assert_eq!(TraceSource::get(&packed, i), TraceSource::get(ops.as_slice(), i));
-        }
     }
 }

@@ -5,7 +5,7 @@
 use mcl_isa::op::Opcode;
 use mcl_isa::reg::ArchReg;
 use mcl_testutil::{check_cases, Rng};
-use mcl_trace::{BranchInfo, PackedDecodeError, PackedTrace, TraceOp, TraceSource};
+use mcl_trace::{BranchInfo, PackedDecodeError, PackedTrace, TraceOp};
 
 fn random_reg(rng: &mut Rng) -> Option<ArchReg> {
     if rng.flip() {
@@ -52,11 +52,10 @@ fn packed_trace_round_trips_random_sequences() {
         let packed = PackedTrace::from_ops(&ops);
         assert_eq!(packed.len(), ops.len());
 
-        // Element-wise through both the packed accessor and the
-        // TraceSource view, plus the bulk conversion.
+        // Element-wise through the packed accessor, plus the bulk
+        // conversion.
         for (i, want) in ops.iter().enumerate() {
             assert_eq!(&packed.get(i), want, "op #{i}");
-            assert_eq!(&TraceSource::get(&packed, i), want, "op #{i} via TraceSource");
         }
         assert_eq!(packed.to_ops(), ops);
     });

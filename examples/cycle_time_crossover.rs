@@ -12,7 +12,7 @@ use multicluster::core::delay::{breakeven_slowdown, net_runtime_ratio, FeatureSi
 use multicluster::core::{Processor, ProcessorConfig};
 use multicluster::isa::assign::RegisterAssignment;
 use multicluster::sched::{SchedulePipeline, SchedulerKind};
-use multicluster::trace::vm::trace_program;
+use multicluster::trace::vm::trace_program_packed;
 use multicluster::workloads::Benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,14 +42,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let il = bench.build(scale);
         let native = SchedulePipeline::new(SchedulerKind::Naive, &assign).run(&il)?;
         let local = SchedulePipeline::new(SchedulerKind::Local, &assign).run(&il)?;
-        let (native_trace, _) = trace_program(&native.program)?;
-        let (local_trace, _) = trace_program(&local.program)?;
+        let (native_trace, _) = trace_program_packed(&native.program, 0)?;
+        let (local_trace, _) = trace_program_packed(&local.program, 0)?;
         let single = Processor::new(ProcessorConfig::single_cluster_8way())
-            .run_trace(&native_trace)?
+            .run_packed(&native_trace)?
             .stats
             .cycles;
         let dual = Processor::new(ProcessorConfig::dual_cluster_8way())
-            .run_trace(&local_trace)?
+            .run_packed(&local_trace)?
             .stats
             .cycles;
         println!(

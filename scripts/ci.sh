@@ -9,6 +9,17 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: build =="
 cargo build --release
 
+echo "== smoke: examples =="
+# Clippy only compiles the top-level examples; run each once, so an
+# example that errors or panics fails CI.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    cargo run --release -q --example "$name" > /dev/null || {
+        echo "FAIL: example $name exited non-zero" >&2
+        exit 1
+    }
+done
+
 echo "== lint: clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 

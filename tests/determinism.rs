@@ -5,7 +5,7 @@
 use multicluster::core::{EventLog, Processor, ProcessorConfig};
 use multicluster::isa::assign::RegisterAssignment;
 use multicluster::sched::{SchedulePipeline, SchedulerKind};
-use multicluster::trace::vm::{trace_program, trace_program_packed};
+use multicluster::trace::vm::trace_program_packed;
 use multicluster::workloads::Benchmark;
 
 #[test]
@@ -35,14 +35,14 @@ fn tracing_and_simulation_are_deterministic() {
     let assign = RegisterAssignment::even_odd_with_default_globals(2);
     let il = Benchmark::Gcc1.build(100);
     let scheduled = SchedulePipeline::new(SchedulerKind::Local, &assign).run(&il).unwrap();
-    let (trace_a, profile_a) = trace_program(&scheduled.program).unwrap();
-    let (trace_b, profile_b) = trace_program(&scheduled.program).unwrap();
+    let (trace_a, profile_a) = trace_program_packed(&scheduled.program, 0).unwrap();
+    let (trace_b, profile_b) = trace_program_packed(&scheduled.program, 0).unwrap();
     assert_eq!(trace_a, trace_b);
     assert_eq!(profile_a, profile_b);
 
     for cfg in [ProcessorConfig::single_cluster_8way(), ProcessorConfig::dual_cluster_8way()] {
-        let a = Processor::new(cfg.clone()).run_trace(&trace_a).unwrap();
-        let b = Processor::new(cfg).run_trace(&trace_a).unwrap();
+        let a = Processor::new(cfg.clone()).run_packed(&trace_a).unwrap();
+        let b = Processor::new(cfg).run_packed(&trace_a).unwrap();
         assert_eq!(a.stats, b.stats);
     }
 }

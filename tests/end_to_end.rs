@@ -4,7 +4,7 @@
 use multicluster::core::{Processor, ProcessorConfig};
 use multicluster::isa::assign::RegisterAssignment;
 use multicluster::sched::{SchedulePipeline, SchedulerKind};
-use multicluster::trace::{vm::trace_program, Program, ProgramBuilder, Vm, Vreg};
+use multicluster::trace::{vm::trace_program_packed, Program, ProgramBuilder, Vm, Vreg};
 use multicluster::workloads::{microkernels, Benchmark};
 
 /// Schedules with every scheduler kind and checks the machine program
@@ -61,18 +61,18 @@ fn benchmarks_schedule_and_simulate_on_both_machines() {
         let local =
             SchedulePipeline::new(SchedulerKind::Local, &assign).run(&il).expect("local");
 
-        let (native_trace, _) = trace_program(&native.program).expect("trace");
-        let (local_trace, _) = trace_program(&local.program).expect("trace");
+        let (native_trace, _) = trace_program_packed(&native.program, 0).expect("trace");
+        let (local_trace, _) = trace_program_packed(&local.program, 0).expect("trace");
         assert!(!native_trace.is_empty());
 
         let single = Processor::new(ProcessorConfig::single_cluster_8way())
-            .run_trace(&native_trace)
+            .run_packed(&native_trace)
             .expect("single simulates");
         let dual = Processor::new(ProcessorConfig::dual_cluster_8way())
-            .run_trace(&native_trace)
+            .run_packed(&native_trace)
             .expect("dual/native simulates");
         let dual_local = Processor::new(ProcessorConfig::dual_cluster_8way())
-            .run_trace(&local_trace)
+            .run_packed(&local_trace)
             .expect("dual/local simulates");
 
         // Every instruction retires exactly once.
@@ -141,15 +141,15 @@ fn four_way_configurations_run_the_suite() {
     let il = bench.build(200);
     let assign = RegisterAssignment::even_odd_with_default_globals(2);
     let native = SchedulePipeline::new(SchedulerKind::Naive, &assign).run(&il).unwrap();
-    let (trace, _) = trace_program(&native.program).unwrap();
+    let (trace, _) = trace_program_packed(&native.program, 0).unwrap();
     let single4 =
-        Processor::new(ProcessorConfig::single_cluster_4way()).run_trace(&trace).unwrap();
+        Processor::new(ProcessorConfig::single_cluster_4way()).run_packed(&trace).unwrap();
     let dual2 =
-        Processor::new(ProcessorConfig::dual_cluster_4way()).run_trace(&trace).unwrap();
+        Processor::new(ProcessorConfig::dual_cluster_4way()).run_packed(&trace).unwrap();
     assert_eq!(single4.stats.retired, trace.len() as u64);
     assert_eq!(dual2.stats.retired, trace.len() as u64);
     // The narrower machines are slower than their 8-way counterparts.
     let single8 =
-        Processor::new(ProcessorConfig::single_cluster_8way()).run_trace(&trace).unwrap();
+        Processor::new(ProcessorConfig::single_cluster_8way()).run_packed(&trace).unwrap();
     assert!(single4.stats.cycles >= single8.stats.cycles);
 }

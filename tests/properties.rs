@@ -11,7 +11,7 @@ use multicluster::isa::assign::RegisterAssignment;
 use multicluster::sched::{
     LocalScheduler, Partition, PartitionConfig, SchedulePipeline, SchedulerKind,
 };
-use multicluster::trace::{vm::trace_program, Profile, Program, ProgramBuilder, Vm, Vreg};
+use multicluster::trace::{vm::trace_program_packed, Profile, Program, ProgramBuilder, Vm, Vreg};
 
 use mcl_testutil::{check_cases, Rng};
 
@@ -164,10 +164,10 @@ fn simulation_retires_the_whole_trace() {
         let (il, _) = build_program(&ops);
         let assign = RegisterAssignment::even_odd_with_default_globals(2);
         let scheduled = SchedulePipeline::new(SchedulerKind::Local, &assign).run(&il).unwrap();
-        let (trace, _) = trace_program(&scheduled.program).unwrap();
+        let (trace, _) = trace_program_packed(&scheduled.program, 0).unwrap();
         for cfg in [ProcessorConfig::single_cluster_8way(), ProcessorConfig::dual_cluster_8way()] {
             let retire_width = cfg.retire_width;
-            let result = Processor::new(cfg).run_trace(&trace).unwrap();
+            let result = Processor::new(cfg).run_packed(&trace).unwrap();
             assert_eq!(result.stats.retired, trace.len() as u64);
             // Retirement is bounded by width.
             assert!(result.stats.cycles >= trace.len() as u64 / u64::from(retire_width));

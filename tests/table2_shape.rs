@@ -10,7 +10,7 @@ use multicluster::core::delay::{net_runtime_ratio, FeatureSize};
 use multicluster::core::{Processor, ProcessorConfig};
 use multicluster::isa::assign::RegisterAssignment;
 use multicluster::sched::{SchedulePipeline, SchedulerKind};
-use multicluster::trace::vm::trace_program;
+use multicluster::trace::vm::trace_program_packed;
 use multicluster::workloads::Benchmark;
 
 struct Row {
@@ -25,21 +25,21 @@ fn run_row(bench: Benchmark) -> Row {
     let assign = RegisterAssignment::even_odd_with_default_globals(2);
     let native = SchedulePipeline::new(SchedulerKind::Naive, &assign).run(&il).unwrap();
     let local = SchedulePipeline::new(SchedulerKind::Local, &assign).run(&il).unwrap();
-    let (native_trace, _) = trace_program(&native.program).unwrap();
-    let (local_trace, _) = trace_program(&local.program).unwrap();
+    let (native_trace, _) = trace_program_packed(&native.program, 0).unwrap();
+    let (local_trace, _) = trace_program_packed(&local.program, 0).unwrap();
     Row {
         single: Processor::new(ProcessorConfig::single_cluster_8way())
-            .run_trace(&native_trace)
+            .run_packed(&native_trace)
             .unwrap()
             .stats
             .cycles,
         dual_none: Processor::new(ProcessorConfig::dual_cluster_8way())
-            .run_trace(&native_trace)
+            .run_packed(&native_trace)
             .unwrap()
             .stats
             .cycles,
         dual_local: Processor::new(ProcessorConfig::dual_cluster_8way())
-            .run_trace(&local_trace)
+            .run_packed(&local_trace)
             .unwrap()
             .stats
             .cycles,
