@@ -305,29 +305,13 @@ fn pack_branch(pc: u64, taken: bool, mispredicted: bool) -> u64 {
     (pc << 2) | (u64::from(taken) << 1) | u64::from(mispredicted)
 }
 
-/// Why dispatch can make no progress this cycle and, provably, on every
-/// cycle until the next scheduled event — computed by
-/// [`Sim::dead_dispatch_cause`] by mirroring the stall checks at the
-/// top of [`Sim::dispatch`]. Each variant names the stall bucket the
-/// skipped cycles are charged to (plus the fetch icache probe the
-/// dispatch-queue and register stalls repeat every cycle).
+/// The bucket a cycle that dispatches nothing is charged to (see
+/// [`Sim::charge_idle`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeadCause {
-    /// Trace exhausted; the window is draining.
+enum Idle {
+    /// The trace is exhausted and the window drains: not a stall.
     Drain,
-    /// Fetch is blocked behind an unresolved mispredicted branch.
-    BranchWait,
-    /// `now < fetch_resume_at`; charged to the active [`FetchStall`].
-    FetchWait,
-    /// A pending register reassignment is waiting for the window to
-    /// drain.
-    ReassignDrain,
-    /// The cursor instruction (a fetch icache hit, at this pc) needs a
-    /// dispatch-queue entry no cluster has free.
-    DispatchQueue(u64),
-    /// The cursor instruction (a fetch icache hit, at this pc) needs
-    /// physical registers no free list can supply.
-    Registers(u64),
+    Stall(StallCause),
 }
 
 /// Dispatch-time operand availability (see [`Sim::avail_for`]).
@@ -548,16 +532,21 @@ type FrontEnd = (Distribution, PhysRegs, Needs);
 ///
 /// When dispatch blocks on a structural resource (dispatch-queue slots
 /// or physical registers), the simulator retries the same trace index
-/// every live cycle until the resource frees — recomputing the unpack,
-/// the distribution vote, and the physical-register demand each time,
-/// even though none of their inputs can change while the cursor holds
-/// still (`balance` and the assignment only move when something
-/// dispatches or reassigns, and both advance or clear the memo). The
-/// memo caches all of it keyed by cursor, so a stalled retry costs a
-/// handful of free-count compares. Register-starved workloads spend
-/// the majority of their cycles here (`stall_regs` in Table 2's `ora`
-/// row covers ~9 in 10 cycles), which makes this the single hottest
-/// path in the live-cycle loop.
+/// every live cycle until the resource frees. [`Sim::dist_table`]
+/// already serves the distribution of every op whose vote does not
+/// depend on the load balance; the memo saves what is left of each
+/// retry: the `trace.get` unpack, the instruction-cache lookup (the
+/// line hit when the memo was recorded and nothing else touches the
+/// icache, so a retry records a repeat hit), and the distribution of a
+/// balance-dependent op. None of these inputs can change while the
+/// cursor holds still: `balance` and the assignment only move when
+/// something dispatches or reassigns, and both advance or clear the
+/// memo. Register-starved workloads spend most of their cycles here
+/// (`stall_regs` in Table 2's `ora` row covers ~9 in 10 cycles).
+///
+/// It stays because it pays: without it `live-ff` (the benchmark's
+/// fast-forward workload) ran slower in 6 of 8 interleaved pairs on a
+/// 2-vCPU host, median 0.262 → 0.274 s.
 ///
 /// Only a stall builds the memo: an op that dispatches on its first try
 /// never pays for one.
@@ -566,9 +555,7 @@ struct DispatchMemo {
     /// Trace index the memo describes; a mismatch invalidates it.
     cursor: usize,
     op: TraceOp,
-    dist: Distribution,
-    phys: PhysRegs,
-    needs: Needs,
+    front: FrontEnd,
 }
 
 /// The dispatch-queue entries and physical registers one op takes from
@@ -886,18 +873,6 @@ impl std::ops::IndexMut<u64> for Window {
     }
 }
 
-/// Why fetch is waiting for `fetch_resume_at`; each variant charges its
-/// own `SimStats` stall counter, one cycle at a time, in `dispatch`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FetchStall {
-    Icache,
-    Replay,
-    /// Redirect after a resolved mispredicted branch.
-    Branch,
-    /// Dynamic-reassignment state-movement penalty.
-    Reassign,
-}
-
 struct Sim<'a, P: Probe = NullProbe, H: HostProf = NullHostProf> {
     cfg: &'a ProcessorConfig,
     assign: mcl_isa::assign::RegisterAssignment,
@@ -971,7 +946,9 @@ struct Sim<'a, P: Probe = NullProbe, H: HostProf = NullHostProf> {
     reg_caps: ([i64; 2], [i64; 2]),
 
     fetch_resume_at: u64,
-    fetch_stall: FetchStall,
+    /// What fetch waits for until `fetch_resume_at`: an icache miss, a
+    /// replay, a branch redirect or a reassignment penalty.
+    fetch_stall: StallCause,
     /// Sequence number of the unresolved mispredicted branch blocking
     /// fetch, if any.
     fetch_blocked_by: Option<u64>,
@@ -1085,7 +1062,7 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
             scratch_sched: Vec::new(),
             reg_caps: (int_free, fp_free),
             fetch_resume_at: 0,
-            fetch_stall: FetchStall::Icache,
+            fetch_stall: StallCause::Icache,
             fetch_blocked_by: None,
             pending_bpred: TimeQ::new(),
             buffer_frees: LaneQ::new(),
@@ -1373,15 +1350,19 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
     /// Fast-forward core: after a stepped cycle that performed no
     /// action, jump `now` straight to the next scheduled event if the
     /// span in between is provably dead — no cluster could dispatch,
-    /// issue, or retire on any skipped cycle — charging the span to
-    /// the same stall bucket the single-stepped loop would have charged cycle
-    /// by cycle. Conservative: any doubt aborts the jump and the
-    /// engine single-steps, so the result is byte-identical to a
-    /// [single-stepped](Processor::single_stepped) run by construction. Several checks below lean
-    /// on the actionless precondition (the caller gates on it): ready
-    /// copies were all evaluated against a fresh issue budget this
-    /// cycle, and no in-pass state (budget, buffers, dividers) was
-    /// consumed.
+    /// issue, or retire on any skipped cycle. The span is decided and
+    /// charged by the code that decides and charges a stepped cycle:
+    /// [`Sim::dead_dispatch_cause`] asks dispatch's own checks, each
+    /// ready or parked copy is classified by [`Sim::copy_block`] (via
+    /// [`Sim::park_resource_free`] for a group) as the issue pass
+    /// classifies it, and [`Sim::charge_idle`] charges all `n` cycles
+    /// to the bucket dispatch charges each one to. Conservative: any
+    /// doubt aborts the jump and the engine single-steps, so the result
+    /// is byte-identical to a [single-stepped](Processor::single_stepped)
+    /// run by construction. Several checks below lean on the actionless
+    /// precondition (the caller gates on it): ready copies were all
+    /// evaluated against a fresh issue budget this cycle, and no
+    /// in-pass state (budget, buffers, dividers) was consumed.
     fn try_fast_forward(&mut self) {
         let now = self.now;
         // Run finished, or activity that could cascade this cycle:
@@ -1397,63 +1378,46 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
         // it is provably unissuable, side-effect free, on every skipped
         // cycle. Because this cycle issued nothing, every ready copy
         // was just evaluated against a fresh budget and blocked, for
-        // one of exactly three reasons, mirroring the issue pass's
-        // check order:
+        // one of exactly two reasons:
         //
         // - the width rules — a fresh budget that cannot accept the
         //   class never will, so the copy never issues (no stats);
-        // - a busy divider, which frees at a known cycle that joins
-        //   the jump targets (no stats) — it is NOT always announced
-        //   by a completion event, because a squashed divide keeps its
-        //   unit busy after its event is discarded as stale;
-        // - a full transfer buffer, which only refills through a
-        //   scheduled buffer-free event (already a jump target). The
-        //   single-stepped loop charges `rtb_full_stalls`/`otb_full_stalls`
-        //   once per blocked copy per cycle, so the span charges the
-        //   per-cycle count times the span length below.
+        // - a resource ([`Sim::copy_block`], as the issue pass asks
+        //   it). A busy divider frees at a known cycle that joins the
+        //   jump targets (no stats) — it is NOT always announced by a
+        //   completion event, because a squashed divide keeps its unit
+        //   busy after its event is discarded as stale. A full
+        //   transfer buffer only refills through a scheduled
+        //   buffer-free event (already a jump target); the stepped
+        //   loop charges `rtb_full_stalls`/`otb_full_stalls` once per
+        //   blocked copy per cycle, so the span charges the per-cycle
+        //   count times the span length below.
         //
         // Anything else would issue: abort.
+        let rules = &self.cfg.issue_rules;
         let mut div_wake = None;
-        let mut rtb_stalls = 0u64;
-        let mut otb_stalls = 0u64;
+        let (mut rtb_stalls, mut otb_stalls) = (0u64, 0u64);
         for ci in 0..2 {
-            let rules = &self.cfg.issue_rules;
             if rules.total == 0 {
                 // Budget exhausted before the first copy: the issue
                 // pass breaks immediately and evaluates nothing.
                 continue;
             }
-            for &e in &self.ready[ci] {
+            let mut divider_blocked = false;
+            let mut tally = |group: usize, copies: u64| match group {
+                PARK_DIVIDER => divider_blocked = true,
+                g if g < PARK_OTB => rtb_stalls += copies,
+                _ => otb_stalls += copies,
+            };
+            for e in &self.ready[ci] {
                 if !self.window.contains(e.seq) {
                     return;
                 }
                 if rules.class_limit(e.slot_class) == 0 {
                     continue; // permanently width-blocked
                 }
-                if e.act == ACT_MASTER {
-                    if e.slot_class == InstrClass::FpDiv {
-                        let free =
-                            self.div_busy_until[ci][..self.dividers].iter().copied().min();
-                        if let Some(free) = free {
-                            if free > now {
-                                div_wake = Some(div_wake.map_or(free, |w: u64| w.min(free)));
-                                continue;
-                            }
-                        } else {
-                            // No dividers configured: unissuable, but the
-                            // single-stepped loop's wedge detection must see it.
-                            return;
-                        }
-                    }
-                    if e.slave_receives && self.rtb_free[usize::from(e.slave)] == 0 {
-                        rtb_stalls += 1;
-                        continue;
-                    }
-                } else if e.forwards && self.otb_free[usize::from(e.master)] == 0 {
-                    otb_stalls += 1;
-                    continue;
-                }
-                return;
+                let Some(group) = self.copy_block(ci, e) else { return };
+                tally(group, 1);
             }
             // Parked copies are blocked the same ways, a whole group
             // at a time: each stays unissuable while its resource is
@@ -1462,20 +1426,16 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
                 if group.is_empty() {
                     continue;
                 }
-                let len = group.len() as u64;
-                match g {
-                    PARK_DIVIDER => {
-                        match self.div_busy_until[ci][..self.dividers].iter().copied().min() {
-                            Some(free) if free > now => {
-                                div_wake = Some(div_wake.map_or(free, |w: u64| w.min(free)));
-                            }
-                            _ => return,
-                        }
-                    }
-                    g if g < PARK_OTB && self.rtb_free[g - PARK_RTB] == 0 => rtb_stalls += len,
-                    g if g >= PARK_OTB && self.otb_free[g - PARK_OTB] == 0 => otb_stalls += len,
-                    _ => return,
+                if self.park_resource_free(ci, g) {
+                    return;
                 }
+                tally(g, group.len() as u64);
+            }
+            if divider_blocked {
+                // No dividers configured: unissuable, but the stepped
+                // loop's wedge detection must see it.
+                let Some(free) = self.divider_free_at(ci) else { return };
+                div_wake = Some(div_wake.map_or(free, |w: u64| w.min(free)));
             }
         }
         // Retire: the front might retire next cycle (retirement is
@@ -1543,25 +1503,10 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
         }
 
         let n = target - now;
-        match cause {
-            DeadCause::Drain => self.stats.drain_cycles += n,
-            DeadCause::BranchWait => self.stats.stall_branch += n,
-            DeadCause::FetchWait => match self.fetch_stall {
-                FetchStall::Icache => self.stats.stall_icache += n,
-                FetchStall::Replay => self.stats.stall_replay += n,
-                FetchStall::Branch => self.stats.stall_branch += n,
-                FetchStall::Reassign => self.stats.stall_reassign += n,
-            },
-            DeadCause::ReassignDrain => self.stats.stall_reassign += n,
-            DeadCause::DispatchQueue(pc) => {
-                self.stats.stall_dq += n;
-                // Each skipped cycle re-probes the fetch line and hits.
-                self.icache.record_repeat_hits(pc, n);
-            }
-            DeadCause::Registers(pc) => {
-                self.stats.stall_regs += n;
-                self.icache.record_repeat_hits(pc, n);
-            }
+        self.charge_idle(cause, n);
+        if matches!(cause, Idle::Stall(StallCause::DispatchQueue | StallCause::Registers)) {
+            // Each skipped cycle re-probes the fetch line and hits.
+            self.icache.record_repeat_hits(self.cursor_op().0.pc, n);
         }
         // Each skipped cycle re-runs the same issue pass against the
         // same full buffers: charge the per-cycle stall counts once per
@@ -1573,63 +1518,102 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
         self.now = target;
     }
 
-    /// Mirrors the stall checks at the top of [`Sim::dispatch`] without
-    /// mutating anything: the cause returned holds on the current cycle
-    /// and — because every input it reads is constant while nothing
-    /// dispatches, issues, retires, or pops an event — on every cycle
-    /// up to the next scheduled event. Returns `None` when dispatch
-    /// could make progress (or take an icache miss, which mutates cache
-    /// state and so must be stepped).
-    fn dead_dispatch_cause(&self) -> Option<DeadCause> {
-        if self.cursor >= self.trace.len() {
-            return Some(DeadCause::Drain);
-        }
-        if self.fetch_blocked_by.is_some() {
-            return Some(DeadCause::BranchWait);
-        }
-        if self.now < self.fetch_resume_at {
-            return Some(DeadCause::FetchWait);
+    /// Where this cycle goes if dispatch makes no progress on it and,
+    /// provably, on every cycle up to the next scheduled event: the
+    /// checks [`Sim::dispatch`] makes, without mutating anything. Every
+    /// input read is constant while nothing dispatches, issues,
+    /// retires, or pops an event. Returns `None` when dispatch could
+    /// make progress (or take an icache miss, which mutates cache state
+    /// and so must be stepped).
+    fn dead_dispatch_cause(&self) -> Option<Idle> {
+        if let Some(idle) = self.idle_before_fetch() {
+            return Some(idle);
         }
         // An actionless cycle ran dispatch before this check, so a
         // stall at the cursor left a memo behind; reuse it instead of
         // re-deriving the distribution (the inputs match for the same
         // reason the dispatch retry may reuse it).
-        let memo = self.dispatch_memo.as_ref().filter(|m| m.cursor == self.cursor);
-        let op = memo.map_or_else(|| self.trace.get(self.cursor), |m| m.op);
-        if self.reassign_draining
-            || self.pending_reassign.first().is_some_and(|r| r.trigger_pc == op.pc)
-        {
+        let (op, memo) = self.cursor_op();
+        if self.reassign_due(op.pc) {
             // With an empty window the switch itself would run: step it.
-            return (!self.window.is_empty()).then_some(DeadCause::ReassignDrain);
+            return (!self.window.is_empty()).then_some(Idle::Stall(StallCause::Reassign));
         }
         let needs = match memo {
-            Some(m) => m.needs,
-            None => {
-                if !self.icache.probe(op.pc, self.now) {
-                    return None;
-                }
-                self.front_end(&op, self.cursor).2
-            }
+            Some((_, _, needs)) => needs,
+            None if self.icache.probe(op.pc, self.now) => self.front_end(&op, self.cursor).2,
+            None => return None,
         };
-        if !self.dq_fits(&needs) {
-            return Some(DeadCause::DispatchQueue(op.pc));
-        }
-        if !self.regs_fit(&needs) {
-            return Some(DeadCause::Registers(op.pc));
-        }
-        None
+        self.short_of(&needs).map(Idle::Stall)
     }
 
-    /// Whether every cluster has the dispatch-queue entries `needs` asks.
-    fn dq_fits(&self, needs: &Needs) -> bool {
-        (0..2).all(|c| self.dq_free[c] >= u32::from(needs.dq[c]))
+    /// The idle cycle dispatch takes before it looks at the op at the
+    /// cursor: the trace is exhausted, fetch waits on an unresolved
+    /// mispredicted branch, or fetch waits out `fetch_resume_at`.
+    fn idle_before_fetch(&self) -> Option<Idle> {
+        if self.cursor >= self.trace.len() {
+            Some(Idle::Drain)
+        } else if self.fetch_blocked_by.is_some() {
+            Some(Idle::Stall(StallCause::BranchWait))
+        } else if self.now < self.fetch_resume_at {
+            Some(Idle::Stall(self.fetch_stall))
+        } else {
+            None
+        }
     }
 
-    /// Whether every cluster has the physical registers `needs` asks.
-    fn regs_fit(&self, needs: &Needs) -> bool {
-        (0..2).all(|c| {
-            self.int_free[c] >= i64::from(needs.int[c]) && self.fp_free[c] >= i64::from(needs.fp[c])
-        })
+    /// The op at the dispatch cursor, with its front-end work when the
+    /// [`DispatchMemo`] holds it.
+    fn cursor_op(&self) -> (TraceOp, Option<FrontEnd>) {
+        match &self.dispatch_memo {
+            Some(m) if m.cursor == self.cursor => (m.op, Some(m.front)),
+            _ => (self.trace.get(self.cursor), None),
+        }
+    }
+
+    /// Whether a register reassignment holds dispatch at an op at `pc`:
+    /// one is draining, or `pc` triggers the next one.
+    fn reassign_due(&self, pc: u64) -> bool {
+        self.reassign_draining || self.pending_reassign.first().is_some_and(|r| r.trigger_pc == pc)
+    }
+
+    /// The resource an op needing `needs` cannot get: dispatch-queue
+    /// entries, then physical registers.
+    fn short_of(&self, needs: &Needs) -> Option<StallCause> {
+        if (0..2).any(|c| self.dq_free[c] < u32::from(needs.dq[c])) {
+            Some(StallCause::DispatchQueue)
+        } else if (0..2).any(|c| {
+            self.int_free[c] < i64::from(needs.int[c]) || self.fp_free[c] < i64::from(needs.fp[c])
+        }) {
+            Some(StallCause::Registers)
+        } else {
+            None
+        }
+    }
+
+    /// Charges `cycles` cycles that dispatch nothing to their
+    /// [`SimStats`] bucket: the one place a drain or stall cycle is
+    /// counted, for stepped cycles and fast-forwarded spans alike. A
+    /// stall is reported to the probe too; a probe forces
+    /// single-stepping, so it hears one cycle at a time.
+    #[inline]
+    fn charge_idle(&mut self, idle: Idle, cycles: u64) {
+        let s = &mut self.stats;
+        let Idle::Stall(cause) = idle else {
+            s.drain_cycles += cycles;
+            return;
+        };
+        *match cause {
+            StallCause::Icache => &mut s.stall_icache,
+            StallCause::BranchWait | StallCause::BranchRedirect => &mut s.stall_branch,
+            StallCause::DispatchQueue => &mut s.stall_dq,
+            StallCause::Registers => &mut s.stall_regs,
+            StallCause::Replay => &mut s.stall_replay,
+            StallCause::Reassign => &mut s.stall_reassign,
+        } += cycles;
+        if P::ENABLED {
+            debug_assert_eq!(cycles, 1, "a probe is only attached to single-stepped runs");
+            self.probe.stalled(self.now, cause);
+        }
     }
 
     /// The distribution of `op` (the op at trace index `index`), its
@@ -1697,7 +1681,7 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
                 // the waiting period (no eager increment here — the
                 // blocked cycles themselves are counted as they pass).
                 self.fetch_resume_at = self.fetch_resume_at.max(self.now + 1);
-                self.fetch_stall = FetchStall::Branch;
+                self.fetch_stall = StallCause::BranchRedirect;
             }
         }
         due.clear();
@@ -1963,10 +1947,36 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
     /// for is free now.
     fn park_resource_free(&self, ci: usize, group: usize) -> bool {
         match group {
-            PARK_DIVIDER => self.div_busy_until[ci][..self.dividers].iter().any(|&b| b <= self.now),
+            PARK_DIVIDER => self.divider_free_at(ci).is_some_and(|free| free <= self.now),
             g if g < PARK_OTB => self.rtb_free[g - PARK_RTB] > 0,
             g => self.otb_free[g - PARK_OTB] > 0,
         }
+    }
+
+    /// The cycle cluster `ci`'s first divider unit frees, or `None`
+    /// when it has none.
+    fn divider_free_at(&self, ci: usize) -> Option<u64> {
+        self.div_busy_until[ci][..self.dividers].iter().copied().min()
+    }
+
+    /// The park group of the resource that blocks ready copy `e` of
+    /// cluster `ci` now, in the issue pass's order: a busy divider for
+    /// a divide, then a full result buffer in the slave's cluster for a
+    /// master whose slave receives, or a full operand buffer in the
+    /// master's cluster for a forwarding slave. `None` if no resource
+    /// blocks it. Inlined: the issue pass asks it for every copy it
+    /// examines, and as a call it made `live-fp` ~2 % slower.
+    #[inline(always)]
+    fn copy_block(&self, ci: usize, e: &ReadyEntry) -> Option<usize> {
+        if e.act != ACT_MASTER {
+            let g = PARK_OTB + usize::from(e.master);
+            return (e.forwards && !self.park_resource_free(ci, g)).then_some(g);
+        }
+        if e.slot_class == InstrClass::FpDiv && !self.park_resource_free(ci, PARK_DIVIDER) {
+            return Some(PARK_DIVIDER);
+        }
+        let g = PARK_RTB + usize::from(e.slave);
+        (e.slave_receives && !self.park_resource_free(ci, g)).then_some(g)
     }
 
     /// One cluster's issue pass: walks the ready copies in age order
@@ -2127,45 +2137,27 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
             pass.blocked += 1;
             return Verdict::Keep;
         }
-        match action {
-            Action::Master => {
-                if slot_class == InstrClass::FpDiv
-                    && !self.div_busy_until[ci][..self.dividers].iter().any(|&b| b <= now)
-                {
-                    if P::ENABLED {
-                        self.probe.issue_blocked(now, seq, IssueBlock::Width);
-                    }
-                    pass.blocked += 1;
-                    return Verdict::Park(PARK_DIVIDER);
-                }
-                if e.slave_receives && self.rtb_free[usize::from(e.slave)] == 0 {
+        if let Some(g) = self.copy_block(ci, &e) {
+            let block = if g == PARK_DIVIDER {
+                IssueBlock::Width
+            } else {
+                self.blocked_on_buffer = true;
+                if g < PARK_OTB {
                     self.stats.rtb_full_stalls += 1;
-                    self.blocked_on_buffer = true;
-                    if P::ENABLED {
-                        self.probe.issue_blocked(now, seq, IssueBlock::RtbFull);
-                    }
-                    pass.blocked += 1;
-                    // A divide's buffer stall depends on its divider
-                    // too, so only the divider parks it (see `Parked`).
-                    return if slot_class == InstrClass::FpDiv {
-                        Verdict::Keep
-                    } else {
-                        Verdict::Park(PARK_RTB + usize::from(e.slave))
-                    };
-                }
-            }
-            Action::SlaveForward => {
-                if self.otb_free[usize::from(e.master)] == 0 {
+                    IssueBlock::RtbFull
+                } else {
                     self.stats.otb_full_stalls += 1;
-                    self.blocked_on_buffer = true;
-                    if P::ENABLED {
-                        self.probe.issue_blocked(now, seq, IssueBlock::OtbFull);
-                    }
-                    pass.blocked += 1;
-                    return Verdict::Park(PARK_OTB + usize::from(e.master));
+                    IssueBlock::OtbFull
                 }
+            };
+            if P::ENABLED {
+                self.probe.issue_blocked(now, seq, block);
             }
-            Action::SlaveReceive => {}
+            pass.blocked += 1;
+            // A divide's buffer stall depends on its divider too, so
+            // only the divider parks it (see `Parked`).
+            let parks = g == PARK_DIVIDER || slot_class != InstrClass::FpDiv;
+            return if parks { Verdict::Park(g) } else { Verdict::Keep };
         }
 
         // ---- issue ----
@@ -2472,100 +2464,56 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
     // -- dispatch (fetch + rename + queue insert) ----------------------------
 
     fn dispatch(&mut self) -> u32 {
+        if let Some(idle) = self.idle_before_fetch() {
+            self.charge_idle(idle, 1);
+            return 0;
+        }
         let now = self.now;
-        if self.cursor >= self.trace.len() {
-            // Post-trace drain: nothing left to fetch, not a stall.
-            self.stats.drain_cycles += 1;
-            return 0;
-        }
-        if self.fetch_blocked_by.is_some() {
-            self.stats.stall_branch += 1;
-            if P::ENABLED {
-                self.probe.stalled(now, StallCause::BranchWait);
-            }
-            return 0;
-        }
-        if now < self.fetch_resume_at {
-            let cause = match self.fetch_stall {
-                FetchStall::Icache => {
-                    self.stats.stall_icache += 1;
-                    StallCause::Icache
-                }
-                FetchStall::Replay => {
-                    self.stats.stall_replay += 1;
-                    StallCause::Replay
-                }
-                FetchStall::Branch => {
-                    self.stats.stall_branch += 1;
-                    StallCause::BranchRedirect
-                }
-                FetchStall::Reassign => {
-                    self.stats.stall_reassign += 1;
-                    StallCause::Reassign
-                }
-            };
-            if P::ENABLED {
-                self.probe.stalled(now, cause);
-            }
-            return 0;
-        }
-
         let mut dispatched = 0;
         let mut last_line: Option<u64> = None;
         // Line sizes are powers of two (`CacheConfig::sets` checks).
         let line_shift = self.cfg.icache.line_bytes.trailing_zeros();
 
-        while dispatched < self.cfg.fetch_width && self.cursor < self.trace.len() {
+        // Each op either dispatches or ends the group with the stall
+        // that holds it, charged below if nothing dispatched.
+        let stall = loop {
+            if dispatched >= self.cfg.fetch_width || self.cursor >= self.trace.len() {
+                return dispatched;
+            }
             // A valid memo replays the front-end work recorded the
             // cycle this cursor first stalled; see [`DispatchMemo`].
-            let (op, memo) = match &self.dispatch_memo {
-                Some(m) if m.cursor == self.cursor => (m.op, Some((m.dist, m.phys, m.needs))),
-                _ => (self.trace.get(self.cursor), None),
-            };
+            let (op, memo) = self.cursor_op();
 
             // Dynamic register reassignment (Section 6): the first
             // dispatch of a trigger PC drains the pipeline, pays the
             // state-movement penalty, and switches the assignment.
-            if self.reassign_draining
-                || self.pending_reassign.first().is_some_and(|r| r.trigger_pc == op.pc)
-            {
+            if self.reassign_due(op.pc) {
                 self.reassign_draining = true;
-                if !self.window.is_empty() {
-                    if dispatched == 0 {
-                        self.stats.stall_reassign += 1;
-                        if P::ENABLED {
-                            self.probe.stalled(now, StallCause::Reassign);
-                        }
+                if self.window.is_empty() {
+                    let point = self.pending_reassign.remove(0);
+                    self.assign = point.assignment;
+                    // Distribution votes depend on the assignment.
+                    self.dispatch_memo = None;
+                    self.dist_table.fill(None);
+                    let (int_free, fp_free) = free_lists_for(self.cfg, &self.assign);
+                    self.int_free = int_free;
+                    self.fp_free = fp_free;
+                    self.reg_caps = (int_free, fp_free);
+                    self.reassign_draining = false;
+                    self.stats.reassignments += 1;
+                    // The switch consumes this cycle, a reassignment
+                    // stall (the window is empty, so nothing has
+                    // dispatched); `idle_before_fetch` charges the
+                    // remaining `reassignment_penalty - 1` wait cycles.
+                    self.fetch_resume_at = now + self.cfg.reassignment_penalty;
+                    self.fetch_stall = StallCause::Reassign;
+                    // Rename state restarts under the new assignment
+                    // (every mapping is architectural).
+                    for table in &mut self.producers {
+                        table.iter_mut().for_each(|e| *e = None);
                     }
-                    return dispatched;
                 }
-                let point = self.pending_reassign.remove(0);
-                self.assign = point.assignment;
-                // Distribution votes depend on the assignment.
-                self.dispatch_memo = None;
-                self.dist_table.fill(None);
-                let (int_free, fp_free) = free_lists_for(self.cfg, &self.assign);
-                self.int_free = int_free;
-                self.fp_free = fp_free;
-                self.reg_caps = (int_free, fp_free);
-                self.reassign_draining = false;
-                self.stats.reassignments += 1;
-                // The switch consumes this cycle; the remaining
-                // `reassignment_penalty - 1` wait cycles are charged one
-                // at a time by the `fetch_resume_at` check above (the
-                // window is empty here, so `dispatched == 0`).
-                self.stats.stall_reassign += 1;
-                if P::ENABLED {
-                    self.probe.stalled(now, StallCause::Reassign);
-                }
-                self.fetch_resume_at = now + self.cfg.reassignment_penalty;
-                self.fetch_stall = FetchStall::Reassign;
-                // Rename state restarts under the new assignment (the
-                // window is empty, so every mapping is architectural).
-                for table in &mut self.producers {
-                    table.iter_mut().for_each(|e| *e = None);
-                }
-                return dispatched;
+                break StallCause::Reassign;
             }
 
             // Instruction cache (one access per line per group). The
@@ -2577,21 +2525,10 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
             if last_line != Some(line) {
                 if memo.is_some() {
                     self.icache.record_repeat_hits(op.pc, 1);
-                } else {
-                    match self.icache.access(op.pc, now, false) {
-                        Access::Hit => {}
-                        Access::Miss { ready_at, .. } => {
-                            self.fetch_resume_at = ready_at;
-                            self.fetch_stall = FetchStall::Icache;
-                            if dispatched == 0 {
-                                self.stats.stall_icache += 1;
-                                if P::ENABLED {
-                                    self.probe.stalled(now, StallCause::Icache);
-                                }
-                            }
-                            return dispatched;
-                        }
-                    }
+                } else if let Access::Miss { ready_at, .. } = self.icache.access(op.pc, now, false) {
+                    self.fetch_resume_at = ready_at;
+                    self.fetch_stall = StallCause::Icache;
+                    break StallCause::Icache;
                 }
                 last_line = Some(line);
             }
@@ -2600,31 +2537,11 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
             }
 
             // Distribution and resource checks.
-            let (dist, phys, needs) = match memo {
-                Some(front) => front,
-                None => self.front_end_cached(&op, self.cursor),
-            };
-            if !self.dq_fits(&needs) {
-                self.dispatch_memo =
-                    Some(DispatchMemo { cursor: self.cursor, op, dist, phys, needs });
-                if dispatched == 0 {
-                    self.stats.stall_dq += 1;
-                    if P::ENABLED {
-                        self.probe.stalled(now, StallCause::DispatchQueue);
-                    }
-                }
-                return dispatched;
-            }
-            if !self.regs_fit(&needs) {
-                self.dispatch_memo =
-                    Some(DispatchMemo { cursor: self.cursor, op, dist, phys, needs });
-                if dispatched == 0 {
-                    self.stats.stall_regs += 1;
-                    if P::ENABLED {
-                        self.probe.stalled(now, StallCause::Registers);
-                    }
-                }
-                return dispatched;
+            let front = memo.unwrap_or_else(|| self.front_end_cached(&op, self.cursor));
+            let (dist, phys, needs) = front;
+            if let Some(cause) = self.short_of(&needs) {
+                self.dispatch_memo = Some(DispatchMemo { cursor: self.cursor, op, front });
+                break cause;
             }
             self.dispatch_memo = None;
 
@@ -2797,11 +2714,14 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
             dispatched += 1;
 
             if mispredicted {
-                break; // wrong-path fetch until the branch resolves
+                return dispatched; // wrong-path fetch until the branch resolves
             }
             if taken && self.cfg.fetch_stops_at_taken {
-                break; // a taken branch ends the fetch group
+                return dispatched; // a taken branch ends the fetch group
             }
+        };
+        if dispatched == 0 {
+            self.charge_idle(Idle::Stall(stall), 1);
         }
         dispatched
     }
@@ -3276,7 +3196,7 @@ impl<'a, P: Probe, H: HostProf> Sim<'a, P, H> {
         // front-end work is stale.
         self.dispatch_memo = None;
         self.fetch_resume_at = now + self.cfg.replay_penalty;
-        self.fetch_stall = FetchStall::Replay;
+        self.fetch_stall = StallCause::Replay;
     }
 }
 

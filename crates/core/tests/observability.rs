@@ -3,7 +3,7 @@
 //! satisfies the stall-accounting identity documented in `stats.rs`.
 
 use mcl_core::config::ReassignmentPoint;
-use mcl_core::obs::{ObsConfig, ObsProbe};
+use mcl_core::obs::{ObsConfig, ObsProbe, StallCause};
 use mcl_core::{Processor, ProcessorConfig, SimResult};
 use mcl_isa::assign::{RegAssignment, RegisterAssignment};
 use mcl_isa::{ArchReg, ClusterId};
@@ -91,6 +91,26 @@ fn check_probe_consistency(result: &SimResult, probe: &ObsProbe) {
         samples.iter().map(|s| s.stalls.iter().sum::<u64>()).sum::<u64>(),
         stats.stall_cycles(),
     );
+    // Per cause, too: a cause swapped at a charge site would keep the
+    // total and fail here.
+    let sampled = |cause: StallCause| samples.iter().map(|s| s.stalls[cause.index()]).sum::<u64>();
+    for cause in StallCause::ALL {
+        let counter = match cause {
+            StallCause::Icache => stats.stall_icache,
+            StallCause::BranchWait | StallCause::BranchRedirect => stats.stall_branch,
+            StallCause::DispatchQueue => stats.stall_dq,
+            StallCause::Registers => stats.stall_regs,
+            StallCause::Replay => stats.stall_replay,
+            StallCause::Reassign => stats.stall_reassign,
+        };
+        let probed = match cause {
+            StallCause::BranchWait | StallCause::BranchRedirect => {
+                sampled(StallCause::BranchWait) + sampled(StallCause::BranchRedirect)
+            }
+            _ => sampled(cause),
+        };
+        assert_eq!(probed, counter, "sampled {cause:?} stalls vs their SimStats counter");
+    }
     assert_eq!(probe.last_cycle() + 1, stats.cycles);
 
     // Latency histograms: one retire latency per retired instruction;

@@ -24,7 +24,7 @@ echo "== lint: clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== lint: rustdoc =="
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
 echo "== tier-1: tests (default members: the whole workspace) =="
 cargo test -q
